@@ -86,8 +86,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_rate(args) -> int:
     rows = harness.read_summary(args.summary)
-    if len({n for n, _ in rows}) < 4:
-        print(f"insufficient data: need >= 4 distinct N values, got {len(rows)}")
+    distinct = len({n for n, _ in rows})
+    if distinct < 4:
+        print(f"insufficient data: need >= 4 distinct N values, got {distinct}")
         return 2
     slope, intercept, r_squared = diagnostics.rate_fit(rows)
     print(f"slope     {slope:.6g}")

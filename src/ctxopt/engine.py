@@ -149,6 +149,13 @@ def stepsize(schedule: Schedule, k: int, n_iters: int, alpha: float) -> float:
     return alpha / math.sqrt(k + 1)
 
 
+def stepsizes(schedule: Schedule, n_iters: int, alpha: float) -> Array:
+    """All of tau_0 .. tau_{N-1} at once, bit for bit equal to ``stepsize``."""
+    if schedule is Schedule.FIXED_HORIZON:
+        return np.full(n_iters, alpha / math.sqrt(n_iters))
+    return alpha / np.sqrt(np.arange(1, n_iters + 1))
+
+
 def draw_stop_index(schedule: Schedule, n_iters: int, alpha: float,
                     rng: np.random.Generator) -> int:
     """Draw the reporting index S according to the schedule's stopping law."""
@@ -156,7 +163,7 @@ def draw_stop_index(schedule: Schedule, n_iters: int, alpha: float,
         raise ConfigurationError("n_iters must be >= 1")
     if schedule is Schedule.FIXED_HORIZON:
         return int(rng.integers(n_iters))
-    taus = alpha / np.sqrt(np.arange(1, n_iters + 1))
+    taus = stepsizes(schedule, n_iters, alpha)
     return int(rng.choice(n_iters, p=taus / taus.sum()))
 
 
@@ -183,26 +190,27 @@ def run(problem: ProblemSpec, config: RunConfig,
 
     betas = np.empty((n + 1, problem.dim_beta))
     thetas = np.empty((n + 1, problem.dim_theta))
-    taus = np.empty(n)
+    taus = stepsizes(config.schedule, n, config.alpha)
     betas[0], thetas[0] = beta, theta
 
+    # The loop rebinds state's arrays, never writes into them; a callback
+    # gets a snapshot of its own.
     state = IterateState(beta, theta, 0)
     diagnostics = []
-    for k in range(n):
+    for k, tau in enumerate(taus.tolist()):
         if diagnostics_fn is not None and config.diag_every > 0 and k % config.diag_every == 0:
-            diagnostics.append((k, diagnostics_fn(state, rng_diag)))
+            snapshot = IterateState(state.beta, state.theta, k)
+            diagnostics.append((k, diagnostics_fn(snapshot, rng_diag)))
         try:
-            sample = sample_joint(problem, rng_traj)
-            tau = stepsize(config.schedule, k, n, config.alpha)
-            direction = compute_direction(problem, state, sample, config.gamma)
-            state = step(state, direction, tau)
+            direction = compute_direction(
+                problem, state, sample_joint(problem, rng_traj), config.gamma)
         except EvaluationError as exc:
             raise EvaluationError(
                 f"evaluation failed at iteration {k}: {exc}",
                 offending_input=exc.offending_input,
             ) from exc
-        taus[k] = tau
-        betas[k + 1], thetas[k + 1] = state.beta, state.theta
+        state.beta = betas[k + 1] = state.beta + tau * direction.d_beta
+        state.theta = thetas[k + 1] = state.theta + tau * direction.d_theta
 
     rng_stop = seeding.substream(config.seed, seeding.STREAM_STOPPING)
     stop = draw_stop_index(config.schedule, n, config.alpha, rng_stop)

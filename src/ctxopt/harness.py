@@ -65,7 +65,6 @@ class ExperimentConfig:
     lam: Optional[float] = None
     c1: Optional[float] = None
     c2: Optional[float] = None
-    diag_every: int = 0
     init_beta: Optional[list] = None
     init_theta: Optional[list] = None
     problem_params: dict = field(default_factory=dict)
@@ -83,6 +82,14 @@ class ExperimentConfig:
             raise ConfigurationError("replications must be >= 1")
 
 
+def _convert(key: str, raw: str, kind):
+    """``kind(raw)``, or a ConfigurationError that names the key."""
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"{key}: {exc}") from None
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value config format."""
     pairs = {}
@@ -95,36 +102,35 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         pairs[key.strip()] = value.strip()
 
-    def pop(key, default=None):
-        return pairs.pop(key, default)
+    def pop(key, default=None, kind=None):
+        raw = pairs.pop(key, default)
+        return raw if raw is None or kind is None else _convert(key, raw, kind)
+
+    def floats(raw):
+        return [float(v) for v in raw.split(",")]
+
+    def ints(raw):
+        return [int(v) for v in raw.split(",") if v.strip()]
 
     name = pop("problem.name")
     if name is None:
         raise ConfigurationError("config missing problem.name")
-    gamma = pop("run.gamma")
+    gamma = pop("run.gamma", kind=float)
     if gamma is None:
         raise ConfigurationError("config missing run.gamma")
-    alpha_raw = pop("run.alpha", "auto")
-    alpha = None if alpha_raw.lower() == "auto" else float(alpha_raw)
-    schedule = engine.Schedule(pop("run.schedule", "FixedHorizon"))
-    seed = int(pop("run.seed", "0"))
-    diag_every = int(pop("run.diag_every", "0"))
-    init_beta = pop("run.init_beta")
-    init_theta = pop("run.init_theta")
-    if init_beta is not None:
-        init_beta = [float(v) for v in init_beta.split(",")]
-    if init_theta is not None:
-        init_theta = [float(v) for v in init_theta.split(",")]
-    sweep_raw = pop("sweep")
-    if sweep_raw is None:
+    alpha = pop("run.alpha", "auto")
+    alpha = None if alpha.lower() == "auto" else _convert("run.alpha", alpha, float)
+    schedule = pop("run.schedule", "FixedHorizon", engine.Schedule)
+    seed = pop("run.seed", "0", int)
+    init_beta = pop("run.init_beta", kind=floats)
+    init_theta = pop("run.init_theta", kind=floats)
+    sweep = pop("sweep", kind=ints)
+    if sweep is None:
         raise ConfigurationError("config missing sweep")
-    sweep = [int(v) for v in sweep_raw.split(",") if v.strip()]
-    replications = int(pop("replications", "1"))
+    replications = pop("replications", "1", int)
     output_dir = Path(pop("output_dir", "out"))
-    lam = pop("lambda")
-    c1 = pop("c1")
-    c2 = pop("c2")
-    workers = int(pop("workers", "0"))
+    lam, c1, c2 = (pop(key, kind=float) for key in ("lambda", "c1", "c2"))
+    workers = pop("workers", "0", int)
     estimate = pop("ledger.estimate", "false").lower() in ("1", "true", "yes")
 
     problem_params = {}
@@ -133,18 +139,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if key.startswith("problem."):
             problem_params[key[len("problem."):]] = pairs.pop(key)
         elif key.startswith("ledger."):
-            ledger_overrides[key[len("ledger."):]] = float(pairs.pop(key))
+            ledger_overrides[key[len("ledger."):]] = pop(key, kind=float)
     if pairs:
         raise ConfigurationError(f"unknown config keys: {sorted(pairs)}")
 
     return ExperimentConfig(
-        problem_name=name, gamma=float(gamma), alpha=alpha, schedule=schedule,
+        problem_name=name, gamma=gamma, alpha=alpha, schedule=schedule,
         seed=seed, sweep=sweep, replications=replications,
-        output_dir=output_dir,
-        lam=None if lam is None else float(lam),
-        c1=None if c1 is None else float(c1),
-        c2=None if c2 is None else float(c2),
-        diag_every=diag_every, init_beta=init_beta, init_theta=init_theta,
+        output_dir=output_dir, lam=lam, c1=c1, c2=c2,
+        init_beta=init_beta, init_theta=init_theta,
         problem_params=problem_params,
         ledger_overrides=ledger_overrides, estimate_ledger=estimate,
         workers=workers, raw_text=text,
@@ -209,7 +212,7 @@ def measure_z0_quantities(problem: problems.BuiltinProblem,
 def _run_one(problem_name: str, problem_params: dict, n_iters: int,
              replication: int, master_seed: int, gamma: float, alpha: float,
              schedule_value: str, lam: float, c1: float, c2: float,
-             diag_every: int, init_beta=None, init_theta=None) -> dict:
+             init_beta=None, init_theta=None) -> dict:
     """Execute one replication and evaluate diagnostics at the stopped state."""
     problem = problems.by_name(problem_name, **problem_params)
     spec = problem.spec
@@ -217,7 +220,7 @@ def _run_one(problem_name: str, problem_params: dict, n_iters: int,
     run_config = engine.RunConfig(
         gamma=gamma, alpha=alpha, n_iters=n_iters,
         schedule=engine.Schedule(schedule_value), seed=seed,
-        diag_every=diag_every, init_beta=init_beta, init_theta=init_theta,
+        init_beta=init_beta, init_theta=init_theta,
     )
     start = time.perf_counter()
     record = engine.run(spec, run_config)
@@ -255,6 +258,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Returns a dict with the output paths, the per-N summary rows, and the
     resolved (ledger, lam, c1, c2, alpha).
     """
+    workers = config.workers or (os.cpu_count() or 1)
+    workers = _convert("CTXOPT_WORKERS",
+                       os.environ.get("CTXOPT_WORKERS", str(workers)), int)
+    if workers < 0:
+        raise ConfigurationError(f"workers must be >= 0, got {workers}")
     problem = problems.by_name(config.problem_name, **config.problem_params)
     ledger = resolve_ledger(problem, config)
     lam, c1, c2 = resolve_coefficients(ledger, config)
@@ -270,10 +278,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     tasks = [(n, r) for n in config.sweep for r in range(config.replications)]
     args = [(config.problem_name, config.problem_params, n, r, config.seed,
              config.gamma, alpha, config.schedule.value, lam, c1, c2,
-             config.diag_every, config.init_beta, config.init_theta)
+             config.init_beta, config.init_theta)
             for n, r in tasks]
-    workers = config.workers or (os.cpu_count() or 1)
-    workers = int(os.environ.get("CTXOPT_WORKERS", workers))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one_star, args, chunksize=1))

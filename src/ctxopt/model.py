@@ -15,6 +15,7 @@ products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -54,6 +55,9 @@ class ProblemSpec:
     conditional_oracle: Optional[Callable[[Array, Array], tuple]] = None
     support: Optional[Sequence[tuple]] = None
 
+    _groups: Optional[list] = field(default=None, init=False, repr=False,
+                                    compare=False)
+
     def __post_init__(self):
         for name in ("dim_x", "dim_y", "dim_beta", "dim_theta", "dim_f"):
             if getattr(self, name) < 1:
@@ -66,6 +70,16 @@ class ProblemSpec:
                 raise ConfigurationError(
                     f"support probabilities sum to {total!r}, expected 1"
                 )
+            groups: dict = {}
+            for x, y, p in self.support:
+                x = np.asarray(x, dtype=float)
+                key = x.tobytes()
+                if key not in groups:
+                    groups[key] = [x, 0.0, []]
+                groups[key][1] += p
+                groups[key][2].append((np.asarray(y, dtype=float), p))
+            self._groups = [(x, p_x, [(y, p / p_x) for y, p in pairs])
+                            for x, p_x, pairs in groups.values() if p_x > 0]
 
     @property
     def has_support(self) -> bool:
@@ -86,7 +100,10 @@ class IterateState:
 
 
 def _check_finite(name: str, value: Array, inputs) -> None:
-    if not np.all(np.isfinite(value)):
+    # The sum is non-finite whenever an entry is NaN or +-inf, so the
+    # entrywise test only runs when it is (or when a finite sum overflows).
+    if (not math.isfinite(np.add.reduce(value, None))
+            and not np.isfinite(value).all()):
         raise EvaluationError(
             f"{name} produced a non-finite output {value!r} at input {inputs!r}",
             offending_input=inputs,
@@ -94,9 +111,9 @@ def _check_finite(name: str, value: Array, inputs) -> None:
 
 
 def _check_shape(name: str, value: Array, shape: tuple) -> None:
-    if np.shape(value) != shape:
+    if value.shape != shape:
         raise ConfigurationError(
-            f"{name} has shape {np.shape(value)}, expected {shape}"
+            f"{name} has shape {value.shape}, expected {shape}"
         )
 
 
@@ -124,7 +141,7 @@ def evaluate_outer(problem: ProblemSpec, u: Array):
     g_hess = np.asarray(g_hess, dtype=float)
     _check_shape("g_grad", g_grad, (problem.dim_f,))
     _check_shape("g_hess", g_hess, (problem.dim_f, problem.dim_f))
-    if not np.isfinite(g_value):
+    if not math.isfinite(g_value):
         raise EvaluationError(f"outer value non-finite at u={u!r}", offending_input=u)
     _check_finite("outer gradient", g_grad, u)
     _check_finite("outer hessian", g_hess, u)
@@ -170,23 +187,11 @@ def support_groups(problem: ProblemSpec):
 
     Returns a list of (x, p_x, [(y, p_y_given_x), ...]) with p_x the marginal
     probability of x and the inner list the conditional law of Y given X=x.
+    The grouping is built once, when the problem is constructed.
     """
     if problem.support is None:
         raise CapabilityError("problem has no support enumeration")
-    groups: dict = {}
-    for x, y, p in problem.support:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if key not in groups:
-            groups[key] = [x, 0.0, []]
-        groups[key][1] += p
-        groups[key][2].append((np.asarray(y, dtype=float), p))
-    out = []
-    for x, p_x, pairs in groups.values():
-        if p_x <= 0:
-            continue
-        out.append((x, p_x, [(y, p / p_x) for y, p in pairs]))
-    return out
+    return problem._groups
 
 
 def finite_difference_check(problem: ProblemSpec, n_probes: int,

@@ -8,7 +8,7 @@ from scipy import stats
 
 from ctxopt import diagnostics, engine, seeding
 from ctxopt.engine import Direction, RunConfig, Schedule
-from ctxopt.errors import ConfigurationError
+from ctxopt.errors import ConfigurationError, EvaluationError
 from ctxopt.model import IterateState
 
 
@@ -49,6 +49,32 @@ def test_stepsize_schedules():
         engine.stepsize(Schedule.FIXED_HORIZON, 16, 16, 0.5)
     with pytest.raises(ConfigurationError):
         engine.stepsize(Schedule.ANYTIME, -1, 16, 0.5)
+
+
+def test_stepsizes_equal_stepsize_bitwise():
+    for schedule in Schedule:
+        for n in (1, 7, 1000):
+            expected = [engine.stepsize(schedule, k, n, 0.37) for k in range(n)]
+            assert engine.stepsizes(schedule, n, 0.37).tolist() == expected
+
+
+def test_nonfinite_inner_names_the_iteration(bt):
+    spec = bt.spec
+    calls = []
+
+    def inner(x, y, beta):
+        calls.append(None)
+        if len(calls) == 6:
+            return np.array([np.nan]), np.array([[0.0]])
+        return spec.inner(x, y, beta)
+
+    broken = dataclasses.replace(spec, inner=inner)
+    with pytest.raises(EvaluationError) as exc:
+        engine.run(broken, RunConfig(gamma=1.0, alpha=0.1, n_iters=20, seed=2))
+    assert "evaluation failed at iteration 5: inner produced a non-finite" \
+        in str(exc.value)
+    x, y, beta = exc.value.offending_input
+    assert len(x) == len(y) == len(beta) == 1
 
 
 def test_run_shapes_and_taus(bt):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,53 @@ def test_parse_config_rejects_unknown_keys_and_bad_sweep():
         harness.parse_config("problem.name=BT\nrun.gamma=1\nsweep=8,4\n")
     with pytest.raises(ConfigurationError):
         harness.parse_config("run.gamma=1\nsweep=4\n")
+
+
+BASE_CONFIG = "problem.name = BT\nrun.gamma = 2\nsweep = 4\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("run.gamma", "abc"),
+    ("run.alpha", "fast"),
+    ("run.schedule", "Sometimes"),
+    ("run.seed", "1.5"),
+    ("run.init_beta", "0.1,x"),
+    ("run.init_theta", "y"),
+    ("sweep", "4,eight"),
+    ("replications", "two"),
+    ("lambda", "big"),
+    ("c1", "-"),
+    ("c2", "1e"),
+    ("workers", "many"),
+    ("ledger.M", "huge"),
+])
+def test_parse_config_bad_value_names_the_key(key, value):
+    lines = [line for line in BASE_CONFIG.splitlines()
+             if not line.startswith(key + " ")]
+    text = "\n".join(lines + [f"{key} = {value}"]) + "\n"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(key)}: "):
+        harness.parse_config(text)
+
+
+@pytest.mark.parametrize("line, env, message", [
+    ("workers = -3\n", None, "workers must be >= 0"),
+    ("", "-3", "workers must be >= 0"),
+    ("", "two", "^CTXOPT_WORKERS: "),
+], ids=["config-negative", "env-negative", "env-not-int"])
+def test_bad_worker_count_rejected(tmp_path, monkeypatch, line, env, message):
+    if env is None:
+        monkeypatch.delenv("CTXOPT_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("CTXOPT_WORKERS", env)
+    config = harness.parse_config(SMALL_CONFIG.format(out=tmp_path / "out") + line)
+    with pytest.raises(ConfigurationError, match=message):
+        harness.run_experiment(config)
+    assert not (tmp_path / "out").exists()
+
+
+def test_diag_every_is_not_a_config_key():
+    with pytest.raises(ConfigurationError, match="run.diag_every"):
+        harness.parse_config(BASE_CONFIG + "run.diag_every = 4\n")
 
 
 def test_smallest_run_writes_single_row(tmp_path, bt):
@@ -222,6 +270,13 @@ def test_cli_rate_synthetic_laws(tmp_path, capsys):
     _write_summary(short, [(n, 1.0 / n) for n in ns[:3]])
     assert cli.main(["rate", str(short)]) == 2
     capsys.readouterr()
+
+
+def test_cli_rate_counts_distinct_n(tmp_path, capsys):
+    repeated = tmp_path / "repeated.csv"
+    _write_summary(repeated, [(n, 1.0 / n) for n in (64, 64, 256, 256, 1024)])
+    assert cli.main(["rate", str(repeated)]) == 2
+    assert "need >= 4 distinct N values, got 3" in capsys.readouterr().out
 
 
 def test_cli_gradcheck(capsys):

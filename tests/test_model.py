@@ -1,5 +1,7 @@
 """Evaluator contracts: shapes, finiteness, enumeration, gradient checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,47 @@ def test_missing_capabilities_raise(bt):
         model.support_groups(bare)
     with pytest.raises(CapabilityError):
         model.conditional_oracle(bare, np.array([0.0]), np.array([0.0]))
+
+
+# numpy warns about the overflowing sum; the check itself must not raise.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_finite_output_whose_sum_overflows_passes(bt):
+    # The cheap test sums the entries; a finite array whose sum overflows
+    # must still pass through the entrywise check.
+    def huge_grad(x, y, beta):
+        return np.array([1.0]), np.array([[1e308], [1e308]])
+
+    wide = dataclasses.replace(bt.spec, dim_beta=2, inner=huge_grad)
+    _, grad = model.evaluate_inner(wide, np.array([0.0]), np.array([0.0]),
+                                   np.array([0.0, 0.0]))
+    assert grad.ravel().tolist() == [1e308, 1e308]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["value", "gradient"])
+def test_each_nonfinite_entry_names_the_evaluator(bt, bad, where):
+    def inner(x, y, beta):
+        value, grad = np.array([0.5]), np.array([[1.0]])
+        if where == "value":
+            value[0] = bad
+        else:
+            grad[0, 0] = bad
+        return value, grad
+
+    inputs = (np.array([0.0]), np.array([1.0]), np.array([0.25]))
+    name = "inner" if where == "value" else "inner gradient"
+    with pytest.raises(EvaluationError, match=f"^{name} produced a non-finite"):
+        model.evaluate_inner(dataclasses.replace(bt.spec, inner=inner), *inputs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_outer_value_raises(bt, bad):
+    broken = dataclasses.replace(
+        bt.spec, outer=lambda u: (bad, np.zeros(1), np.zeros((1, 1))))
+    with pytest.raises(EvaluationError, match="^outer value non-finite") as exc:
+        model.evaluate_outer(broken, np.array([0.5]))
+    assert exc.value.offending_input.tolist() == [0.5]
+
+
+def test_support_groups_are_built_once(bt):
+    assert model.support_groups(bt.spec) is model.support_groups(bt.spec)
