@@ -1,14 +1,24 @@
 """Analytical diagnostics: Q, grad G, V, the Lyapunov function, and checks.
 
-Every quantity can be computed in one of two modes:
+Every diagnostic averages a per-context expression in F(x, beta),
+psi(x, theta) and g over contexts x.  One context provider serves both
+modes:
 
-* ``"exact"`` enumerates the finite support of (X, Y) and is the default for
-  all verification work; standard errors are zero.
-* ``"mc"`` averages over fresh joint samples and requires the conditional
-  oracle for F, because Q, the Bregman gap, and the expected direction all
-  contain F inside nonlinear expressions where a single-sample plug-in is
-  biased.  A nested inner-sampling fallback is deliberately not provided:
-  the whole point of the method is that conditional sampling is infeasible.
+* ``"exact"`` takes the support's distinct contexts with their marginal
+  probabilities p_x, grouped once when the problem is built, and averages by
+  a p_x-weighted sum in support order.  It is the default for all
+  verification work; standard errors are zero.
+* ``"mc"`` draws n contexts, one sampler call each, and averages by the
+  sample mean with its standard error.  It requires the conditional oracle
+  for F, because Q, the Bregman gap, and the expected direction all contain F
+  inside nonlinear expressions where a single-sample plug-in is biased.  A
+  nested inner-sampling fallback is deliberately not provided: the whole
+  point of the method is that conditional sampling is infeasible.
+
+Each diagnostic calls each evaluator it needs once, over all the contexts
+(see the evaluator contract in ``ctxopt.model``).  F comes from the
+conditional oracle when the problem has one and otherwise from enumerating
+the support's conditional laws.
 
 Problems lacking both support and oracle admit engine-only runs with no
 value diagnostics.
@@ -18,7 +28,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,11 +35,12 @@ from .engine import Direction, IterateState, compute_direction
 from .errors import CapabilityError, ConfigurationError
 from .model import (
     ProblemSpec,
+    _matvec,
     conditional_oracle,
     enumerate_conditional,
     evaluate_model,
     evaluate_outer,
-    sample_joint,
+    sample_stack,
     support_groups,
 )
 
@@ -52,34 +62,45 @@ class DiagnosticsReport:
     mode: str
 
 
-def _require_exact(problem: ProblemSpec):
-    if not problem.has_support:
-        raise CapabilityError("exact mode requires a support enumeration")
+def _contexts(problem: ProblemSpec, mode, n_samples, rng):
+    """The context points of ``mode`` and the average over them.
 
+    Returns (xs, average) with xs of shape (n, dim_x); ``average`` maps
+    per-context values, stacked along the first axis, to (mean, stderr).
+    """
+    if mode == "exact":
+        if not problem.has_support:
+            raise CapabilityError("exact mode requires a support enumeration")
+        groups = support_groups(problem)
+        xs = np.array([x for x, _, _ in groups])
+        p_x = [p for _, p, _ in groups]
 
-def _require_mc(problem: ProblemSpec):
+        def average(values):
+            total = sum(p * v for p, v in zip(p_x, values))
+            return total, np.zeros(np.shape(total))
+        return xs, average
     if not problem.has_oracle:
-        raise CapabilityError(
-            "Monte Carlo diagnostics require a conditional oracle for F"
-        )
-
-
-def _F_at(problem: ProblemSpec, x, beta, cond=None):
-    if problem.has_oracle:
-        return conditional_oracle(problem, x, beta)
-    return enumerate_conditional(problem, x, beta, cond)
-
-
-def _mc_samples(problem, n_samples, rng):
+        raise CapabilityError("Monte Carlo diagnostics require a conditional oracle for F")
     if rng is None:
         raise ConfigurationError("Monte Carlo mode needs an rng")
     if n_samples < 1:
         raise ConfigurationError("n_samples must be positive")
-    return [sample_joint(problem, rng) for _ in range(n_samples)]
+    return sample_stack(problem, n_samples, rng)[0], _mean_stderr
+
+
+def _F(problem: ProblemSpec, xs, beta):
+    """F(x, beta) and its beta-gradient at every context of ``xs``.
+
+    Without a conditional oracle the contexts are the support groups.
+    """
+    if problem.has_oracle:
+        return conditional_oracle(problem, xs, beta)
+    F, F_grad = zip(*(enumerate_conditional(problem, x, beta, cond)
+                      for x, _, cond in support_groups(problem)))
+    return np.array(F), np.array(F_grad)
 
 
 def _mean_stderr(values):
-    values = np.asarray(values)
     n = values.shape[0]
     mean = values.mean(axis=0)
     stderr = values.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
@@ -89,88 +110,34 @@ def _mean_stderr(values):
 def tracking_error_Q(problem: ProblemSpec, beta, theta, mode="exact",
                      n_samples=10000, rng=None):
     """Mean squared model gap Q = (1/2) E ||F(X,beta) - psi(X,theta)||^2."""
-    if mode == "exact":
-        _require_exact(problem)
-        q = 0.0
-        for x, p_x, cond in support_groups(problem):
-            F, _ = _F_at(problem, x, beta, cond)
-            psi, _ = evaluate_model(problem, x, theta)
-            gap = F - psi
-            q += 0.5 * p_x * float(gap @ gap)
-        return q, 0.0
-    _require_mc(problem)
-    vals = []
-    for x, _ in _mc_samples(problem, n_samples, rng):
-        F, _ = conditional_oracle(problem, x, beta)
-        psi, _ = evaluate_model(problem, x, theta)
-        gap = F - psi
-        vals.append(0.5 * float(gap @ gap))
-    mean, stderr = _mean_stderr(vals)
-    return float(mean), float(stderr)
+    xs, average = _contexts(problem, mode, n_samples, rng)
+    gap = _F(problem, xs, beta)[0] - evaluate_model(problem, xs, theta)[0]
+    q, stderr = average(0.5 * (gap * gap).sum(axis=-1))
+    return float(q), float(stderr)
 
 
 def value_G(problem: ProblemSpec, beta, mode="exact", n_samples=10000, rng=None):
     """Objective value G(beta) = E[g(F(X, beta))]."""
-    if mode == "exact":
-        _require_exact(problem)
-        g_total = 0.0
-        for x, p_x, cond in support_groups(problem):
-            F, _ = _F_at(problem, x, beta, cond)
-            g_val, _, _ = evaluate_outer(problem, F)
-            g_total += p_x * g_val
-        return g_total, 0.0
-    _require_mc(problem)
-    vals = []
-    for x, _ in _mc_samples(problem, n_samples, rng):
-        F, _ = conditional_oracle(problem, x, beta)
-        g_val, _, _ = evaluate_outer(problem, F)
-        vals.append(g_val)
-    mean, stderr = _mean_stderr(vals)
-    return float(mean), float(stderr)
+    xs, average = _contexts(problem, mode, n_samples, rng)
+    g, stderr = average(evaluate_outer(problem, _F(problem, xs, beta)[0])[0])
+    return float(g), float(stderr)
 
 
 def grad_G(problem: ProblemSpec, beta, mode="exact", n_samples=10000, rng=None):
     """Objective gradient E[grad_beta F(X,beta) grad g(F(X,beta))]."""
-    if mode == "exact":
-        _require_exact(problem)
-        grad = np.zeros(problem.dim_beta)
-        for x, p_x, cond in support_groups(problem):
-            F, F_grad = _F_at(problem, x, beta, cond)
-            _, g_grad, _ = evaluate_outer(problem, F)
-            grad += p_x * (F_grad @ g_grad)
-        return grad, np.zeros(problem.dim_beta)
-    _require_mc(problem)
-    vals = []
-    for x, _ in _mc_samples(problem, n_samples, rng):
-        F, F_grad = conditional_oracle(problem, x, beta)
-        _, g_grad, _ = evaluate_outer(problem, F)
-        vals.append(F_grad @ g_grad)
-    return _mean_stderr(vals)
+    xs, average = _contexts(problem, mode, n_samples, rng)
+    F, F_grad = _F(problem, xs, beta)
+    return average(_matvec(F_grad, evaluate_outer(problem, F)[1]))
 
 
 def grad_Q(problem: ProblemSpec, beta, theta, mode="exact",
            n_samples=10000, rng=None):
     """Gradient of Q: E[[grad F; -grad psi] (F - psi)] split into blocks."""
-    if mode == "exact":
-        _require_exact(problem)
-        g_beta = np.zeros(problem.dim_beta)
-        g_theta = np.zeros(problem.dim_theta)
-        for x, p_x, cond in support_groups(problem):
-            F, F_grad = _F_at(problem, x, beta, cond)
-            psi, psi_grad = evaluate_model(problem, x, theta)
-            gap = F - psi
-            g_beta += p_x * (F_grad @ gap)
-            g_theta -= p_x * (psi_grad @ gap)
-        return g_beta, g_theta
-    _require_mc(problem)
-    vb, vt = [], []
-    for x, _ in _mc_samples(problem, n_samples, rng):
-        F, F_grad = conditional_oracle(problem, x, beta)
-        psi, psi_grad = evaluate_model(problem, x, theta)
-        gap = F - psi
-        vb.append(F_grad @ gap)
-        vt.append(-(psi_grad @ gap))
-    return _mean_stderr(vb)[0], _mean_stderr(vt)[0]
+    xs, average = _contexts(problem, mode, n_samples, rng)
+    F, F_grad = _F(problem, xs, beta)
+    psi, psi_grad = evaluate_model(problem, xs, theta)
+    gap = F - psi
+    return average(_matvec(F_grad, gap))[0], average(-_matvec(psi_grad, gap))[0]
 
 
 def nonoptimality_V(problem: ProblemSpec, beta, theta, c1, c2, mode="exact",
@@ -190,34 +157,15 @@ def bregman_delta_and_W(problem: ProblemSpec, beta, theta, lam,
     Delta = E[g(F) - g(psi) - grad g(psi)^T (F - psi) + (lam/2)||F - psi||^2]
     is nonnegative whenever lam >= L_hess_g, making W an upper bound on G.
     """
-    def term(F, psi, g_psi_grad, g_F_val, g_psi_val):
-        gap = F - psi
-        return (g_F_val - g_psi_val - float(g_psi_grad @ gap)
-                + 0.5 * lam * float(gap @ gap))
-
-    if mode == "exact":
-        _require_exact(problem)
-        delta = 0.0
-        g_total = 0.0
-        for x, p_x, cond in support_groups(problem):
-            F, _ = _F_at(problem, x, beta, cond)
-            psi, _ = evaluate_model(problem, x, theta)
-            g_F, _, _ = evaluate_outer(problem, F)
-            g_psi, g_psi_grad, _ = evaluate_outer(problem, psi)
-            delta += p_x * term(F, psi, g_psi_grad, g_F, g_psi)
-            g_total += p_x * g_F
-        return delta, g_total + delta
-    _require_mc(problem)
-    deltas, gs = [], []
-    for x, _ in _mc_samples(problem, n_samples, rng):
-        F, _ = conditional_oracle(problem, x, beta)
-        psi, _ = evaluate_model(problem, x, theta)
-        g_F, _, _ = evaluate_outer(problem, F)
-        g_psi, g_psi_grad, _ = evaluate_outer(problem, psi)
-        deltas.append(term(F, psi, g_psi_grad, g_F, g_psi))
-        gs.append(g_F)
-    delta = float(np.mean(deltas))
-    return delta, float(np.mean(gs)) + delta
+    xs, average = _contexts(problem, mode, n_samples, rng)
+    F = _F(problem, xs, beta)[0]
+    psi = evaluate_model(problem, xs, theta)[0]
+    g_F = evaluate_outer(problem, F)[0]
+    g_psi, g_psi_grad, _ = evaluate_outer(problem, psi)
+    gap = F - psi
+    delta = float(average(g_F - g_psi - (g_psi_grad * gap).sum(axis=-1)
+                          + 0.5 * lam * (gap * gap).sum(axis=-1))[0])
+    return delta, float(average(g_F)[0]) + delta
 
 
 def expected_direction_Gamma(problem: ProblemSpec, beta, theta, gamma,
@@ -227,26 +175,12 @@ def expected_direction_Gamma(problem: ProblemSpec, beta, theta, gamma,
     Matches the Monte Carlo mean of ``engine.compute_direction`` at the same
     point (the single-sample direction is conditionally unbiased).
     """
-    if mode == "exact":
-        _require_exact(problem)
-        d_beta = np.zeros(problem.dim_beta)
-        d_theta = np.zeros(problem.dim_theta)
-        for x, p_x, cond in support_groups(problem):
-            F, F_grad = _F_at(problem, x, beta, cond)
-            psi, psi_grad = evaluate_model(problem, x, theta)
-            _, g_psi_grad, _ = evaluate_outer(problem, psi)
-            d_beta -= p_x * (F_grad @ g_psi_grad)
-            d_theta += p_x * gamma * (psi_grad @ (F - psi))
-        return Direction(d_beta, d_theta)
-    _require_mc(problem)
-    vb, vt = [], []
-    for x, _ in _mc_samples(problem, n_samples, rng):
-        F, F_grad = conditional_oracle(problem, x, beta)
-        psi, psi_grad = evaluate_model(problem, x, theta)
-        _, g_psi_grad, _ = evaluate_outer(problem, psi)
-        vb.append(-(F_grad @ g_psi_grad))
-        vt.append(gamma * (psi_grad @ (F - psi)))
-    return Direction(_mean_stderr(vb)[0], _mean_stderr(vt)[0])
+    xs, average = _contexts(problem, mode, n_samples, rng)
+    F, F_grad = _F(problem, xs, beta)
+    psi, psi_grad = evaluate_model(problem, xs, theta)
+    g_psi_grad = evaluate_outer(problem, psi)[1]
+    return Direction(average(-_matvec(F_grad, g_psi_grad))[0],
+                     average(gamma * _matvec(psi_grad, F - psi))[0])
 
 
 def grad_W(problem: ProblemSpec, beta, theta, lam, mode="exact",
@@ -257,36 +191,18 @@ def grad_W(problem: ProblemSpec, beta, theta, lam, mode="exact",
                  + lam E[grad F (F - psi)]
     theta block: -E[grad psi hess g(psi) (F - psi)] - lam E[grad psi (F - psi)]
     """
-    def blocks(F, F_grad, psi, psi_grad):
-        _, g_F_grad, _ = evaluate_outer(problem, F)
-        _, g_psi_grad, g_psi_hess = evaluate_outer(problem, psi)
-        gap = F - psi
-        gb = (F_grad @ g_F_grad
-              + F_grad @ (g_F_grad - g_psi_grad)
-              + lam * (F_grad @ gap))
-        gt = -(psi_grad @ (g_psi_hess @ gap)) - lam * (psi_grad @ gap)
-        return gb, gt
-
-    if mode == "exact":
-        _require_exact(problem)
-        g_beta = np.zeros(problem.dim_beta)
-        g_theta = np.zeros(problem.dim_theta)
-        for x, p_x, cond in support_groups(problem):
-            F, F_grad = _F_at(problem, x, beta, cond)
-            psi, psi_grad = evaluate_model(problem, x, theta)
-            gb, gt = blocks(F, F_grad, psi, psi_grad)
-            g_beta += p_x * gb
-            g_theta += p_x * gt
-        return g_beta, g_theta
-    _require_mc(problem)
-    vb, vt = [], []
-    for x, _ in _mc_samples(problem, n_samples, rng):
-        F, F_grad = conditional_oracle(problem, x, beta)
-        psi, psi_grad = evaluate_model(problem, x, theta)
-        gb, gt = blocks(F, F_grad, psi, psi_grad)
-        vb.append(gb)
-        vt.append(gt)
-    return _mean_stderr(vb)[0], _mean_stderr(vt)[0]
+    xs, average = _contexts(problem, mode, n_samples, rng)
+    F, F_grad = _F(problem, xs, beta)
+    psi, psi_grad = evaluate_model(problem, xs, theta)
+    g_F_grad = evaluate_outer(problem, F)[1]
+    _, g_psi_grad, g_psi_hess = evaluate_outer(problem, psi)
+    gap = F - psi
+    g_beta = (_matvec(F_grad, g_F_grad)
+              + _matvec(F_grad, g_F_grad - g_psi_grad)
+              + lam * _matvec(F_grad, gap))
+    g_theta = (-_matvec(psi_grad, _matvec(g_psi_hess, gap))
+               - lam * _matvec(psi_grad, gap))
+    return average(g_beta)[0], average(g_theta)[0]
 
 
 def direction_moment_stats(problem: ProblemSpec, beta, theta, gamma,
@@ -294,16 +210,14 @@ def direction_moment_stats(problem: ProblemSpec, beta, theta, gamma,
     """Empirical second moments of the stochastic direction at a fixed state.
 
     Decomposes the mean of ||d_tilde||^2 into ||mean||^2 (estimating C_d^2)
-    plus the variance about the mean (estimating sigma^2).
+    plus the variance about the mean (estimating sigma^2).  The n samples
+    go through one ``compute_direction`` call.
     """
     if n < 1000:
         raise ConfigurationError("direction_moment_stats needs n >= 1000")
     state = IterateState(np.asarray(beta, float), np.asarray(theta, float))
-    dirs = np.empty((n, problem.dim_beta + problem.dim_theta))
-    for i in range(n):
-        d = compute_direction(problem, state, sample_joint(problem, rng), gamma)
-        dirs[i, :problem.dim_beta] = d.d_beta
-        dirs[i, problem.dim_beta:] = d.d_theta
+    d = compute_direction(problem, state, sample_stack(problem, n, rng), gamma)
+    dirs = np.concatenate((d.d_beta, d.d_theta), axis=1)
     mean = dirs.mean(axis=0)
     c_d_sq = float(mean @ mean)
     sigma_sq = float(((dirs - mean) ** 2).sum(axis=1).mean())
@@ -317,7 +231,6 @@ def descent_check(problem: ProblemSpec, beta, theta, gamma, lam, c1, c2):
     quantities here are closed-form on a finite support, so the tolerance is
     absolute.
     """
-    _require_exact(problem)
     gw_beta, gw_theta = grad_W(problem, beta, theta, lam, mode="exact")
     gam = expected_direction_Gamma(problem, beta, theta, gamma, mode="exact")
     lhs = float(gw_beta @ gam.d_beta + gw_theta @ gam.d_theta)

@@ -28,6 +28,7 @@ from .errors import ConfigurationError, EvaluationError
 from .model import (
     IterateState,
     ProblemSpec,
+    _matvec,
     evaluate_inner,
     evaluate_model,
     evaluate_outer,
@@ -115,8 +116,9 @@ def compute_direction(problem: ProblemSpec, state: IterateState,
                       sample: tuple, gamma: float) -> Direction:
     """Stochastic direction at ``state`` from one joint sample.
 
-    Performs exactly one evaluation each of the inner function, the outer
-    gradient, and the model.
+    ``sample`` is (x, y), or a stack of samples with leading batch axes.
+    Performs exactly one evaluation each of the inner function, the model,
+    and the outer function.
     """
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
@@ -124,8 +126,8 @@ def compute_direction(problem: ProblemSpec, state: IterateState,
     f_value, f_grad = evaluate_inner(problem, x, y, state.beta)
     psi_value, psi_grad = evaluate_model(problem, x, state.theta)
     _, g_grad, _ = evaluate_outer(problem, psi_value)
-    d_beta = -(f_grad @ g_grad)
-    d_theta = gamma * (psi_grad @ (f_value - psi_value))
+    d_beta = -_matvec(f_grad, g_grad)
+    d_theta = gamma * _matvec(psi_grad, f_value - psi_value)
     return Direction(d_beta, d_theta)
 
 

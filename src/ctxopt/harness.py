@@ -17,9 +17,11 @@ Configs are flat key=value text with dotted section keys::
     ledger.L_g = 1.0          # individual overrides
 
 Each (N, replication) pair runs with seed mix(master, N, r) and contributes
-one row to results.csv; summary.csv holds the per-N mean and standard error
-of V at the random stopping index; a JSONL manifest records the config
-hash, ledger, derived constants, and versions.
+one row to results.csv and its engine wall time to timings.csv; summary.csv
+holds the per-N mean and standard error of V at the random stopping index;
+a JSONL manifest records the config hash, ledger, derived constants, and
+versions.  results.csv and summary.csv are byte-identical across reruns and
+worker counts.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from .errors import CapabilityError, ConfigurationError
 
 RESULT_COLUMNS = ["N", "replication", "seed", "S", "tau_schedule", "alpha",
                   "gamma", "V_at_S", "Q_at_S", "normgradG_at_S", "W_final",
-                  "wall_ms", "samples_used"]
+                  "samples_used"]
+TIMING_COLUMNS = ["N", "replication", "wall_ms"]
 
 _V_MC_SAMPLES = 10000
 _MOMENT_SAMPLES = 20000
@@ -209,13 +212,14 @@ def measure_z0_quantities(problem: problems.BuiltinProblem,
     return c_d_sq, sigma_sq, w0, problem.g_min
 
 
-def _run_one(problem_name: str, problem_params: dict, n_iters: int,
-             replication: int, master_seed: int, gamma: float, alpha: float,
-             schedule_value: str, lam: float, c1: float, c2: float,
-             init_beta=None, init_theta=None) -> dict:
-    """Execute one replication and evaluate diagnostics at the stopped state."""
-    problem = problems.by_name(problem_name, **problem_params)
-    spec = problem.spec
+def _run_one(spec: problems.ProblemSpec, n_iters: int, replication: int,
+             master_seed: int, gamma: float, alpha: float, schedule_value: str,
+             lam: float, c1: float, c2: float, init_beta=None,
+             init_theta=None) -> dict:
+    """Execute one replication and evaluate diagnostics at the stopped state.
+
+    Returns the results.csv row plus its ``wall_ms`` timing.
+    """
     seed = seeding.mix(master_seed, n_iters, replication)
     run_config = engine.RunConfig(
         gamma=gamma, alpha=alpha, n_iters=n_iters,
@@ -253,7 +257,7 @@ def _run_one(problem_name: str, problem_params: dict, n_iters: int,
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run the full sweep and write results.csv / summary.csv / manifest.jsonl.
+    """Run the sweep; write results, summary, timings and manifest files.
 
     Returns a dict with the output paths, the per-N summary rows, and the
     resolved (ledger, lam, c1, c2, alpha).
@@ -276,7 +280,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                                         w0, g_min)
 
     tasks = [(n, r) for n in config.sweep for r in range(config.replications)]
-    args = [(config.problem_name, config.problem_params, n, r, config.seed,
+    args = [(problem.spec, n, r, config.seed,
              config.gamma, alpha, config.schedule.value, lam, c1, c2,
              config.init_beta, config.init_theta)
             for n, r in tasks]
@@ -289,13 +293,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results_path = out / "results.csv"
-    with open(results_path, "w", newline="\n") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v
-                             for k, v in row.items()})
+    _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
+    _write_csv(out / "timings.csv", TIMING_COLUMNS, rows)
 
     summary = []
     for n in config.sweep:
@@ -303,15 +302,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         stderr = vs.std(ddof=1) / np.sqrt(len(vs)) if len(vs) > 1 else 0.0
         summary.append({"N": n, "mean_V": float(vs.mean()),
                         "stderr_V": float(stderr), "replications": len(vs)})
-    summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="\n") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["N", "mean_V", "stderr_V",
-                                                "replications"],
-                                lineterminator="\n")
-        writer.writeheader()
-        for row in summary:
-            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v
-                             for k, v in row.items()})
+    _write_csv(out / "summary.csv", ["N", "mean_V", "stderr_V", "replications"],
+               summary)
 
     derived = {"lambda": lam, "c1": c1, "c2": c2, "alpha": alpha}
     if c_d_sq is not None:
@@ -329,10 +321,22 @@ def run_experiment(config: ExperimentConfig) -> dict:
     with open(out / "manifest.jsonl", "w") as fh:
         fh.write(json.dumps(manifest, sort_keys=True) + "\n")
 
-    return {"results": results_path, "summary": summary_path,
-            "manifest": out / "manifest.jsonl", "summary_rows": summary,
+    return {"results": out / "results.csv", "summary": out / "summary.csv",
+            "timings": out / "timings.csv", "manifest": out / "manifest.jsonl",
+            "summary_rows": summary,
             "ledger": ledger, "lam": lam, "c1": c1, "c2": c2, "alpha": alpha,
             "moments": (c_d_sq, sigma_sq, w0, g_min)}
+
+
+def _write_csv(path, columns, rows):
+    """Write the ``columns`` of ``rows``, floats as their repr."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n",
+                                extrasaction="ignore")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v
+                             for k, v in row.items()})
 
 
 def _run_one_star(args):

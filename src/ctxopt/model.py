@@ -7,6 +7,15 @@ space may additionally carry an explicit support enumeration, which powers
 exact (enumeration-based) diagnostics; a conditional oracle for
 F(x, beta) = E[f(x, Y, beta) | X = x] powers Monte Carlo diagnostics.
 
+Evaluator contract: the context arguments (``x`` and ``y`` of the inner
+function, ``x`` of the model and of the conditional oracle, ``u`` of the
+outer function) may lead with batch axes, and every output then leads with
+the same axes; ``beta`` and ``theta`` are always single vectors.  Called
+without batch axes, an evaluator gives the per-sample result.  So the
+diagnostics evaluate all their contexts in one call, and a user-defined
+evaluator that handles one sample at a time fails their output shape checks
+with a ConfigurationError.  The sampler makes one draw per call.
+
 Gradient matrices follow the transpose-of-Jacobian convention throughout:
 an evaluator differentiated with respect to a parameter vector of length p
 returns a p x n_f matrix, so update directions are plain matrix-vector
@@ -41,6 +50,8 @@ class ProblemSpec:
         sampler: (rng,) -> (x, y) i.i.d. draw from the joint distribution.
         conditional_oracle: optional (x, beta) -> (F, grad_F_beta).
         support: optional finite enumeration of (x, y, probability) triples.
+
+    Shapes are per sample; batched contexts prefix them with batch axes.
     """
 
     dim_x: int
@@ -99,11 +110,18 @@ class IterateState:
     k: int = 0
 
 
+def _all_finite(*values: Array) -> bool:
+    # A sum of squares is non-finite whenever an entry is NaN or +-inf, so
+    # one test covers every output of an evaluator call.
+    total = 0.0
+    for value in values:
+        total += np.vdot(value, value)
+    return math.isfinite(total)
+
+
 def _check_finite(name: str, value: Array, inputs) -> None:
-    # The sum is non-finite whenever an entry is NaN or +-inf, so the
-    # entrywise test only runs when it is (or when a finite sum overflows).
-    if (not math.isfinite(np.add.reduce(value, None))
-            and not np.isfinite(value).all()):
+    # Run only when _all_finite fails (or when a sum of squares overflows).
+    if not np.isfinite(value).all():
         raise EvaluationError(
             f"{name} produced a non-finite output {value!r} at input {inputs!r}",
             offending_input=inputs,
@@ -117,48 +135,66 @@ def _check_shape(name: str, value: Array, shape: tuple) -> None:
         )
 
 
+def _matvec(matrix: Array, vector: Array) -> Array:
+    """``matrix @ vector`` over matching leading batch axes."""
+    if vector.ndim == 1:
+        return matrix @ vector
+    return (matrix @ vector[..., None])[..., 0]
+
+
 def evaluate_inner(problem: ProblemSpec, x: Array, y: Array, beta: Array):
     """Evaluate f(x, y, beta) and its beta-gradient (dim_beta x dim_f)."""
-    if len(x) != problem.dim_x or len(y) != problem.dim_y or len(beta) != problem.dim_beta:
+    x, y, beta = np.asarray(x), np.asarray(y), np.asarray(beta)
+    lead = x.shape[:-1]
+    if (x.shape != lead + (problem.dim_x,) or y.shape != lead + (problem.dim_y,)
+            or beta.shape != (problem.dim_beta,)):
         raise ConfigurationError("evaluate_inner: input dimensions do not match problem")
     f_value, f_grad = problem.inner(x, y, beta)
     f_value = np.asarray(f_value, dtype=float)
     f_grad = np.asarray(f_grad, dtype=float)
-    _check_shape("f_value", f_value, (problem.dim_f,))
-    _check_shape("f_grad_beta", f_grad, (problem.dim_beta, problem.dim_f))
-    _check_finite("inner", f_value, (x, y, beta))
-    _check_finite("inner gradient", f_grad, (x, y, beta))
+    _check_shape("f_value", f_value, lead + (problem.dim_f,))
+    _check_shape("f_grad_beta", f_grad, lead + (problem.dim_beta, problem.dim_f))
+    if not _all_finite(f_value, f_grad):
+        _check_finite("inner", f_value, (x, y, beta))
+        _check_finite("inner gradient", f_grad, (x, y, beta))
     return f_value, f_grad
 
 
 def evaluate_outer(problem: ProblemSpec, u: Array):
     """Evaluate g(u), its gradient, and its Hessian."""
-    if len(u) != problem.dim_f:
-        raise ConfigurationError("evaluate_outer: len(u) != dim_f")
+    u = np.asarray(u)
+    lead = u.shape[:-1]
+    if u.shape != lead + (problem.dim_f,):
+        raise ConfigurationError("evaluate_outer: input dimensions do not match problem")
     g_value, g_grad, g_hess = problem.outer(u)
-    g_value = float(g_value)
+    g_value = np.asarray(g_value, dtype=float)
     g_grad = np.asarray(g_grad, dtype=float)
     g_hess = np.asarray(g_hess, dtype=float)
-    _check_shape("g_grad", g_grad, (problem.dim_f,))
-    _check_shape("g_hess", g_hess, (problem.dim_f, problem.dim_f))
-    if not math.isfinite(g_value):
-        raise EvaluationError(f"outer value non-finite at u={u!r}", offending_input=u)
-    _check_finite("outer gradient", g_grad, u)
-    _check_finite("outer hessian", g_hess, u)
-    return g_value, g_grad, g_hess
+    _check_shape("g_value", g_value, lead)
+    _check_shape("g_grad", g_grad, lead + (problem.dim_f,))
+    _check_shape("g_hess", g_hess, lead + (problem.dim_f, problem.dim_f))
+    if not _all_finite(g_value, g_grad, g_hess):
+        if not np.isfinite(g_value).all():
+            raise EvaluationError(f"outer value non-finite at u={u!r}", offending_input=u)
+        _check_finite("outer gradient", g_grad, u)
+        _check_finite("outer hessian", g_hess, u)
+    return g_value[()], g_grad, g_hess
 
 
 def evaluate_model(problem: ProblemSpec, x: Array, theta: Array):
     """Evaluate psi(x, theta) and its theta-gradient (dim_theta x dim_f)."""
-    if len(x) != problem.dim_x or len(theta) != problem.dim_theta:
+    x, theta = np.asarray(x), np.asarray(theta)
+    lead = x.shape[:-1]
+    if x.shape != lead + (problem.dim_x,) or theta.shape != (problem.dim_theta,):
         raise ConfigurationError("evaluate_model: input dimensions do not match problem")
     psi_value, psi_grad = problem.model(x, theta)
     psi_value = np.asarray(psi_value, dtype=float)
     psi_grad = np.asarray(psi_grad, dtype=float)
-    _check_shape("psi_value", psi_value, (problem.dim_f,))
-    _check_shape("psi_grad_theta", psi_grad, (problem.dim_theta, problem.dim_f))
-    _check_finite("model", psi_value, (x, theta))
-    _check_finite("model gradient", psi_grad, (x, theta))
+    _check_shape("psi_value", psi_value, lead + (problem.dim_f,))
+    _check_shape("psi_grad_theta", psi_grad, lead + (problem.dim_theta, problem.dim_f))
+    if not _all_finite(psi_value, psi_grad):
+        _check_finite("model", psi_value, (x, theta))
+        _check_finite("model gradient", psi_grad, (x, theta))
     return psi_value, psi_grad
 
 
@@ -168,17 +204,38 @@ def sample_joint(problem: ProblemSpec, rng: np.random.Generator):
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
 
 
+def sample_stack(problem: ProblemSpec, n: int, rng: np.random.Generator):
+    """Draw n (x, y) pairs, one sampler call each, as (n, dim) arrays."""
+    xs = np.empty((n, problem.dim_x))
+    ys = np.empty((n, problem.dim_y))
+    expected = ((problem.dim_x,), (problem.dim_y,))
+    for i in range(n):
+        x, y = problem.sampler(rng)
+        # A row assignment would broadcast a short draw over the whole row.
+        if (np.shape(x), np.shape(y)) != expected:
+            raise ConfigurationError(
+                f"sampler drew x of shape {np.shape(x)} and y of shape "
+                f"{np.shape(y)}, expected {expected[0]} and {expected[1]}")
+        xs[i], ys[i] = x, y
+    return xs, ys
+
+
 def conditional_oracle(problem: ProblemSpec, x: Array, beta: Array):
     """Evaluate F(x, beta) = E[f(x, Y, beta) | X=x] and its beta-gradient."""
     if problem.conditional_oracle is None:
         raise CapabilityError("problem has no conditional oracle")
+    x, beta = np.asarray(x), np.asarray(beta)
+    lead = x.shape[:-1]
+    if x.shape != lead + (problem.dim_x,) or beta.shape != (problem.dim_beta,):
+        raise ConfigurationError("conditional_oracle: input dimensions do not match problem")
     F_value, F_grad = problem.conditional_oracle(x, beta)
     F_value = np.asarray(F_value, dtype=float)
     F_grad = np.asarray(F_grad, dtype=float)
-    _check_shape("F_value", F_value, (problem.dim_f,))
-    _check_shape("F_grad_beta", F_grad, (problem.dim_beta, problem.dim_f))
-    _check_finite("conditional oracle", F_value, (x, beta))
-    _check_finite("conditional oracle gradient", F_grad, (x, beta))
+    _check_shape("F_value", F_value, lead + (problem.dim_f,))
+    _check_shape("F_grad_beta", F_grad, lead + (problem.dim_beta, problem.dim_f))
+    if not _all_finite(F_value, F_grad):
+        _check_finite("conditional oracle", F_value, (x, beta))
+        _check_finite("conditional oracle gradient", F_grad, (x, beta))
     return F_value, F_grad
 
 
@@ -209,39 +266,17 @@ def finite_difference_check(problem: ProblemSpec, n_probes: int,
         beta = rng.uniform(lo, hi, problem.dim_beta)
         theta = rng.uniform(lo, hi, problem.dim_theta)
         u = rng.uniform(lo, hi, problem.dim_f)
-
-        _, f_grad = evaluate_inner(problem, x, y, beta)
-        fd = np.empty_like(f_grad)
-        for i in range(problem.dim_beta):
-            e = np.zeros(problem.dim_beta)
-            e[i] = h
-            fp, _ = evaluate_inner(problem, x, y, beta + e)
-            fm, _ = evaluate_inner(problem, x, y, beta - e)
-            fd[i] = (fp - fm) / (2 * h)
-        worst["inner"] = max(worst["inner"],
-                             np.linalg.norm(fd - f_grad) / max(1.0, np.linalg.norm(f_grad)))
-
-        _, psi_grad = evaluate_model(problem, x, theta)
-        fd = np.empty_like(psi_grad)
-        for i in range(problem.dim_theta):
-            e = np.zeros(problem.dim_theta)
-            e[i] = h
-            pp, _ = evaluate_model(problem, x, theta + e)
-            pm, _ = evaluate_model(problem, x, theta - e)
-            fd[i] = (pp - pm) / (2 * h)
-        worst["model"] = max(worst["model"],
-                             np.linalg.norm(fd - psi_grad) / max(1.0, np.linalg.norm(psi_grad)))
-
-        _, g_grad, _ = evaluate_outer(problem, u)
-        fd = np.empty_like(g_grad)
-        for i in range(problem.dim_f):
-            e = np.zeros(problem.dim_f)
-            e[i] = h
-            gp, _, _ = evaluate_outer(problem, u + e)
-            gm, _, _ = evaluate_outer(problem, u - e)
-            fd[i] = (gp - gm) / (2 * h)
-        worst["outer"] = max(worst["outer"],
-                             np.linalg.norm(fd - g_grad) / max(1.0, np.linalg.norm(g_grad)))
+        # (value, gradient) of each evaluator as a function of one point
+        for name, fn, point in (
+                ("inner", lambda b: evaluate_inner(problem, x, y, b), beta),
+                ("model", lambda t: evaluate_model(problem, x, t), theta),
+                ("outer", lambda v: evaluate_outer(problem, v)[:2], u)):
+            grad = fn(point)[1]
+            fd = np.empty_like(grad)
+            for i, e in enumerate(h * np.eye(len(point))):
+                fd[i] = (fn(point + e)[0] - fn(point - e)[0]) / (2 * h)
+            worst[name] = max(worst[name], np.linalg.norm(fd - grad)
+                              / max(1.0, np.linalg.norm(grad)))
     return worst
 
 

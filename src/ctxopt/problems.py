@@ -21,6 +21,7 @@ remaining entries are global.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,20 +50,28 @@ class BuiltinProblem:
 
 # ---------------------------------------------------------------- BT pieces
 
+# The evaluators take contexts with leading batch axes (see ctxopt.model);
+# x, y and u have a last axis of length 1 in BT and LIN.  [()] turns the
+# 0-d slice of an unbatched call into a scalar, which keeps per-sample calls
+# on cheap scalar arithmetic.
+
 def _bt_inner(x, y, beta):
-    r = y[0] - beta[0]
-    return np.array([r * r]), np.array([[-2.0 * r]])
+    r = y[..., 0][()] - beta[0]
+    return (r * r)[..., None], (-2.0 * r)[..., None, None]
 
 
 def _pseudo_huber_outer(u):
-    s = u[0]
-    d = math.sqrt(1.0 + s * s)
-    return d - 1.0, np.array([s / d]), np.array([[1.0 / (d * d * d)]])
+    s = u[..., 0][()]
+    d = np.sqrt(1.0 + s * s)
+    return d - 1.0, (s / d)[..., None], (1.0 / (d * d * d))[..., None, None]
 
 
 def _affine_model(x, theta):
-    return (np.array([theta[0] + theta[1] * x[0]]),
-            np.array([[1.0], [x[0]]]))
+    x0 = x[..., 0][()]
+    grad = np.empty(x.shape[:-1] + (2, 1))
+    grad[..., 0, 0] = 1.0
+    grad[..., 1, 0] = x0
+    return (theta[0] + theta[1] * x0)[..., None], grad
 
 
 def _bt_sampler(rng):
@@ -72,10 +81,12 @@ def _bt_sampler(rng):
 
 
 def _bt_oracle(x, beta):
-    p = _BT_P[x[0]]
-    b = beta[0]
-    return (np.array([p * (1.0 - b) ** 2 + (1.0 - p) * b * b]),
-            np.array([[2.0 * b - 2.0 * p]]))
+    b = float(beta[0])
+    at0, at1 = (np.array([p * (1.0 - b) ** 2 + (1.0 - p) * b * b, 2.0 * b - 2.0 * p])
+                for p in _BT_P.values())
+    # (F, grad F) at each context; NaN outside {0, 1}, which the checks reject.
+    both = np.where(x == 1.0, at1, np.where(x == 0.0, at0, np.nan))
+    return both[..., :1], both[..., 1:, None]
 
 
 def _bt_support():
@@ -124,12 +135,14 @@ def make_bernoulli_testbed() -> BuiltinProblem:
 
 # ---------------------------------------------------------------- LG pieces
 
+# Without batch axes, x @ beta is the 1-D dot product.
+
 def _lg_inner(x, y, beta):
-    return np.array([y[0] - beta @ x]), (-x)[:, None]
+    return y - (x @ beta)[..., None], (-x)[..., None]
 
 
 def _lg_model(x, theta):
-    return np.array([theta @ x]), x[:, None]
+    return (x @ theta)[..., None], x[..., None]
 
 
 class _LGSampler:
@@ -149,7 +162,7 @@ class _LGOracle:
         self.a = a
 
     def __call__(self, x, beta):
-        return np.array([(self.a - beta) @ x]), (-x)[:, None]
+        return (x @ (self.a - beta))[..., None], (-x)[..., None]
 
 
 def make_linear_gaussian(n_x: int, seed: int = 0) -> BuiltinProblem:
@@ -190,7 +203,7 @@ def make_linear_gaussian(n_x: int, seed: int = 0) -> BuiltinProblem:
 # --------------------------------------------------------------- LIN pieces
 
 def _linear_outer(u):
-    return u[0], np.array([1.0]), np.array([[0.0]])
+    return u[..., 0], np.ones_like(u), np.zeros(u.shape + (1,))
 
 
 def make_linear_outer() -> BuiltinProblem:
@@ -220,16 +233,31 @@ def make_linear_outer() -> BuiltinProblem:
 
 
 def by_name(name: str, **params) -> BuiltinProblem:
-    """Resolve a canonical problem name (BT, LG, LIN) to a fixture."""
+    """Resolve a canonical problem name (BT, LIN, LG, LG(n)) to a fixture.
+
+    ``params`` are the ``problem.*`` config keys without their prefix: LG
+    takes the integers ``n_x`` (default 2, or the n of ``LG(n)``) and
+    ``seed``; BT and LIN take none.
+    """
     key = name.strip().upper()
+    lg = re.fullmatch(r"LG(?:\((.*)\))?", name.strip(), re.IGNORECASE)
+    if key not in ("BT", "LIN") and lg is None:
+        raise ConfigurationError(f"unknown problem name {name!r}")
+    unknown = sorted(set(params) - ({"n_x", "seed"} if lg else set()))
+    if unknown:
+        raise ConfigurationError(f"problem.{unknown[0]}: not a parameter of {key}")
     if key == "BT":
         return make_bernoulli_testbed()
     if key == "LIN":
         return make_linear_outer()
-    if key.startswith("LG"):
-        n_x = int(params.get("n_x", 2))
-        seed = int(params.get("seed", 0))
-        if "(" in key:
-            n_x = int(key[key.index("(") + 1:key.index(")")])
-        return make_linear_gaussian(n_x, seed)
-    raise ConfigurationError(f"unknown problem name {name!r}")
+    values = {}
+    for param, raw in [("name", lg[1]), *params.items()]:
+        try:
+            values[param] = raw if raw is None else int(raw)
+        except ValueError as exc:
+            raise ConfigurationError(f"problem.{param}: {exc}") from None
+    n_x = values.pop("name")
+    if n_x is not None and values.setdefault("n_x", n_x) != n_x:
+        raise ConfigurationError(
+            f"problem.n_x: {values['n_x']} contradicts problem.name = {name}")
+    return make_linear_gaussian(values.get("n_x", 2), values.get("seed", 0))

@@ -5,11 +5,13 @@ expressions (two-point context, Bernoulli conditionals, pseudo-Huber outer)
 directly, outside this package.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctxopt import diagnostics, seeding
+from ctxopt import diagnostics, problems, seeding
 from ctxopt.errors import CapabilityError, ConfigurationError
 
 Z0 = (np.array([0.0]), np.array([0.0, 0.0]))
@@ -175,6 +177,63 @@ def test_mc_mode_requires_oracle_and_rng(bt, lg):
     with pytest.raises(ConfigurationError):
         diagnostics.tracking_error_Q(lg.spec, np.zeros(2), np.zeros(2),
                                      mode="mc", rng=None)
+
+
+def test_support_enumeration_matches_oracle_path(bt):
+    # Without the oracle, exact mode enumerates each conditional law of Y.
+    enum = dataclasses.replace(bt.spec, conditional_oracle=None)
+    rng = seeding.substream(19, 4)
+    for _ in range(10):
+        beta, theta = rng.uniform(0, 1, 1), rng.uniform(0, 1, 2)
+        lam = rng.uniform(1.0, 5.0)
+        pairs = [
+            (diagnostics.tracking_error_Q, (beta, theta)),
+            (diagnostics.value_G, (beta,)),
+            (diagnostics.grad_G, (beta,)),
+            (diagnostics.grad_Q, (beta, theta)),
+            (diagnostics.bregman_delta_and_W, (beta, theta, lam)),
+            (diagnostics.grad_W, (beta, theta, lam)),
+        ]
+        for fn, args in pairs:
+            for a, b in zip(fn(enum, *args), fn(bt.spec, *args)):
+                assert np.allclose(a, b, rtol=0, atol=1e-15), fn.__name__
+        d_enum = diagnostics.expected_direction_Gamma(enum, beta, theta, 2.0)
+        d_oracle = diagnostics.expected_direction_Gamma(bt.spec, beta, theta, 2.0)
+        assert np.allclose(d_enum.d_beta, d_oracle.d_beta, rtol=0, atol=1e-15)
+        assert np.allclose(d_enum.d_theta, d_oracle.d_theta, rtol=0, atol=1e-15)
+
+
+def test_mc_mode_draws_one_sample_per_context(lg):
+    calls = []
+
+    def sampler(rng):
+        calls.append(None)
+        return lg.spec.sampler(rng)
+
+    spec = dataclasses.replace(lg.spec, sampler=sampler)
+    diagnostics.grad_G(spec, np.zeros(2), mode="mc", n_samples=300,
+                       rng=seeding.substream(20, 4))
+    assert len(calls) == 300
+
+
+@pytest.mark.parametrize("short", [lambda x: x[:1], lambda x: x[0]],
+                         ids=["length-1", "scalar"])
+def test_short_sampler_draw_is_rejected(short):
+    # A draw of the wrong shape must not broadcast over a row of contexts.
+    lg3 = problems.make_linear_gaussian(3, seed=0)
+
+    def sampler(rng):
+        x, y = lg3.spec.sampler(rng)
+        return short(x), y
+
+    spec = dataclasses.replace(lg3.spec, sampler=sampler)
+    rng = seeding.substream(21, 4)
+    with pytest.raises(ConfigurationError, match="sampler drew x of shape"):
+        diagnostics.tracking_error_Q(spec, np.zeros(3), np.zeros(3),
+                                     mode="mc", n_samples=50, rng=rng)
+    with pytest.raises(ConfigurationError, match="sampler drew x of shape"):
+        diagnostics.direction_moment_stats(spec, np.zeros(3), np.zeros(3),
+                                           1.0, 1000, rng)
 
 
 def test_rate_fit_exact_power_laws():

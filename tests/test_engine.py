@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ctxopt import diagnostics, engine, seeding
+from ctxopt import diagnostics, engine, model, seeding
 from ctxopt.engine import Direction, RunConfig, Schedule
 from ctxopt.errors import ConfigurationError, EvaluationError
 from ctxopt.model import IterateState
@@ -75,6 +75,42 @@ def test_nonfinite_inner_names_the_iteration(bt):
         in str(exc.value)
     x, y, beta = exc.value.offending_input
     assert len(x) == len(y) == len(beta) == 1
+
+
+@pytest.mark.parametrize("output, message", [
+    (0, "outer value non-finite"),
+    (2, "outer hessian produced a non-finite"),
+])
+def test_nonfinite_outer_names_the_iteration(bt, output, message):
+    # The outer value and Hessian feed no direction; the step's one
+    # finiteness test covers them directly.
+    spec = bt.spec
+    calls = []
+
+    def outer(u):
+        calls.append(None)
+        outputs = list(spec.outer(u))
+        if len(calls) == 9:
+            outputs[output] = outputs[output] * np.inf
+        return tuple(outputs)
+
+    broken = dataclasses.replace(spec, outer=outer)
+    with pytest.raises(EvaluationError) as exc:
+        engine.run(broken, RunConfig(gamma=1.0, alpha=0.1, n_iters=20, seed=2))
+    assert f"evaluation failed at iteration 8: {message}" in str(exc.value)
+    assert exc.value.offending_input.shape == (1,)
+    assert len(calls) == 9
+
+
+def test_stacked_samples_give_per_sample_directions(bt):
+    state = IterateState(np.array([0.3]), np.array([0.1, 0.4]))
+    rng = seeding.substream(8, 1)
+    xs, ys = model.sample_stack(bt.spec, 50, rng)
+    stacked = engine.compute_direction(bt.spec, state, (xs, ys), 2.0)
+    for i in range(50):
+        d = engine.compute_direction(bt.spec, state, (xs[i], ys[i]), 2.0)
+        assert stacked.d_beta[i].tolist() == d.d_beta.tolist()
+        assert stacked.d_theta[i].tolist() == d.d_theta.tolist()
 
 
 def test_run_shapes_and_taus(bt):

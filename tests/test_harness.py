@@ -7,18 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from ctxopt import cli, diagnostics, engine, harness, seeding
+from ctxopt import cli, diagnostics, engine, harness, problems, seeding
 from ctxopt.errors import ConfigurationError
-
-def _rows_without_wall_ms(path):
-    # wall_ms is measured time and is the one legitimately nondeterministic
-    # column; everything else must reproduce exactly.
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        row.pop("wall_ms")
-    return rows
-
 
 SMALL_CONFIG = """\
 problem.name = BT
@@ -119,6 +109,22 @@ def test_bad_worker_count_rejected(tmp_path, monkeypatch, line, env, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lines, key", [
+    ("problem.name = LG\nproblem.n_x = abc\n", "problem.n_x"),
+    ("problem.name = BT\nproblem.colour = blue\n", "problem.colour"),
+    ("problem.name = LG(4)\nproblem.n_x = 3\n", "problem.n_x"),
+    ("problem.name = LG(four)\n", "problem.name"),
+], ids=["not-an-int", "unknown-param", "contradicts-name", "bad-name"])
+def test_bad_problem_parameter_names_the_key(tmp_path, capsys, lines, key):
+    text = SMALL_CONFIG.format(out=tmp_path / "out").replace(
+        "problem.name = BT\n", lines)
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(text)
+    assert cli.main(["run", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_diag_every_is_not_a_config_key():
     with pytest.raises(ConfigurationError, match="run.diag_every"):
         harness.parse_config(BASE_CONFIG + "run.diag_every = 4\n")
@@ -157,10 +163,9 @@ output_dir = {out}
 """
     a = harness.run_experiment(harness.parse_config(text.format(out=tmp_path / "a")))
     b = harness.run_experiment(harness.parse_config(text.format(out=tmp_path / "b")))
-    assert _rows_without_wall_ms(tmp_path / "a" / "results.csv") == \
-        _rows_without_wall_ms(tmp_path / "b" / "results.csv")
-    assert (tmp_path / "a" / "summary.csv").read_bytes() == \
-        (tmp_path / "b" / "summary.csv").read_bytes()
+    for name in ("results.csv", "summary.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
     assert a["summary_rows"] == b["summary_rows"]
 
 
@@ -183,8 +188,40 @@ workers = {workers}
         text.format(out=tmp_path / "serial", workers=1)))
     harness.run_experiment(harness.parse_config(
         text.format(out=tmp_path / "pool", workers=2)))
-    assert _rows_without_wall_ms(tmp_path / "serial" / "results.csv") == \
-        _rows_without_wall_ms(tmp_path / "pool" / "results.csv")
+    for name in ("results.csv", "summary.csv"):
+        assert (tmp_path / "serial" / name).read_bytes() == \
+            (tmp_path / "pool" / name).read_bytes()
+
+
+def test_timings_csv_holds_the_wall_times(tmp_path):
+    config = harness.parse_config(
+        "problem.name=BT\nrun.gamma=2\nrun.alpha=0.05\nrun.seed=3\n"
+        f"sweep=2,4\nreplications=2\nlambda=1\nc1=1\nc2=1\noutput_dir={tmp_path}\n")
+    result = harness.run_experiment(config)
+    with open(result["timings"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["N", "replication", "wall_ms"]
+    assert [(int(r["N"]), int(r["replication"])) for r in rows] == \
+        [(2, 0), (2, 1), (4, 0), (4, 1)]
+    assert all(float(r["wall_ms"]) >= 0.0 for r in rows)
+
+
+def test_problem_is_built_once_per_sweep(tmp_path, monkeypatch):
+    built = []
+    build = problems.by_name
+
+    def by_name(name, **params):
+        built.append(name)
+        return build(name, **params)
+
+    monkeypatch.setattr(harness.problems, "by_name", by_name)
+    monkeypatch.delenv("CTXOPT_WORKERS", raising=False)
+    config = harness.parse_config(
+        "problem.name=BT\nrun.gamma=2\nrun.alpha=0.05\nrun.seed=5\n"
+        f"sweep=2,4\nreplications=3\nlambda=1\nc1=1\nc2=1\noutput_dir={tmp_path}\n"
+        "workers=1\n")
+    harness.run_experiment(config)
+    assert built == ["BT"]
 
 
 def test_seed_mixing_per_replication(tmp_path):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ctxopt import model, seeding
+from ctxopt import model, problems, seeding
 from ctxopt.errors import CapabilityError, ConfigurationError, EvaluationError
 from ctxopt.model import ProblemSpec
 
@@ -122,8 +122,8 @@ def test_missing_capabilities_raise(bt):
 # numpy warns about the overflowing sum; the check itself must not raise.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_finite_output_whose_sum_overflows_passes(bt):
-    # The cheap test sums the entries; a finite array whose sum overflows
-    # must still pass through the entrywise check.
+    # The cheap test sums the squares of the entries; a finite array whose
+    # sum overflows must still pass through the entrywise check.
     def huge_grad(x, y, beta):
         return np.array([1.0]), np.array([[1e308], [1e308]])
 
@@ -161,3 +161,101 @@ def test_nonfinite_outer_value_raises(bt, bad):
 
 def test_support_groups_are_built_once(bt):
     assert model.support_groups(bt.spec) is model.support_groups(bt.spec)
+
+
+@pytest.mark.parametrize("name", ["BT", "LIN", "LG(1)", "LG(3)"])
+def test_batched_evaluators_match_per_sample_calls(name):
+    # Unbatched calls are the per-sample reference; with one context
+    # dimension no dot product is longer than one element, so batched rows
+    # match bit for bit; LG(3) batches through a matrix product.
+    spec = problems.by_name(name).spec
+    rng = seeding.substream(3, 5)
+    xs, ys = model.sample_stack(spec, 6, rng)
+    beta = rng.uniform(-1, 1, spec.dim_beta)
+    theta = rng.uniform(-1, 1, spec.dim_theta)
+    us = rng.uniform(-2, 2, (6, spec.dim_f))
+    batched = {
+        "inner": model.evaluate_inner(spec, xs, ys, beta),
+        "model": model.evaluate_model(spec, xs, theta),
+        "oracle": model.conditional_oracle(spec, xs, beta),
+        "outer": model.evaluate_outer(spec, us),
+    }
+    single = {
+        "inner": [model.evaluate_inner(spec, x, y, beta) for x, y in zip(xs, ys)],
+        "model": [model.evaluate_model(spec, x, theta) for x in xs],
+        "oracle": [model.conditional_oracle(spec, x, beta) for x in xs],
+        "outer": [model.evaluate_outer(spec, u) for u in us],
+    }
+    for key, outputs in batched.items():
+        for out, rows in zip(outputs, zip(*single[key])):
+            assert out.shape == (6,) + np.shape(rows[0])
+            if name == "LG(3)":
+                np.testing.assert_allclose(out, np.array(rows), rtol=1e-15,
+                                           atol=1e-15)
+            else:
+                assert out.tolist() == np.array(rows).tolist(), key
+
+
+def test_batched_shape_mismatch_rejected(bt):
+    xs = np.zeros((3, 1))
+    with pytest.raises(ConfigurationError):
+        model.evaluate_inner(bt.spec, xs, np.zeros((2, 1)), np.zeros(1))
+    with pytest.raises(ConfigurationError):
+        model.evaluate_model(bt.spec, np.zeros((3, 2)), np.zeros(2))
+    with pytest.raises(ConfigurationError):
+        model.evaluate_outer(bt.spec, np.zeros((3, 2)))
+    with pytest.raises(ConfigurationError):
+        model.evaluate_model(bt.spec, xs, np.zeros((3, 2)))
+    # an evaluator that ignores the batch axes fails its output shape check
+    per_sample = dataclasses.replace(
+        bt.spec, inner=lambda x, y, beta: (np.zeros(1), np.zeros((1, 1))))
+    with pytest.raises(ConfigurationError, match="f_value has shape"):
+        model.evaluate_inner(per_sample, xs, xs, np.zeros(1))
+
+
+@pytest.mark.parametrize("evaluator, message", [
+    ("inner", "^inner produced a non-finite"),
+    ("model", "^model produced a non-finite"),
+    ("conditional_oracle", "^conditional oracle produced a non-finite"),
+    ("outer", "^outer value non-finite"),
+])
+def test_nan_in_one_row_names_the_evaluator(bt, evaluator, message):
+    original = getattr(bt.spec, evaluator)
+
+    def poisoned(*args):
+        outputs = original(*args)
+        value = np.array(outputs[0], dtype=float)
+        value[1] = np.nan
+        return (value,) + tuple(outputs[1:])
+
+    spec = dataclasses.replace(bt.spec, **{evaluator: poisoned})
+    xs = np.array([[0.0], [1.0], [1.0]])
+    calls = {
+        "inner": lambda: model.evaluate_inner(spec, xs, xs, np.array([0.3])),
+        "model": lambda: model.evaluate_model(spec, xs, np.array([0.2, 0.4])),
+        "conditional_oracle":
+            lambda: model.conditional_oracle(spec, xs, np.array([0.3])),
+        "outer": lambda: model.evaluate_outer(spec, xs),
+    }
+    with pytest.raises(EvaluationError, match=message) as exc:
+        calls[evaluator]()
+    assert exc.value.offending_input is not None
+
+
+def test_list_inputs_match_array_inputs(bt):
+    beta, theta = [0.3], [0.2, 0.4]
+    pairs = [
+        (model.evaluate_inner(bt.spec, [1.0], [0.0], beta),
+         model.evaluate_inner(bt.spec, np.ones(1), np.zeros(1), np.array(beta))),
+        (model.evaluate_model(bt.spec, [1.0], theta),
+         model.evaluate_model(bt.spec, np.ones(1), np.array(theta))),
+        (model.evaluate_outer(bt.spec, [0.5]),
+         model.evaluate_outer(bt.spec, np.array([0.5]))),
+        (model.conditional_oracle(bt.spec, [1.0], beta),
+         model.conditional_oracle(bt.spec, np.ones(1), np.array(beta))),
+    ]
+    for from_lists, from_arrays in pairs:
+        for a, b in zip(from_lists, from_arrays):
+            assert np.array_equal(a, b)
+    with pytest.raises(ConfigurationError):
+        model.evaluate_inner(bt.spec, [1.0, 0.0], [0.0], beta)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctxopt import diagnostics, model, problems, seeding
-from ctxopt.errors import ConfigurationError
+from ctxopt.errors import ConfigurationError, EvaluationError
 
 
 def test_bt_conditional_expectation_values(bt):
@@ -104,6 +104,7 @@ def test_by_name_resolution():
     assert problems.by_name("LIN").name == "LIN"
     assert problems.by_name("LG(3)").spec.dim_x == 3
     assert problems.by_name("LG", n_x=4).spec.dim_beta == 4
+    assert problems.by_name("lg(4)", n_x="4", seed="1").spec.dim_x == 4
     with pytest.raises(ConfigurationError):
         problems.by_name("NOPE")
 
@@ -114,3 +115,9 @@ def test_builtins_pass_oracle_consistency(fixture, request):
     rng = seeding.substream(8, 3)
     betas = [rng.uniform(0, 1, 1) for _ in range(20)]
     assert model.oracle_consistency_check(problem.spec, betas) < 1e-10
+
+
+def test_bt_oracle_rejects_contexts_outside_the_support(bt):
+    xs = np.array([[0.0], [0.5], [1.0]])
+    with pytest.raises(EvaluationError, match="^conditional oracle produced"):
+        model.conditional_oracle(bt.spec, xs, np.array([0.3]))
