@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import constants, diagnostics, harness, problems, seeding
-from .errors import CtxoptError
+from .errors import CtxoptError, DomainError
 
 SLOPE_BAND = (-0.65, -0.35)
 
@@ -43,24 +43,19 @@ def _cmd_check(args) -> int:
         ones = {key: 1.0 for key in constants.LEDGER_KEYS}
         ledger = constants.ConstantLedger(**ones)
     elif args.estimate:
-        rng = seeding.substream(args.seed, 17)
-        ledger = constants.estimate_ledger(
-            problem.spec, sample_count=10000, probe_count=10000, rng=rng,
-            beta_box=problem.beta_box, theta_box=problem.theta_box)
+        ledger = harness.estimated_ledger(problem, args.seed)
     else:
         ledger = problem.ledger
 
     lam, gamma = args.lam, args.gamma
-    floor = constants.lambda_floor(ledger)
-    strict_floor = 2.0 * ledger.M * ledger.Lbar_psi ** 2 * ledger.L_hess_g
     print(f"problem          {problem.name}")
     for key, value in ledger.as_dict().items():
         print(f"ledger {key:<13} {value:.6g}")
-    print(f"lambda_floor     {floor:.6g}")
-    if lam <= strict_floor or lam < ledger.L_hess_g:
-        print(f"NON-COMPLIANT: lambda={lam} does not exceed the floor "
-              f"(lambda > 2*M*Lbar_psi^2*L_hess_g = {strict_floor:.6g} "
-              f"and lambda >= L_hess_g = {ledger.L_hess_g:.6g})")
+    print(f"lambda_floor     {constants.lambda_floor(ledger):.6g}")
+    try:
+        constants.check_lambda(ledger, lam)
+    except DomainError as exc:
+        print(f"NON-COMPLIANT: {exc}")
         return 1
     g_min = constants.gamma_min(ledger, lam)
     print(f"gamma_min        {g_min:.6g}")

@@ -30,13 +30,14 @@ from typing import Optional
 
 import numpy as np
 
+from .diagnostics import Q_and_grad_Q
 from .errors import CapabilityError, ConfigurationError, DomainError
 from .model import (
     ProblemSpec,
     evaluate_inner,
     evaluate_model,
     evaluate_outer,
-    sample_joint,
+    sample_stack,
 )
 
 LEDGER_KEYS = ("L_g", "L_hess_g", "Lbar_f", "C_f", "Lbar_grad_f",
@@ -132,6 +133,16 @@ def lambda_floor(ledger: ConstantLedger) -> float:
                2.0 * ledger.M * ledger.Lbar_psi ** 2 * ledger.L_hess_g)
 
 
+def check_lambda(ledger: ConstantLedger, lam: float) -> None:
+    """Raise DomainError unless lam lies strictly above the lambda floor."""
+    strict_floor = 2.0 * ledger.M * ledger.Lbar_psi ** 2 * ledger.L_hess_g
+    if lam <= strict_floor or lam < ledger.L_hess_g:
+        raise DomainError(
+            f"lambda={lam} does not exceed the floor "
+            f"(lambda > 2*M*Lbar_psi^2*L_hess_g = {strict_floor:.6g} "
+            f"and lambda >= L_hess_g = {ledger.L_hess_g:.6g})")
+
+
 def gamma_min(ledger: ConstantLedger, lam: float) -> float:
     """Threshold on the method parameter gamma for the descent inequality.
 
@@ -220,10 +231,36 @@ def _probe_box(rng, count, low, high, dim, include_zero=True):
     return np.vstack([probes] + [e[None, :] for e in extra])
 
 
-def _norm(v) -> float:
-    """``np.linalg.norm(v)`` bit for bit, without its overhead on tiny arrays."""
-    v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
+def _row_norms(stack):
+    """``np.linalg.norm`` of every row of ``stack``, in one call.
+
+    Each row's squared norm is a stacked 1 x n by n x 1 product, which gives
+    the per-row dot product bit for bit.
+    """
+    rows = stack.reshape(len(stack), 1, -1)
+    return np.sqrt((rows @ rows.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _envelope_moments(probes, evaluate):
+    """p=4 moment bounds of per-sample envelopes over a probe sequence.
+
+    ``evaluate(probe)`` returns (value, gradient) for every sample at once.
+    The envelopes are maxima over the probes of ||gradient||, of the
+    gradient's Lipschitz ratio between consecutive probes, and of ||value||.
+    Returns their moment bounds in that order.
+    """
+    gaps = _row_norms(np.diff(probes, axis=0))
+    grad_env = lip_env = value_env = 0.0      # arrays once a probe is seen
+    for a, probe in enumerate(probes):
+        value, grad = evaluate(probe)
+        grad_env = np.maximum(grad_env, _row_norms(grad))
+        value_env = np.maximum(value_env, _row_norms(value))
+        if a and gaps[a - 1] > 1e-12:
+            lip_env = np.maximum(lip_env,
+                                 _row_norms(grad - previous) / gaps[a - 1])
+        previous = grad
+    return tuple(float(np.mean(env ** 4) ** 0.25)
+                 for env in (grad_env, lip_env, value_env))
 
 
 def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
@@ -238,120 +275,75 @@ def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
     maximizing the exact ratio Q / ||grad_theta Q||^2 over probes, which
     requires a support enumeration.  All entries are marked estimated.
 
+    Each evaluator call covers every u probe (A1) or every sample at one
+    beta or theta probe (A2/A3), so the batch contract of ``ctxopt.model``
+    applies to the evaluators.
+
     If the ratio for M is unbounded over the probes (denominator collapsing
     while Q stays away from zero) the offending probes are recorded in
     ``a4_violations`` and M is set to infinity, without raising.
     """
     if sample_count < 1 or probe_count < 1:
         raise ConfigurationError("sample_count and probe_count must be positive")
+    if not problem.has_support:
+        raise CapabilityError(
+            "estimate_ledger needs a support enumeration to estimate M; "
+            "supply M analytically for problems without one"
+        )
 
     # A1: suprema over u probes (0 and the box corners are always included).
-    L_g = 0.0
-    L_hess_g = 0.0
-    for u in _probe_box(rng, probe_count, u_box[0], u_box[1], problem.dim_f):
-        _, g_grad, g_hess = evaluate_outer(problem, u)
-        L_g = max(L_g, _norm(g_grad))
-        L_hess_g = max(L_hess_g, float(np.linalg.norm(g_hess, ord=2)))
+    u = _probe_box(rng, probe_count, u_box[0], u_box[1], problem.dim_f)
+    _, g_grad, g_hess = evaluate_outer(problem, u)
+    L_g = float(np.max(_row_norms(g_grad)))
+    L_hess_g = float(np.max(np.linalg.norm(g_hess, ord=2, axis=(1, 2))))
 
     n_env = max(2, envelope_probes)
     betas = _probe_box(rng, n_env - 2, beta_box[0], beta_box[1],
                        problem.dim_beta, include_zero=False)
     thetas = _probe_box(rng, n_env - 2, theta_box[0], theta_box[1],
                         problem.dim_theta, include_zero=False)
+    xs, ys = sample_stack(problem, sample_count, rng)
 
-    samples = [sample_joint(problem, rng) for _ in range(sample_count)]
+    # A2: envelopes of f over beta probes; A3: of the model, over x only.
+    Lbar_f, Lbar_grad_f, C_f = _envelope_moments(
+        betas, lambda beta: evaluate_inner(problem, xs, ys, beta))
+    Lbar_psi, Lbar_grad_psi, C_psi = _envelope_moments(
+        thetas, lambda theta: evaluate_model(problem, xs, theta))
 
-    # A2: per-sample envelopes of ||grad f|| and the Lipschitz modulus of
-    # grad f, plus ||f||, maximized over beta probes; then p=4 moments.
-    lf4 = np.zeros(sample_count)
-    ldf4 = np.zeros(sample_count)
-    f4 = np.zeros(sample_count)
-    for i, (x, y) in enumerate(samples):
-        grads = []
-        for beta in betas:
-            f_value, f_grad = evaluate_inner(problem, x, y, beta)
-            grads.append(f_grad)
-            lf4[i] = max(lf4[i], _norm(f_grad))
-            f4[i] = max(f4[i], _norm(f_value))
-        for a in range(len(betas) - 1):
-            gap = _norm(betas[a + 1] - betas[a])
-            if gap > 1e-12:
-                ratio = _norm(grads[a + 1] - grads[a]) / gap
-                ldf4[i] = max(ldf4[i], ratio)
-    Lbar_f = float(np.mean(lf4 ** 4) ** 0.25)
-    Lbar_grad_f = float(np.mean(ldf4 ** 4) ** 0.25)
-    C_f = float(np.mean(f4 ** 4) ** 0.25)
+    # A4: ratio maximization with exact Q and grad_theta Q.
+    def ratio(point):
+        q, _, gq_theta = Q_and_grad_Q(problem, point[:problem.dim_beta],
+                                      point[problem.dim_beta:])
+        return q, float(np.dot(gq_theta, gq_theta))
 
-    # A3: the analogous envelopes for the model, over x samples only.
-    lp4 = np.zeros(sample_count)
-    ldp4 = np.zeros(sample_count)
-    p4 = np.zeros(sample_count)
-    for i, (x, _) in enumerate(samples):
-        grads = []
-        for theta in thetas:
-            psi_value, psi_grad = evaluate_model(problem, x, theta)
-            grads.append(psi_grad)
-            lp4[i] = max(lp4[i], _norm(psi_grad))
-            p4[i] = max(p4[i], _norm(psi_value))
-        for a in range(len(thetas) - 1):
-            gap = _norm(thetas[a + 1] - thetas[a])
-            if gap > 1e-12:
-                ratio = _norm(grads[a + 1] - grads[a]) / gap
-                ldp4[i] = max(ldp4[i], ratio)
-    Lbar_psi = float(np.mean(lp4 ** 4) ** 0.25)
-    Lbar_grad_psi = float(np.mean(ldp4 ** 4) ** 0.25)
-    C_psi = float(np.mean(p4 ** 4) ** 0.25)
-
-    # A4: ratio maximization with exact Q and grad_theta Q (support needed).
-    M = 1.0
-    a4_violations = []
-    if problem.has_support:
-        from .diagnostics import grad_Q, tracking_error_Q
-
-        def ratio(point):
-            beta, theta = point[:problem.dim_beta], point[problem.dim_beta:]
-            q, _ = tracking_error_Q(problem, beta, theta, mode="exact")
-            _, gq_theta = grad_Q(problem, beta, theta, mode="exact")
-            denom = float(np.dot(gq_theta, gq_theta))
-            return q, denom
-
-        M = 0.0
-        best_point = None
-        for _ in range(probe_count):
-            point = np.concatenate([
-                rng.uniform(beta_box[0], beta_box[1], problem.dim_beta),
-                rng.uniform(theta_box[0], theta_box[1], problem.dim_theta),
-            ])
-            q, denom = ratio(point)
-            if denom < 1e-14:
-                if q > 1e-10:
-                    a4_violations.append((point.copy(), q, denom))
-                continue
-            if q / denom > M:
-                M = q / denom
-                best_point = point
-        if a4_violations:
-            M = math.inf
-        elif best_point is None:
-            M = 1.0
-        else:
-            # Polish the best probe so the estimate reaches the actual
-            # supremum instead of stopping just below it.
-            from scipy.optimize import minimize
-
-            def neg_ratio(point):
-                q, denom = ratio(point)
-                return -(q / denom) if denom >= 1e-14 else 0.0
-
-            result = minimize(neg_ratio, best_point, method="Nelder-Mead",
-                              options={"maxiter": 500, "xatol": 1e-12,
-                                       "fatol": 1e-14})
-            M = max(M, -float(result.fun))
+    M, best_point, a4_violations = 0.0, None, []
+    for _ in range(probe_count):
+        point = np.concatenate([
+            rng.uniform(beta_box[0], beta_box[1], problem.dim_beta),
+            rng.uniform(theta_box[0], theta_box[1], problem.dim_theta)])
+        q, denom = ratio(point)
+        if denom < 1e-14:
+            if q > 1e-10:
+                a4_violations.append((point.copy(), q, denom))
+        elif q / denom > M:
+            M, best_point = q / denom, point
+    if a4_violations:
+        M = math.inf
+    elif best_point is None:
+        M = 1.0
     else:
-        raise CapabilityError(
-            "estimate_ledger needs a support enumeration to estimate M; "
-            "supply M analytically for problems without one"
-        )
+        # Polish the best probe so the estimate reaches the actual
+        # supremum instead of stopping just below it.
+        from scipy.optimize import minimize
+
+        def neg_ratio(point):
+            q, denom = ratio(point)
+            return -(q / denom) if denom >= 1e-14 else 0.0
+
+        result = minimize(neg_ratio, best_point, method="Nelder-Mead",
+                          options={"maxiter": 500, "xatol": 1e-12,
+                                   "fatol": 1e-14})
+        M = max(M, -float(result.fun))
 
     tag = f"estimated(n={sample_count})"
     provenance = {key: tag for key in LEDGER_KEYS}

@@ -133,11 +133,21 @@ def grad_G(problem: ProblemSpec, beta, mode="exact", n_samples=10000, rng=None):
 def grad_Q(problem: ProblemSpec, beta, theta, mode="exact",
            n_samples=10000, rng=None):
     """Gradient of Q: E[[grad F; -grad psi] (F - psi)] split into blocks."""
+    return Q_and_grad_Q(problem, beta, theta, mode, n_samples, rng)[1:]
+
+
+def Q_and_grad_Q(problem: ProblemSpec, beta, theta, mode="exact",
+                 n_samples=10000, rng=None):
+    """Q and both blocks of grad Q from one oracle call and one model call.
+
+    Returns (q, grad_beta, grad_theta); q is the mean of tracking_error_Q.
+    """
     xs, average = _contexts(problem, mode, n_samples, rng)
     F, F_grad = _F(problem, xs, beta)
     psi, psi_grad = evaluate_model(problem, xs, theta)
     gap = F - psi
-    return average(_matvec(F_grad, gap))[0], average(-_matvec(psi_grad, gap))[0]
+    return (float(average(0.5 * (gap * gap).sum(axis=-1))[0]),
+            average(_matvec(F_grad, gap))[0], average(-_matvec(psi_grad, gap))[0])
 
 
 def nonoptimality_V(problem: ProblemSpec, beta, theta, c1, c2, mode="exact",

@@ -51,6 +51,7 @@ _V_MC_SAMPLES = 10000
 _MOMENT_SAMPLES = 20000
 STREAM_MOMENTS = 7
 STREAM_V_EVAL = 8
+STREAM_LEDGER = 17
 
 
 @dataclass
@@ -157,14 +158,19 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
+def estimated_ledger(problem: problems.BuiltinProblem, seed: int) -> ConstantLedger:
+    """Ledger estimate from 10k samples and 10k probes over the problem's boxes."""
+    return constants.estimate_ledger(
+        problem.spec, sample_count=10000, probe_count=10000,
+        rng=seeding.substream(seed, STREAM_LEDGER),
+        beta_box=problem.beta_box, theta_box=problem.theta_box)
+
+
 def resolve_ledger(problem: problems.BuiltinProblem,
                    config: ExperimentConfig) -> ConstantLedger:
     """Shipped or re-estimated ledger with config overrides applied."""
     if config.estimate_ledger:
-        rng = seeding.substream(config.seed, 17)
-        ledger = constants.estimate_ledger(
-            problem.spec, sample_count=10000, probe_count=10000, rng=rng,
-            beta_box=problem.beta_box, theta_box=problem.theta_box)
+        ledger = estimated_ledger(problem, config.seed)
     else:
         ledger = problem.ledger
     if config.ledger_overrides:

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import seeding
-from .constants import ConstantLedger
+from .constants import LEDGER_KEYS, ConstantLedger
 from .errors import ConfigurationError
 from .model import ProblemSpec
 
@@ -120,17 +120,15 @@ def make_bernoulli_testbed() -> BuiltinProblem:
         Lbar_f=2.0, C_f=1.0, Lbar_grad_f=2.0,
         Lbar_psi=2.5 ** 0.25, C_psi=8.5 ** 0.25, Lbar_grad_psi=0.0,
         M=(3.0 + math.sqrt(5.0)) / 2.0,
-        provenance={k: "analytic" for k in
-                    ("L_g", "L_hess_g", "Lbar_f", "C_f", "Lbar_grad_f",
-                     "Lbar_psi", "C_psi", "Lbar_grad_psi", "M")},
+        provenance=dict.fromkeys(LEDGER_KEYS, "analytic"),
     )
-    from .diagnostics import minimize_scalar_G
-    problem = BuiltinProblem(
+    # G_min is diagnostics.minimize_scalar_G(spec, 0.0, 1.0)[1], stored bit
+    # for bit so that building BT needs neither scipy nor a root search.
+    return BuiltinProblem(
         name="BT", spec=spec, ledger=ledger,
+        g_min=float.fromhex("0x1.f186b95f4ab40p-6"),
         notes="A2/A3 moment constants exact over beta in [0,1], theta in [0,1]^2.",
     )
-    _, problem.g_min = minimize_scalar_G(spec, 0.0, 1.0)
-    return problem
 
 
 # ---------------------------------------------------------------- LG pieces
@@ -187,9 +185,7 @@ def make_linear_gaussian(n_x: int, seed: int = 0) -> BuiltinProblem:
         Lbar_f=moment4, C_f=(3.0 * v * v) ** 0.25, Lbar_grad_f=0.0,
         Lbar_psi=moment4, C_psi=(3.0 * n_x * n_x) ** 0.25, Lbar_grad_psi=0.0,
         M=0.5,
-        provenance={k: "analytic" for k in
-                    ("L_g", "L_hess_g", "Lbar_f", "C_f", "Lbar_grad_f",
-                     "Lbar_psi", "C_psi", "Lbar_grad_psi", "M")},
+        provenance=dict.fromkeys(LEDGER_KEYS, "analytic"),
     )
     problem = BuiltinProblem(
         name=f"LG({n_x})", spec=spec, ledger=ledger,
@@ -219,9 +215,7 @@ def make_linear_outer() -> BuiltinProblem:
         Lbar_f=2.0, C_f=1.0, Lbar_grad_f=2.0,
         Lbar_psi=2.5 ** 0.25, C_psi=8.5 ** 0.25, Lbar_grad_psi=0.0,
         M=(3.0 + math.sqrt(5.0)) / 2.0,
-        provenance={k: "analytic" for k in
-                    ("L_g", "L_hess_g", "Lbar_f", "C_f", "Lbar_grad_f",
-                     "Lbar_psi", "C_psi", "Lbar_grad_psi", "M")},
+        provenance=dict.fromkeys(LEDGER_KEYS, "analytic"),
     )
     # G(beta) = E[(Y - beta)^2] with E[Y] = 0.45, so the minimum is
     # G(0.45) = 0.45 - 0.405 + 0.2025.

@@ -1,5 +1,6 @@
 """Ledger arithmetic, derived constants, and numerical estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from ctxopt import constants, seeding
 from ctxopt.constants import ConstantLedger
-from ctxopt.errors import CapabilityError, ConfigurationError, DomainError
+from ctxopt.errors import (
+    CapabilityError,
+    ConfigurationError,
+    DomainError,
+    EvaluationError,
+)
 
 
 def ones_ledger(**overrides):
@@ -137,6 +143,87 @@ def test_estimate_ledger_needs_support(lg):
     with pytest.raises(CapabilityError):
         constants.estimate_ledger(lg.spec, sample_count=100, probe_count=100,
                                   rng=rng)
+
+
+def test_envelope_moments_match_the_per_sample_loop():
+    # The per-sample loop that the batched helper replaced is the reference;
+    # the evaluator rows come from one batched call, so only the envelope
+    # arithmetic is compared, and it must agree bit for bit.
+    rng = seeding.substream(5, 5)
+    xs, ys = rng.standard_normal((300, 3)), rng.standard_normal((300, 1))
+
+    def inner(beta):
+        r = ys[:, 0] - xs @ beta
+        return (np.stack([r * r, r], axis=-1),
+                np.stack([-2.0 * r[:, None] * xs, -xs], axis=-1))
+
+    betas = rng.uniform(-1.0, 1.0, (6, 3))
+    betas[3] = betas[2]                     # a zero gap is skipped
+    outputs = [inner(beta) for beta in betas]
+    envelopes = np.zeros((3, len(xs)))
+    for i in range(len(xs)):
+        for a, (value, grad) in enumerate(outputs):
+            envelopes[0, i] = max(envelopes[0, i], np.linalg.norm(grad[i]))
+            envelopes[2, i] = max(envelopes[2, i], np.linalg.norm(value[i]))
+            gap = np.linalg.norm(betas[a] - betas[a - 1])
+            if a and gap > 1e-12:
+                ratio = np.linalg.norm(grad[i] - outputs[a - 1][1][i]) / gap
+                envelopes[1, i] = max(envelopes[1, i], ratio)
+    expected = tuple(float(np.mean(e ** 4) ** 0.25) for e in envelopes)
+    assert constants._envelope_moments(betas, inner) == expected
+
+
+def test_estimate_ledger_fails_before_drawing_without_support(lg):
+    calls = []
+
+    def counting_sampler(rng):
+        calls.append(1)
+        return lg.spec.sampler(rng)
+
+    spec = dataclasses.replace(lg.spec, sampler=counting_sampler)
+    rng = seeding.substream(0, 1)
+    state = rng.bit_generator.state
+    with pytest.raises(CapabilityError, match="support enumeration"):
+        constants.estimate_ledger(spec, sample_count=100, probe_count=100,
+                                  rng=rng)
+    assert calls == []
+    assert rng.bit_generator.state == state
+
+
+def test_estimate_ledger_names_a_nonfinite_inner(bt):
+    def poisoned(x, y, beta):
+        f_value, f_grad = bt.spec.inner(x, y, beta)
+        f_value = np.array(f_value)
+        f_value[3] = np.nan
+        return f_value, f_grad
+
+    spec = dataclasses.replace(bt.spec, inner=poisoned)
+    with pytest.raises(EvaluationError, match="^inner produced a non-finite"):
+        constants.estimate_ledger(spec, sample_count=20, probe_count=20,
+                                  rng=seeding.substream(0, 1))
+
+
+def test_estimate_ledger_names_a_sampler_of_the_wrong_shape(bt):
+    # dim_x = 3 with a support, but the sampler draws a length-1 x; a row
+    # assignment into the (n, 3) sample stack would broadcast it silently.
+    spec = dataclasses.replace(
+        bt.spec, dim_x=3,
+        sampler=lambda rng: (np.array([rng.random()]), np.array([1.0])),
+        support=[(np.zeros(3), np.array([0.0]), 0.5),
+                 (np.ones(3), np.array([1.0]), 0.5)])
+    with pytest.raises(ConfigurationError, match="^sampler drew x of shape"):
+        constants.estimate_ledger(spec, sample_count=20, probe_count=20,
+                                  rng=seeding.substream(0, 1))
+
+
+def test_check_lambda_accepts_only_lambda_above_the_floor():
+    constants.check_lambda(ones_ledger(), 2.5)
+    for lam in (2.0, 1.0):
+        with pytest.raises(DomainError, match="does not exceed the floor"):
+            constants.check_lambda(ones_ledger(), lam)
+    # L_hess_g = 2 and M tiny: the strict floor is met, lambda >= L_hess_g not
+    with pytest.raises(DomainError, match="lambda >= L_hess_g = 2"):
+        constants.check_lambda(ones_ledger(L_hess_g=2.0, M=1e-3), 1.5)
 
 
 def test_estimate_ledger_validates_counts(bt):

@@ -66,6 +66,7 @@ def test_minimize_scalar_G_frozen(bt):
     assert beta_star == pytest.approx(BETA_STAR, abs=1e-9)
     assert g_star == pytest.approx(G_STAR, abs=1e-12)
     assert bt.g_min == pytest.approx(G_STAR, abs=1e-12)
+    assert bt.g_min == g_star               # BT ships these bits
 
 
 def _fd(fun, point, h=1e-6):

@@ -90,6 +90,21 @@ GOLDEN_LEDGER_BT = {
     "M": "0x1.4f1bbcdcbfa55p+1",
 }
 
+# The ledger at the harness size: the ``bt_estimated_ledger`` fixture,
+# estimate_ledger(bt.spec, 10000, 10000, substream(20260823, 17)) over BT's
+# probe boxes.
+GOLDEN_LEDGER_BT_FULL = {
+    "C_f": "0x1.0000000000000p+0",
+    "C_psi": "0x1.b3682f989080dp+0",
+    "L_g": "0x1.fff972677adf6p-1",
+    "L_hess_g": "0x1.0000000000000p+0",
+    "Lbar_f": "0x1.0000000000000p+1",
+    "Lbar_grad_f": "0x1.0000000000000p+1",
+    "Lbar_grad_psi": "0x0.0p+0",
+    "Lbar_psi": "0x1.410cbc4908831p+0",
+    "M": "0x1.4f1bbcdcbfa55p+1",
+}
+
 
 def _sha(array) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
@@ -134,11 +149,21 @@ def observed_moments_bt():
     return _hex(stats)
 
 
+def _ledger_hex(ledger):
+    return {key: float(value).hex() for key, value in ledger.as_dict().items()}
+
+
 def observed_ledger_bt():
     spec = problems.make_bernoulli_testbed().spec
-    ledger = constants.estimate_ledger(spec, 500, 500,
-                                       seeding.substream(GOLDEN_SEED, 17))
-    return {key: float(value).hex() for key, value in ledger.as_dict().items()}
+    return _ledger_hex(constants.estimate_ledger(
+        spec, 500, 500, seeding.substream(GOLDEN_SEED, 17)))
+
+
+def observed_full_ledger_bt():
+    bt = problems.make_bernoulli_testbed()
+    return _ledger_hex(constants.estimate_ledger(
+        bt.spec, 10000, 10000, seeding.substream(20260823, 17),
+        beta_box=bt.beta_box, theta_box=bt.theta_box))
 
 
 @pytest.mark.parametrize("schedule", list(Schedule), ids=lambda s: s.value)
@@ -163,6 +188,10 @@ def test_estimated_ledger_matches_golden():
     assert observed_ledger_bt() == GOLDEN_LEDGER_BT
 
 
+def test_full_size_ledger_matches_golden(bt_estimated_ledger):
+    assert _ledger_hex(bt_estimated_ledger) == GOLDEN_LEDGER_BT_FULL
+
+
 if __name__ == "__main__":
     import pprint
 
@@ -172,5 +201,6 @@ if __name__ == "__main__":
                          ("GOLDEN_EXACT_BT", observed_exact_bt()),
                          ("GOLDEN_MC_LG1", observed_mc_lg1()),
                          ("GOLDEN_MOMENTS_BT", observed_moments_bt()),
-                         ("GOLDEN_LEDGER_BT", observed_ledger_bt())):
+                         ("GOLDEN_LEDGER_BT", observed_ledger_bt()),
+                         ("GOLDEN_LEDGER_BT_FULL", observed_full_ledger_bt())):
         print(f"{label} = {pprint.pformat(value, width=78)}\n")

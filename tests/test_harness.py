@@ -284,6 +284,16 @@ def test_cli_check_lambda_floor(capsys):
     assert "floor" in out
 
 
+def test_cli_check_estimate_is_the_harness_estimate(bt_estimated_ledger,
+                                                   capsys):
+    status = cli.main(["check", "BT", "--estimate", "--seed", "20260823",
+                       "--lambda", "1", "--gamma", "20"])
+    out = capsys.readouterr().out
+    assert status == 1 and "floor" in out
+    for key, value in bt_estimated_ledger.as_dict().items():
+        assert f"ledger {key:<13} {value:.6g}\n" in out
+
+
 def _write_summary(path, rows):
     with open(path, "w") as fh:
         fh.write("N,mean_V,stderr_V,replications\n")

@@ -1,6 +1,9 @@
 """Built-in fixtures: laws, realizability, analytic constants."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +53,16 @@ def test_bt_gradient_sign_change_brackets_minimum(bt):
     g1, _ = diagnostics.grad_G(bt.spec, np.array([1.0]))
     assert g0[0] < 0 < g1[0]
     assert bt.g_min is not None and 0 < bt.g_min < 0.1
+
+
+def test_building_bt_leaves_scipy_unloaded():
+    code = ("import sys; from ctxopt import problems; "
+            "problems.make_bernoulli_testbed(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_lin_reduces_to_quadratic_objective(lin):
