@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``run <config>``: execute a replication sweep from a config file.
+* ``run <config>``: execute a replication sweep from a config file; exit 1
+  after writing every file if a replication diverged.
 * ``check <problem> --gamma G --lambda L``: print the derived-constant table
   and report whether (gamma, lambda) satisfy the strict descent inequalities
   (exit 0 iff compliant, naming the violated inequality otherwise).
@@ -34,6 +35,10 @@ def _cmd_run(args) -> int:
     print(f"wrote {result['summary']}")
     print(f"alpha={result['alpha']:.6g} lambda={result['lam']:.6g} "
           f"c1={result['c1']:.6g} c2={result['c2']:.6g}")
+    if result["diverged"]:
+        print(f"error: {result['diverged']} replications diverged; their rows "
+              f"in {result['results']} have status diverged@k", file=sys.stderr)
+        return 1
     return 0
 
 

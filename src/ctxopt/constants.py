@@ -34,6 +34,7 @@ from .diagnostics import Q_and_grad_Q
 from .errors import CapabilityError, ConfigurationError, DomainError
 from .model import (
     ProblemSpec,
+    _dot,
     evaluate_inner,
     evaluate_model,
     evaluate_outer,
@@ -44,7 +45,7 @@ LEDGER_KEYS = ("L_g", "L_hess_g", "Lbar_f", "C_f", "Lbar_grad_f",
                "Lbar_psi", "C_psi", "Lbar_grad_psi", "M")
 
 # Gradient-Lipschitz entries may legitimately vanish (linear g, affine f or
-# psi); everything else must be strictly positive.
+# psi); everything else must be strictly positive, and none may be NaN.
 _MAY_BE_ZERO = {"L_hess_g", "Lbar_grad_f", "Lbar_grad_psi"}
 
 
@@ -71,7 +72,7 @@ class ConstantLedger:
     def __post_init__(self):
         for key in LEDGER_KEYS:
             value = getattr(self, key)
-            if value < 0 or (value == 0 and key not in _MAY_BE_ZERO):
+            if not value >= 0 or (value == 0 and key not in _MAY_BE_ZERO):
                 raise ConfigurationError(f"ledger entry {key}={value} must be positive")
 
     def as_dict(self) -> dict:
@@ -234,11 +235,11 @@ def _probe_box(rng, count, low, high, dim, include_zero=True):
 def _row_norms(stack):
     """``np.linalg.norm`` of every row of ``stack``, in one call.
 
-    Each row's squared norm is a stacked 1 x n by n x 1 product, which gives
-    the per-row dot product bit for bit.
+    Each row's squared norm is a stacked 1 x n by n x 1 product
+    (``model._dot``), which gives the per-row dot product bit for bit.
     """
-    rows = stack.reshape(len(stack), 1, -1)
-    return np.sqrt((rows @ rows.transpose(0, 2, 1))[:, 0, 0])
+    rows = stack.reshape(len(stack), -1)
+    return np.sqrt(_dot(rows, rows))
 
 
 def _envelope_moments(probes, evaluate):
@@ -275,9 +276,10 @@ def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
     maximizing the exact ratio Q / ||grad_theta Q||^2 over probes, which
     requires a support enumeration.  All entries are marked estimated.
 
-    Each evaluator call covers every u probe (A1) or every sample at one
-    beta or theta probe (A2/A3), so the batch contract of ``ctxopt.model``
-    applies to the evaluators.
+    Each evaluator call covers every u probe (A1), every sample at one beta
+    or theta probe (A2/A3), or every context at every (beta, theta) probe
+    (A4), so the batch contract of ``ctxopt.model`` applies to the
+    evaluators, for stacked states too.
 
     If the ratio for M is unbounded over the probes (denominator collapsing
     while Q stays away from zero) the offending probes are recorded in
@@ -310,26 +312,28 @@ def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
     Lbar_psi, Lbar_grad_psi, C_psi = _envelope_moments(
         thetas, lambda theta: evaluate_model(problem, xs, theta))
 
-    # A4: ratio maximization with exact Q and grad_theta Q.
-    def ratio(point):
-        q, _, gq_theta = Q_and_grad_Q(problem, point[:problem.dim_beta],
-                                      point[problem.dim_beta:])
-        return q, float(np.dot(gq_theta, gq_theta))
+    # A4: ratio maximization with exact Q and grad_theta Q.  Row k of the
+    # probe draw is the beta probe then the theta probe, in the order of
+    # one draw per probe.
+    def ratio(points):
+        q, _, gq_theta = Q_and_grad_Q(problem, points[..., :problem.dim_beta],
+                                      points[..., problem.dim_beta:])
+        return q, _dot(gq_theta, gq_theta)
 
-    M, best_point, a4_violations = 0.0, None, []
-    for _ in range(probe_count):
-        point = np.concatenate([
-            rng.uniform(beta_box[0], beta_box[1], problem.dim_beta),
-            rng.uniform(theta_box[0], theta_box[1], problem.dim_theta)])
-        q, denom = ratio(point)
-        if denom < 1e-14:
-            if q > 1e-10:
-                a4_violations.append((point.copy(), q, denom))
-        elif q / denom > M:
-            M, best_point = q / denom, point
+    lows, highs = (np.repeat([beta_box[i], theta_box[i]],
+                             [problem.dim_beta, problem.dim_theta])
+                   for i in (0, 1))
+    points = rng.uniform(lows, highs, (probe_count, len(lows)))
+    q, denom = ratio(points)
+    flat = denom < 1e-14
+    a4_violations = [(points[k].copy(), float(q[k]), float(denom[k]))
+                     for k in np.flatnonzero(flat & (q > 1e-10))]
+    ratios = np.divide(q, denom, out=np.zeros_like(q), where=~flat)
+    best = int(np.argmax(ratios))           # the first probe of largest ratio
+    M = float(ratios[best])
     if a4_violations:
         M = math.inf
-    elif best_point is None:
+    elif M <= 0.0:
         M = 1.0
     else:
         # Polish the best probe so the estimate reaches the actual
@@ -338,9 +342,9 @@ def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
 
         def neg_ratio(point):
             q, denom = ratio(point)
-            return -(q / denom) if denom >= 1e-14 else 0.0
+            return -(q / float(denom)) if denom >= 1e-14 else 0.0
 
-        result = minimize(neg_ratio, best_point, method="Nelder-Mead",
+        result = minimize(neg_ratio, points[best], method="Nelder-Mead",
                           options={"maxiter": 500, "xatol": 1e-12,
                                    "fatol": 1e-14})
         M = max(M, -float(result.fun))

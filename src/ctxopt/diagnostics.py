@@ -20,6 +20,14 @@ Each diagnostic calls each evaluator it needs once, over all the contexts
 conditional oracle when the problem has one and otherwise from enumerating
 the support's conditional laws.
 
+The diagnostics also take stacks of states: ``beta`` of shape
+(S, dim_beta) and ``theta`` of shape (S, dim_theta), or any batch shape
+that broadcasts.  The contexts then sit on axis 0, ahead of the state axes,
+every evaluator is still called once, and each value comes back as an array
+with one entry (or row) per state.  All states share the same contexts, so
+in Monte Carlo mode they share one draw.  Unbatched calls return the floats
+and vectors of a single state.
+
 Problems lacking both support and oracle admit engine-only runs with no
 value diagnostics.
 """
@@ -35,6 +43,7 @@ from .engine import Direction, IterateState, compute_direction
 from .errors import CapabilityError, ConfigurationError
 from .model import (
     ProblemSpec,
+    _dot,
     _matvec,
     conditional_oracle,
     enumerate_conditional,
@@ -62,11 +71,13 @@ class DiagnosticsReport:
     mode: str
 
 
-def _contexts(problem: ProblemSpec, mode, n_samples, rng):
+def _contexts(problem: ProblemSpec, mode, n_samples, rng, *states):
     """The context points of ``mode`` and the average over them.
 
-    Returns (xs, average) with xs of shape (n, dim_x); ``average`` maps
-    per-context values, stacked along the first axis, to (mean, stderr).
+    Returns (xs, average).  xs has the n contexts on axis 0 and one unit
+    axis for each batch axis of the ``states``, so that evaluator outputs
+    lead with n and then the state batch shape; ``average`` maps values
+    stacked that way to (mean, stderr) over axis 0.
     """
     if mode == "exact":
         if not problem.has_support:
@@ -78,14 +89,18 @@ def _contexts(problem: ProblemSpec, mode, n_samples, rng):
         def average(values):
             total = sum(p * v for p, v in zip(p_x, values))
             return total, np.zeros(np.shape(total))
-        return xs, average
-    if not problem.has_oracle:
-        raise CapabilityError("Monte Carlo diagnostics require a conditional oracle for F")
-    if rng is None:
-        raise ConfigurationError("Monte Carlo mode needs an rng")
-    if n_samples < 1:
-        raise ConfigurationError("n_samples must be positive")
-    return sample_stack(problem, n_samples, rng)[0], _mean_stderr
+    else:
+        if not problem.has_oracle:
+            raise CapabilityError("Monte Carlo diagnostics require a conditional oracle for F")
+        if rng is None:
+            raise ConfigurationError("Monte Carlo mode needs an rng")
+        if n_samples < 1:
+            raise ConfigurationError("n_samples must be positive")
+        xs, average = sample_stack(problem, n_samples, rng)[0], _mean_stderr
+    state_axes = max(map(np.ndim, states)) - 1
+    if state_axes > 0:
+        xs = xs.reshape(xs.shape[:1] + (1,) * state_axes + xs.shape[1:])
+    return xs, average
 
 
 def _F(problem: ProblemSpec, xs, beta):
@@ -100,6 +115,11 @@ def _F(problem: ProblemSpec, xs, beta):
     return np.array(F), np.array(F_grad)
 
 
+def _float(value):
+    """A Python float for a single state's value, else the per-state array."""
+    return float(value) if value.ndim == 0 else value
+
+
 def _mean_stderr(values):
     n = values.shape[0]
     mean = values.mean(axis=0)
@@ -110,22 +130,22 @@ def _mean_stderr(values):
 def tracking_error_Q(problem: ProblemSpec, beta, theta, mode="exact",
                      n_samples=10000, rng=None):
     """Mean squared model gap Q = (1/2) E ||F(X,beta) - psi(X,theta)||^2."""
-    xs, average = _contexts(problem, mode, n_samples, rng)
+    xs, average = _contexts(problem, mode, n_samples, rng, beta, theta)
     gap = _F(problem, xs, beta)[0] - evaluate_model(problem, xs, theta)[0]
     q, stderr = average(0.5 * (gap * gap).sum(axis=-1))
-    return float(q), float(stderr)
+    return _float(q), _float(stderr)
 
 
 def value_G(problem: ProblemSpec, beta, mode="exact", n_samples=10000, rng=None):
     """Objective value G(beta) = E[g(F(X, beta))]."""
-    xs, average = _contexts(problem, mode, n_samples, rng)
+    xs, average = _contexts(problem, mode, n_samples, rng, beta)
     g, stderr = average(evaluate_outer(problem, _F(problem, xs, beta)[0])[0])
-    return float(g), float(stderr)
+    return _float(g), _float(stderr)
 
 
 def grad_G(problem: ProblemSpec, beta, mode="exact", n_samples=10000, rng=None):
     """Objective gradient E[grad_beta F(X,beta) grad g(F(X,beta))]."""
-    xs, average = _contexts(problem, mode, n_samples, rng)
+    xs, average = _contexts(problem, mode, n_samples, rng, beta)
     F, F_grad = _F(problem, xs, beta)
     return average(_matvec(F_grad, evaluate_outer(problem, F)[1]))
 
@@ -142,11 +162,11 @@ def Q_and_grad_Q(problem: ProblemSpec, beta, theta, mode="exact",
 
     Returns (q, grad_beta, grad_theta); q is the mean of tracking_error_Q.
     """
-    xs, average = _contexts(problem, mode, n_samples, rng)
+    xs, average = _contexts(problem, mode, n_samples, rng, beta, theta)
     F, F_grad = _F(problem, xs, beta)
     psi, psi_grad = evaluate_model(problem, xs, theta)
     gap = F - psi
-    return (float(average(0.5 * (gap * gap).sum(axis=-1))[0]),
+    return (_float(average(0.5 * (gap * gap).sum(axis=-1))[0]),
             average(_matvec(F_grad, gap))[0], average(-_matvec(psi_grad, gap))[0])
 
 
@@ -157,7 +177,7 @@ def nonoptimality_V(problem: ProblemSpec, beta, theta, c1, c2, mode="exact",
         raise ConfigurationError("c1 and c2 must be positive")
     q, _ = tracking_error_Q(problem, beta, theta, mode, n_samples, rng)
     g, _ = grad_G(problem, beta, mode, n_samples, rng)
-    return c1 * q + c2 * float(g @ g)
+    return c1 * q + c2 * _float(_dot(g, g))
 
 
 def bregman_delta_and_W(problem: ProblemSpec, beta, theta, lam,
@@ -167,15 +187,15 @@ def bregman_delta_and_W(problem: ProblemSpec, beta, theta, lam,
     Delta = E[g(F) - g(psi) - grad g(psi)^T (F - psi) + (lam/2)||F - psi||^2]
     is nonnegative whenever lam >= L_hess_g, making W an upper bound on G.
     """
-    xs, average = _contexts(problem, mode, n_samples, rng)
+    xs, average = _contexts(problem, mode, n_samples, rng, beta, theta)
     F = _F(problem, xs, beta)[0]
     psi = evaluate_model(problem, xs, theta)[0]
     g_F = evaluate_outer(problem, F)[0]
     g_psi, g_psi_grad, _ = evaluate_outer(problem, psi)
     gap = F - psi
-    delta = float(average(g_F - g_psi - (g_psi_grad * gap).sum(axis=-1)
-                          + 0.5 * lam * (gap * gap).sum(axis=-1))[0])
-    return delta, float(average(g_F)[0]) + delta
+    delta = _float(average(g_F - g_psi - (g_psi_grad * gap).sum(axis=-1)
+                           + 0.5 * lam * (gap * gap).sum(axis=-1))[0])
+    return delta, _float(average(g_F)[0]) + delta
 
 
 def expected_direction_Gamma(problem: ProblemSpec, beta, theta, gamma,
@@ -185,7 +205,7 @@ def expected_direction_Gamma(problem: ProblemSpec, beta, theta, gamma,
     Matches the Monte Carlo mean of ``engine.compute_direction`` at the same
     point (the single-sample direction is conditionally unbiased).
     """
-    xs, average = _contexts(problem, mode, n_samples, rng)
+    xs, average = _contexts(problem, mode, n_samples, rng, beta, theta)
     F, F_grad = _F(problem, xs, beta)
     psi, psi_grad = evaluate_model(problem, xs, theta)
     g_psi_grad = evaluate_outer(problem, psi)[1]
@@ -201,7 +221,7 @@ def grad_W(problem: ProblemSpec, beta, theta, lam, mode="exact",
                  + lam E[grad F (F - psi)]
     theta block: -E[grad psi hess g(psi) (F - psi)] - lam E[grad psi (F - psi)]
     """
-    xs, average = _contexts(problem, mode, n_samples, rng)
+    xs, average = _contexts(problem, mode, n_samples, rng, beta, theta)
     F, F_grad = _F(problem, xs, beta)
     psi, psi_grad = evaluate_model(problem, xs, theta)
     g_F_grad = evaluate_outer(problem, F)[1]

@@ -209,7 +209,7 @@ def run(problem: ProblemSpec, config: RunConfig,
         except EvaluationError as exc:
             raise EvaluationError(
                 f"evaluation failed at iteration {k}: {exc}",
-                offending_input=exc.offending_input,
+                offending_input=exc.offending_input, iteration=k,
             ) from exc
         state.beta = betas[k + 1] = state.beta + tau * direction.d_beta
         state.theta = thetas[k + 1] = state.theta + tau * direction.d_theta

@@ -13,12 +13,13 @@ class EvaluationError(CtxoptError):
     """An evaluator produced a non-finite or mis-shaped output.
 
     Carries the offending input so rate experiments fail loudly instead of
-    silently propagating NaNs.
+    silently propagating NaNs, and the engine iteration when it has one.
     """
 
-    def __init__(self, message, offending_input=None):
+    def __init__(self, message, offending_input=None, iteration=None):
         super().__init__(message)
         self.offending_input = offending_input
+        self.iteration = iteration
 
 
 class CapabilityError(CtxoptError):

@@ -22,6 +22,12 @@ holds the per-N mean and standard error of V at the random stopping index;
 a JSONL manifest records the config hash, ledger, derived constants, and
 versions.  results.csv and summary.csv are byte-identical across reruns and
 worker counts.
+
+A replication whose evaluation fails (an EvaluationError, such as a state
+that overflows) does not stop the sweep: its row has ``status`` set to
+``diverged@k``, with k the engine iteration that failed (N when a
+diagnostic at the stopped or final state failed), and empty values.
+summary.csv averages the other rows of each N and counts the excluded ones.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,12 +47,13 @@ import numpy as np
 
 from . import constants, diagnostics, engine, problems, seeding
 from .constants import ConstantLedger
-from .errors import CapabilityError, ConfigurationError
+from .errors import CapabilityError, ConfigurationError, EvaluationError
 
 RESULT_COLUMNS = ["N", "replication", "seed", "S", "tau_schedule", "alpha",
                   "gamma", "V_at_S", "Q_at_S", "normgradG_at_S", "W_final",
-                  "samples_used"]
+                  "samples_used", "status"]
 TIMING_COLUMNS = ["N", "replication", "wall_ms"]
+SUMMARY_COLUMNS = ["N", "mean_V", "stderr_V", "replications", "excluded"]
 
 _V_MC_SAMPLES = 10000
 _MOMENT_SAMPLES = 20000
@@ -82,8 +90,14 @@ class ExperimentConfig:
             raise ConfigurationError("sweep must be nonempty")
         if list(self.sweep) != sorted(set(self.sweep)):
             raise ConfigurationError("sweep must be strictly increasing")
+        if self.sweep[0] < 1:
+            raise ConfigurationError("sweep entries must be >= 1")
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
+
+
+_FLAGS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
 
 
 def _convert(key: str, raw: str, kind):
@@ -110,20 +124,34 @@ def parse_config(text: str) -> ExperimentConfig:
         raw = pairs.pop(key, default)
         return raw if raw is None or kind is None else _convert(key, raw, kind)
 
+    def positive(raw):
+        value = float(raw)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"must be positive and finite, got {raw!r}")
+        return value
+
     def floats(raw):
-        return [float(v) for v in raw.split(",")]
+        values = [float(v) for v in raw.split(",")]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"must be finite, got {raw!r}")
+        return values
 
     def ints(raw):
         return [int(v) for v in raw.split(",") if v.strip()]
 
+    def flag(raw):
+        if raw.lower() not in _FLAGS:
+            raise ValueError(f"must be one of {sorted(_FLAGS)}, got {raw!r}")
+        return _FLAGS[raw.lower()]
+
     name = pop("problem.name")
     if name is None:
         raise ConfigurationError("config missing problem.name")
-    gamma = pop("run.gamma", kind=float)
+    gamma = pop("run.gamma", kind=positive)
     if gamma is None:
         raise ConfigurationError("config missing run.gamma")
     alpha = pop("run.alpha", "auto")
-    alpha = None if alpha.lower() == "auto" else _convert("run.alpha", alpha, float)
+    alpha = None if alpha.lower() == "auto" else _convert("run.alpha", alpha, positive)
     schedule = pop("run.schedule", "FixedHorizon", engine.Schedule)
     seed = pop("run.seed", "0", int)
     init_beta = pop("run.init_beta", kind=floats)
@@ -133,9 +161,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError("config missing sweep")
     replications = pop("replications", "1", int)
     output_dir = Path(pop("output_dir", "out"))
-    lam, c1, c2 = (pop(key, kind=float) for key in ("lambda", "c1", "c2"))
+    lam, c1, c2 = (pop(key, kind=positive) for key in ("lambda", "c1", "c2"))
     workers = pop("workers", "0", int)
-    estimate = pop("ledger.estimate", "false").lower() in ("1", "true", "yes")
+    estimate = pop("ledger.estimate", "false", flag)
 
     problem_params = {}
     ledger_overrides = {}
@@ -200,6 +228,9 @@ def resolve_coefficients(ledger: ConstantLedger, config: ExperimentConfig):
 def measure_z0_quantities(problem: problems.BuiltinProblem,
                           config: ExperimentConfig, lam: float):
     """Direction moments, W(z^0), and G_min needed for alpha tuning and bounds."""
+    if problem.g_min is None:
+        raise CapabilityError(
+            f"problem {problem.name} has no known G_min; supply run.alpha explicitly")
     spec = problem.spec
     beta0 = (np.zeros(spec.dim_beta) if config.init_beta is None
              else np.asarray(config.init_beta, dtype=float))
@@ -212,9 +243,6 @@ def measure_z0_quantities(problem: problems.BuiltinProblem,
     _, w0 = diagnostics.bregman_delta_and_W(
         spec, beta0, theta0, lam, mode=mode, n_samples=_V_MC_SAMPLES,
         rng=seeding.substream(config.seed, STREAM_MOMENTS, 1))
-    if problem.g_min is None:
-        raise CapabilityError(
-            f"problem {problem.name} has no known G_min; supply run.alpha explicitly")
     return c_d_sq, sigma_sq, w0, problem.g_min
 
 
@@ -224,7 +252,8 @@ def _run_one(spec: problems.ProblemSpec, n_iters: int, replication: int,
              init_theta=None) -> dict:
     """Execute one replication and evaluate diagnostics at the stopped state.
 
-    Returns the results.csv row plus its ``wall_ms`` timing.
+    Returns the results.csv row plus its ``wall_ms`` timing.  An
+    EvaluationError gives a row with status ``diverged@k`` and no values.
     """
     seed = seeding.mix(master_seed, n_iters, replication)
     run_config = engine.RunConfig(
@@ -232,10 +261,24 @@ def _run_one(spec: problems.ProblemSpec, n_iters: int, replication: int,
         schedule=engine.Schedule(schedule_value), seed=seed,
         init_beta=init_beta, init_theta=init_theta,
     )
+    row = {"N": n_iters, "replication": replication, "seed": seed,
+           "tau_schedule": schedule_value, "alpha": alpha, "gamma": gamma}
     start = time.perf_counter()
-    record = engine.run(spec, run_config)
-    wall_ms = (time.perf_counter() - start) * 1000.0
+    try:
+        record = engine.run(spec, run_config)
+        row["wall_ms"] = (time.perf_counter() - start) * 1000.0
+        row.update(_stopped_values(spec, record, seed, lam, c1, c2))
+    except EvaluationError as exc:
+        # the engine's wall time, or its time to the failure
+        row.setdefault("wall_ms", (time.perf_counter() - start) * 1000.0)
+        k = n_iters if exc.iteration is None else exc.iteration
+        row["status"] = f"diverged@{k}"
+    return row
 
+
+def _stopped_values(spec, record, seed, lam, c1, c2) -> dict:
+    """The results.csv values of a completed run, with status ``ok``."""
+    n_iters = len(record.taus)
     stopped = record.stopped_state
     final = record.final_state
     diag_samples = 0
@@ -252,21 +295,18 @@ def _run_one(spec: problems.ProblemSpec, n_iters: int, replication: int,
                                                  lam, mode, _V_MC_SAMPLES, rng)
     v = c1 * q + c2 * float(g @ g)
     return {
-        "N": n_iters, "replication": replication, "seed": seed,
-        "S": record.stop_index, "tau_schedule": schedule_value,
-        "alpha": alpha, "gamma": gamma,
-        "V_at_S": v, "Q_at_S": q,
+        "S": record.stop_index, "V_at_S": v, "Q_at_S": q,
         "normgradG_at_S": float(np.linalg.norm(g)),
-        "W_final": w_final, "wall_ms": wall_ms,
-        "samples_used": n_iters + diag_samples,
+        "W_final": w_final, "samples_used": n_iters + diag_samples,
+        "status": "ok",
     }
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the sweep; write results, summary, timings and manifest files.
 
-    Returns a dict with the output paths, the per-N summary rows, and the
-    resolved (ledger, lam, c1, c2, alpha).
+    Returns a dict with the output paths, the per-N summary rows, the
+    resolved (ledger, lam, c1, c2, alpha), and the number of diverged rows.
     """
     workers = config.workers or (os.cpu_count() or 1)
     workers = _convert("CTXOPT_WORKERS",
@@ -304,12 +344,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     summary = []
     for n in config.sweep:
-        vs = np.array([row["V_at_S"] for row in rows if row["N"] == n])
-        stderr = vs.std(ddof=1) / np.sqrt(len(vs)) if len(vs) > 1 else 0.0
-        summary.append({"N": n, "mean_V": float(vs.mean()),
-                        "stderr_V": float(stderr), "replications": len(vs)})
-    _write_csv(out / "summary.csv", ["N", "mean_V", "stderr_V", "replications"],
-               summary)
+        of_n = [row for row in rows if row["N"] == n]
+        vs = np.array([row["V_at_S"] for row in of_n if row["status"] == "ok"])
+        mean = float(vs.mean()) if len(vs) else math.nan
+        stderr = (float(vs.std(ddof=1) / np.sqrt(len(vs))) if len(vs) > 1
+                  else 0.0 if len(vs) else math.nan)
+        summary.append({"N": n, "mean_V": mean, "stderr_V": stderr,
+                        "replications": len(vs), "excluded": len(of_n) - len(vs)})
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary)
 
     derived = {"lambda": lam, "c1": c1, "c2": c2, "alpha": alpha}
     if c_d_sq is not None:
@@ -330,6 +372,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return {"results": out / "results.csv", "summary": out / "summary.csv",
             "timings": out / "timings.csv", "manifest": out / "manifest.jsonl",
             "summary_rows": summary,
+            "diverged": sum(row["excluded"] for row in summary),
             "ledger": ledger, "lam": lam, "c1": c1, "c2": c2, "alpha": alpha,
             "moments": (c_d_sq, sigma_sq, w0, g_min)}
 

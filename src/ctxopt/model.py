@@ -7,14 +7,17 @@ space may additionally carry an explicit support enumeration, which powers
 exact (enumeration-based) diagnostics; a conditional oracle for
 F(x, beta) = E[f(x, Y, beta) | X = x] powers Monte Carlo diagnostics.
 
-Evaluator contract: the context arguments (``x`` and ``y`` of the inner
-function, ``x`` of the model and of the conditional oracle, ``u`` of the
-outer function) may lead with batch axes, and every output then leads with
-the same axes; ``beta`` and ``theta`` are always single vectors.  Called
-without batch axes, an evaluator gives the per-sample result.  So the
-diagnostics evaluate all their contexts in one call, and a user-defined
-evaluator that handles one sample at a time fails their output shape checks
-with a ConfigurationError.  The sampler makes one draw per call.
+Evaluator contract: every argument may lead with batch axes.  The context
+arguments (``x`` and ``y`` of the inner function, ``x`` of the model and of
+the conditional oracle, ``u`` of the outer function) share one leading
+shape; the state arguments (``beta``, ``theta``) may lead with batch axes of
+their own.  Context and state leading axes broadcast by numpy rules, and
+every output leads with the broadcast shape.  Called without batch axes, an
+evaluator gives the per-sample result.  So the diagnostics evaluate all
+their contexts, and a stack of states, in one call, and a user-defined
+evaluator that handles one sample or one state at a time fails their output
+shape checks with a ConfigurationError.  The sampler makes one draw per
+call.
 
 Gradient matrices follow the transpose-of-Jacobian convention throughout:
 an evaluator differentiated with respect to a parameter vector of length p
@@ -51,7 +54,8 @@ class ProblemSpec:
         conditional_oracle: optional (x, beta) -> (F, grad_F_beta).
         support: optional finite enumeration of (x, y, probability) triples.
 
-    Shapes are per sample; batched contexts prefix them with batch axes.
+    Shapes are per sample and per state; batched contexts and states
+    prefix them with batch axes, and outputs with the broadcast of those.
     """
 
     dim_x: int
@@ -135,6 +139,33 @@ def _check_shape(name: str, value: Array, shape: tuple) -> None:
         )
 
 
+def _state_lead(caller: str, lead: tuple, state: Array, dim: int) -> tuple:
+    """The context ``lead`` broadcast with the batch axes of a stacked state.
+
+    Called only when ``state`` is not a single vector of length ``dim``, so
+    an unbatched call pays no broadcast.
+    """
+    if state.ndim < 2 or state.shape[-1] != dim:
+        raise ConfigurationError(f"{caller}: input dimensions do not match problem")
+    try:
+        return np.broadcast_shapes(lead, state.shape[:-1])
+    except ValueError:
+        raise ConfigurationError(
+            f"{caller}: batch axes {lead} and {state.shape[:-1]} do not broadcast"
+        ) from None
+
+
+def _dot(a: Array, b: Array) -> Array:
+    """``a . b`` over the last axis with batch axes broadcast.
+
+    A 1-D ``b`` keeps the plain ``a @ b``; otherwise each dot product is a
+    stacked 1 x n by n x 1 product.
+    """
+    if b.ndim == 1:
+        return a @ b
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
 def _matvec(matrix: Array, vector: Array) -> Array:
     """``matrix @ vector`` over matching leading batch axes."""
     if vector.ndim == 1:
@@ -146,9 +177,10 @@ def evaluate_inner(problem: ProblemSpec, x: Array, y: Array, beta: Array):
     """Evaluate f(x, y, beta) and its beta-gradient (dim_beta x dim_f)."""
     x, y, beta = np.asarray(x), np.asarray(y), np.asarray(beta)
     lead = x.shape[:-1]
-    if (x.shape != lead + (problem.dim_x,) or y.shape != lead + (problem.dim_y,)
-            or beta.shape != (problem.dim_beta,)):
+    if x.shape != lead + (problem.dim_x,) or y.shape != lead + (problem.dim_y,):
         raise ConfigurationError("evaluate_inner: input dimensions do not match problem")
+    if beta.shape != (problem.dim_beta,):
+        lead = _state_lead("evaluate_inner", lead, beta, problem.dim_beta)
     f_value, f_grad = problem.inner(x, y, beta)
     f_value = np.asarray(f_value, dtype=float)
     f_grad = np.asarray(f_grad, dtype=float)
@@ -185,8 +217,10 @@ def evaluate_model(problem: ProblemSpec, x: Array, theta: Array):
     """Evaluate psi(x, theta) and its theta-gradient (dim_theta x dim_f)."""
     x, theta = np.asarray(x), np.asarray(theta)
     lead = x.shape[:-1]
-    if x.shape != lead + (problem.dim_x,) or theta.shape != (problem.dim_theta,):
+    if x.shape != lead + (problem.dim_x,):
         raise ConfigurationError("evaluate_model: input dimensions do not match problem")
+    if theta.shape != (problem.dim_theta,):
+        lead = _state_lead("evaluate_model", lead, theta, problem.dim_theta)
     psi_value, psi_grad = problem.model(x, theta)
     psi_value = np.asarray(psi_value, dtype=float)
     psi_grad = np.asarray(psi_grad, dtype=float)
@@ -226,8 +260,10 @@ def conditional_oracle(problem: ProblemSpec, x: Array, beta: Array):
         raise CapabilityError("problem has no conditional oracle")
     x, beta = np.asarray(x), np.asarray(beta)
     lead = x.shape[:-1]
-    if x.shape != lead + (problem.dim_x,) or beta.shape != (problem.dim_beta,):
+    if x.shape != lead + (problem.dim_x,):
         raise ConfigurationError("conditional_oracle: input dimensions do not match problem")
+    if beta.shape != (problem.dim_beta,):
+        lead = _state_lead("conditional_oracle", lead, beta, problem.dim_beta)
     F_value, F_grad = problem.conditional_oracle(x, beta)
     F_value = np.asarray(F_value, dtype=float)
     F_grad = np.asarray(F_grad, dtype=float)
@@ -301,6 +337,6 @@ def enumerate_conditional(problem: ProblemSpec, x: Array, beta: Array,
     F_grad = np.zeros((problem.dim_beta, problem.dim_f))
     for y, p in conditional:
         f_value, f_grad = evaluate_inner(problem, x, y, beta)
-        F += p * f_value
-        F_grad += p * f_grad
+        F = F + p * f_value
+        F_grad = F_grad + p * f_grad
     return F, F_grad

@@ -30,7 +30,7 @@ import numpy as np
 from . import seeding
 from .constants import LEDGER_KEYS, ConstantLedger
 from .errors import ConfigurationError
-from .model import ProblemSpec
+from .model import ProblemSpec, _dot
 
 _BT_P = {0.0: 0.2, 1.0: 0.7}
 
@@ -50,13 +50,13 @@ class BuiltinProblem:
 
 # ---------------------------------------------------------------- BT pieces
 
-# The evaluators take contexts with leading batch axes (see ctxopt.model);
-# x, y and u have a last axis of length 1 in BT and LIN.  [()] turns the
-# 0-d slice of an unbatched call into a scalar, which keeps per-sample calls
-# on cheap scalar arithmetic.
+# The evaluators take contexts and states with leading batch axes (see
+# ctxopt.model); x, y, u and beta have a last axis of length 1 in BT and
+# LIN.  [()] turns the 0-d slice of an unbatched call into a scalar, which
+# keeps per-sample calls on cheap scalar arithmetic.
 
 def _bt_inner(x, y, beta):
-    r = y[..., 0][()] - beta[0]
+    r = y[..., 0][()] - beta[..., 0][()]
     return (r * r)[..., None], (-2.0 * r)[..., None, None]
 
 
@@ -68,10 +68,11 @@ def _pseudo_huber_outer(u):
 
 def _affine_model(x, theta):
     x0 = x[..., 0][()]
-    grad = np.empty(x.shape[:-1] + (2, 1))
+    value = theta[..., 0][()] + theta[..., 1][()] * x0
+    grad = np.empty(value.shape + (2, 1))
     grad[..., 0, 0] = 1.0
     grad[..., 1, 0] = x0
-    return (theta[0] + theta[1] * x0)[..., None], grad
+    return value[..., None], grad
 
 
 def _bt_sampler(rng):
@@ -81,9 +82,15 @@ def _bt_sampler(rng):
 
 
 def _bt_oracle(x, beta):
-    b = float(beta[0])
-    at0, at1 = (np.array([p * (1.0 - b) ** 2 + (1.0 - p) * b * b, 2.0 * b - 2.0 * p])
+    b = beta[..., 0][()]
+    c = 1.0 - b
+    # Squares are products, as numpy computes an array's ** 2; a float's
+    # ** 2 is C pow, which can differ by one ulp, so stacked and per-state
+    # calls would not agree bit for bit.
+    at0, at1 = (np.array([p * (c * c) + (1.0 - p) * b * b, 2.0 * b - 2.0 * p])
                 for p in _BT_P.values())
+    if at0.ndim > 1:                    # stacked states: move (F, grad F) last
+        at0, at1 = np.moveaxis(at0, 0, -1), np.moveaxis(at1, 0, -1)
     # (F, grad F) at each context; NaN outside {0, 1}, which the checks reject.
     both = np.where(x == 1.0, at1, np.where(x == 0.0, at0, np.nan))
     return both[..., :1], both[..., 1:, None]
@@ -133,14 +140,27 @@ def make_bernoulli_testbed() -> BuiltinProblem:
 
 # ---------------------------------------------------------------- LG pieces
 
-# Without batch axes, x @ beta is the 1-D dot product.
+# Without state batch axes, x @ beta is the 1-D dot product (see _dot).
+
+def _rows(x, value):
+    """``x[..., None]`` with the leading axes of ``value``.
+
+    A stack of states adds batch axes that x lacks; they are broadcast.
+    """
+    lead = value.shape[:-1]
+    if x.shape[:-1] == lead:
+        return x[..., None]
+    return np.broadcast_to(x[..., None], lead + x.shape[-1:] + (1,))
+
 
 def _lg_inner(x, y, beta):
-    return y - (x @ beta)[..., None], (-x)[..., None]
+    value = y - _dot(x, beta)[..., None]
+    return value, _rows(-x, value)
 
 
 def _lg_model(x, theta):
-    return (x @ theta)[..., None], x[..., None]
+    value = _dot(x, theta)[..., None]
+    return value, _rows(x, value)
 
 
 class _LGSampler:
@@ -160,7 +180,8 @@ class _LGOracle:
         self.a = a
 
     def __call__(self, x, beta):
-        return (x @ (self.a - beta))[..., None], (-x)[..., None]
+        value = _dot(x, self.a - beta)[..., None]
+        return value, _rows(-x, value)
 
 
 def make_linear_gaussian(n_x: int, seed: int = 0) -> BuiltinProblem:

@@ -11,7 +11,7 @@ replications).  E[V(z^S)] is evaluated by averaging V over an evenly spaced
 grid of trajectory states, which is the conditional expectation of V(z^S)
 over the uniform stopping draw (up to grid discretization) and removes the
 heavy-tailed noise a single S draw per replication would add; the estimand
-is unchanged.
+is unchanged.  Each replication's grid is one stacked-state V evaluation.
 """
 
 import math
@@ -62,12 +62,9 @@ def sweep_means(bt, pipeline):
             seed = seeding.mix(MASTER_SEED, n, r)
             record = engine.run(bt.spec, RunConfig(
                 gamma=GAMMA_RUN, alpha=alpha, n_iters=n, seed=seed))
-            vals = []
-            for k in range(0, n, stride):
-                q, _ = diagnostics.tracking_error_Q(
-                    bt.spec, record.betas[k], record.thetas[k])
-                g, _ = diagnostics.grad_G(bt.spec, record.betas[k])
-                vals.append(d.c1 * q + d.c2 * float(g @ g))
+            grid = slice(0, n, stride)
+            vals = diagnostics.nonoptimality_V(
+                bt.spec, record.betas[grid], record.thetas[grid], d.c1, d.c2)
             per_rep.append(float(np.mean(vals)))
         means[n] = float(np.mean(per_rep))
     return means

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctxopt import constants, seeding
+from ctxopt import constants, diagnostics, model, seeding
 from ctxopt.constants import ConstantLedger
 from ctxopt.errors import (
     CapabilityError,
@@ -250,3 +250,59 @@ def test_compliant_pairs_give_positive_weights(lam, scale):
     assert cap_C > 0 and 0 < eps < 2 and c1 > 0 and 0 < c2 < 1
     # c1 decomposes as C minus the Young remainder
     assert c1 == pytest.approx(cap_C - lam ** 2 / eps, rel=1e-12)
+
+
+def test_probe_block_draw_equals_one_draw_per_probe():
+    # estimate_ledger draws all A4 probes in one call; row k must be the
+    # beta probe and then the theta probe of the k-th per-probe draw.
+    beta_box, theta_box = (0.0, 1.0), (-3.0, 0.5)
+    lows, highs = np.array([0.0, -3.0, -3.0]), np.array([1.0, 0.5, 0.5])
+    block = seeding.substream(8, 1).uniform(lows, highs, (500, 3))
+    rng = seeding.substream(8, 1)
+    rows = [np.concatenate([rng.uniform(*beta_box, 1), rng.uniform(*theta_box, 2)])
+            for _ in range(500)]
+    assert block.tolist() == np.array(rows).tolist()
+
+
+def _a4_violations_by_probe(spec, sample_count, probe_count, rng, beta_box,
+                            theta_box):
+    """The A4 violations of the one-probe-at-a-time loop, on the same draws."""
+    constants._probe_box(rng, probe_count, -100.0, 100.0, spec.dim_f)
+    for box, dim in ((beta_box, spec.dim_beta), (theta_box, spec.dim_theta)):
+        constants._probe_box(rng, 14, *box, dim, include_zero=False)
+    model.sample_stack(spec, sample_count, rng)
+    violations = []
+    for _ in range(probe_count):
+        point = np.concatenate([rng.uniform(*beta_box, spec.dim_beta),
+                                rng.uniform(*theta_box, spec.dim_theta)])
+        q, _, gq_theta = diagnostics.Q_and_grad_Q(spec, point[:1], point[1:])
+        denom = float(np.dot(gq_theta, gq_theta))
+        if denom < 1e-14 and q > 1e-10:
+            violations.append((point.tolist(), q, denom))
+    return violations
+
+
+def test_zero_theta_gradient_gives_infinite_M_with_the_probe_loop_violations(bt):
+    # psi = theta_0 x (1 - x) has zero theta-gradient at the support contexts
+    # 0 and 1, where A4 evaluates Q, so every probe with Q > 1e-10 violates
+    # A4.  The sampler draws x in (0, 1), which keeps Lbar_psi positive.
+    def bump_model(x, theta):
+        w = (x * (1.0 - x))[..., 0]
+        grad = np.zeros(np.broadcast_shapes(x.shape[:-1], theta.shape[:-1])
+                        + (2, 1))
+        grad[..., 0, 0] = w
+        return (theta[..., 0] * w)[..., None], grad
+
+    def sampler(rng):
+        return np.array([rng.random()]), np.array([float(rng.random() < 0.5)])
+
+    spec = dataclasses.replace(bt.spec, model=bump_model, sampler=sampler)
+    boxes = {"beta_box": (0.0, 1.0), "theta_box": (-1.0, 2.0)}
+    ledger = constants.estimate_ledger(spec, 50, 200, seeding.substream(9, 2),
+                                       **boxes)
+    expected = _a4_violations_by_probe(spec, 50, 200, seeding.substream(9, 2),
+                                       *boxes.values())
+    assert ledger.M == math.inf
+    assert ledger.provenance["M"] == f"a4-violation({len(expected)} probes)"
+    assert len(expected) > 100
+    assert [(p.tolist(), q, d) for p, q, d in ledger.a4_violations] == expected

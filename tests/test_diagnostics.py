@@ -273,3 +273,60 @@ def test_young_split_with_tracking_term(q, lam, lf, eps):
     a = np.sqrt(q)
     b = lam * lf * np.sqrt(2 * q)
     assert a * b <= (eps / 2) * a * a + b * b / (2 * eps) + 1e-9 * (1 + a * b)
+
+
+def _per_state(fn, *stacks):
+    """fn at each state of the stacks, stacked along a new first axis."""
+    rows = [fn(*state) for state in zip(*stacks)]
+    return [np.array(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize("name, oracle", [("BT", True), ("BT", False),
+                                          ("LIN", True)],
+                         ids=["BT", "BT-enumerated", "LIN"])
+def test_stacked_states_match_per_state_exact_diagnostics(name, oracle):
+    spec = problems.by_name(name).spec
+    if not oracle:
+        spec = dataclasses.replace(spec, conditional_oracle=None)
+    rng = seeding.substream(22, 4)
+    betas, thetas = rng.uniform(0, 1, (7, 1)), rng.uniform(0, 1, (7, 2))
+    calls = [
+        (diagnostics.tracking_error_Q, (betas, thetas), ()),
+        (diagnostics.grad_G, (betas,), ()),
+        (diagnostics.Q_and_grad_Q, (betas, thetas), ()),
+        (diagnostics.bregman_delta_and_W, (betas, thetas), (3.0,)),
+    ]
+    for fn, stacks, args in calls:
+        rows = _per_state(lambda *state: fn(spec, *state, *args), *stacks)
+        for out, expected in zip(fn(spec, *stacks, *args), rows):
+            assert np.shape(out) == expected.shape
+            assert np.asarray(out).tolist() == expected.tolist(), fn.__name__
+    v = diagnostics.nonoptimality_V(spec, betas, thetas, 2.24, 0.21875)
+    assert v.tolist() == [diagnostics.nonoptimality_V(spec, b, t, 2.24, 0.21875)
+                          for b, t in zip(betas, thetas)]
+
+
+def test_stacked_states_match_per_state_monte_carlo_diagnostics():
+    # Every per-state call draws the same 500 contexts that the stacked call
+    # shares; only the order of the context sums differs.
+    spec = problems.by_name("LG(3)").spec
+    rng = seeding.substream(22, 5)
+    betas, thetas = rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (4, 3))
+
+    def mc(fn, *state):
+        return fn(spec, *state, mode="mc", n_samples=500,
+                  rng=seeding.substream(22, 6))
+
+    for fn, stacks in ((diagnostics.tracking_error_Q, (betas, thetas)),
+                       (diagnostics.grad_G, (betas,)),
+                       (diagnostics.Q_and_grad_Q, (betas, thetas))):
+        for out, rows in zip(mc(fn, *stacks),
+                             _per_state(lambda *s: mc(fn, *s), *stacks)):
+            np.testing.assert_allclose(out, rows, rtol=1e-12, atol=1e-15)
+
+
+def test_unbatched_diagnostics_return_floats(bt):
+    q, se = diagnostics.tracking_error_Q(bt.spec, *Z0)
+    assert type(q) is float and type(se) is float
+    assert type(diagnostics.Q_and_grad_Q(bt.spec, *Z0)[0]) is float
+    assert type(diagnostics.nonoptimality_V(bt.spec, *Z0, 1.0, 1.0)) is float

@@ -6,9 +6,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxopt import cli, diagnostics, engine, harness, problems, seeding
-from ctxopt.errors import ConfigurationError
+from ctxopt.errors import CapabilityError, ConfigurationError, CtxoptError
 
 SMALL_CONFIG = """\
 problem.name = BT
@@ -346,3 +347,139 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     config_path.write_text("problem.name = BT\nsweep = 4\n")
     assert cli.main(["run", str(config_path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+DIVERGING_CONFIG = SMALL_CONFIG.replace("run.alpha = 0.05", "run.alpha = 1e8") \
+    .replace("sweep = 1", "sweep = 4,16").replace("replications = 1", "replications = 4")
+
+
+# The divergent rows overflow in the outer function before they fail.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_replications_are_recorded_not_fatal(tmp_path, capsys):
+    # At alpha = 1e8 three of the four N = 16 replications overflow at
+    # iterations 13-15; every N = 4 replication finishes.
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(DIVERGING_CONFIG.format(out=tmp_path / "out"))
+    assert cli.main(["run", str(config_path)]) == 1
+    assert "3 replications diverged" in capsys.readouterr().err
+    out = tmp_path / "out"
+    for name in ("results.csv", "summary.csv", "timings.csv", "manifest.jsonl"):
+        assert (out / name).exists()
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["ok"] * 5 + [
+        "diverged@15", "diverged@13", "diverged@15"]
+    assert all(row["V_at_S"] == row["S"] == "" for row in rows[5:])
+    with open(out / "summary.csv", newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    for srow, kept, excluded in zip(summary, (rows[:4], rows[4:5]), (0, 3)):
+        assert float(srow["mean_V"]) == np.mean([float(r["V_at_S"]) for r in kept])
+        assert (int(srow["replications"]), int(srow["excluded"])) == \
+            (len(kept), excluded)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_rows_match_across_worker_counts(tmp_path, monkeypatch):
+    monkeypatch.delenv("CTXOPT_WORKERS", raising=False)
+    for workers in (1, 2):
+        harness.run_experiment(harness.parse_config(
+            DIVERGING_CONFIG.format(out=tmp_path / str(workers))
+            + f"workers = {workers}\n"))
+    for name in ("results.csv", "summary.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()
+
+
+def test_z0_quantities_fail_before_drawing_without_g_min(tmp_path):
+    lg8 = problems.by_name("LG(8)")
+    calls = []
+
+    def counting_sampler(rng):
+        calls.append(1)
+        return lg8.spec.sampler(rng)
+
+    lg8.spec.sampler = counting_sampler
+    config = harness.parse_config(
+        "problem.name = LG(8)\nrun.gamma = 1\nsweep = 4\n"
+        f"output_dir = {tmp_path}\n")
+    with pytest.raises(CapabilityError, match="no known G_min"):
+        harness.measure_z0_quantities(lg8, config, lam=1.0)
+    assert calls == []
+
+
+# ------------------------------------------------------------ malformed configs
+
+# A valid config that finishes in milliseconds: explicit alpha and weights,
+# so a malformed variant must fail on its own fault, not run a sweep.
+VALID_CONFIG = {
+    "problem.name": "BT", "run.gamma": "2", "run.alpha": "0.05",
+    "run.schedule": "FixedHorizon", "run.seed": "7", "sweep": "2,4",
+    "replications": "1", "lambda": "1", "c1": "2.24", "c2": "0.21875",
+    "workers": "1", "ledger.estimate": "false",
+}
+REQUIRED_KEYS = ("problem.name", "run.gamma", "sweep")
+BAD_VALUES = {
+    "problem.name": ["", "XYZ", "LG(x)", "LG(0)", "LG(-2)"],
+    "run.gamma": ["", "abc", "0", "-1", "nan", "inf"],
+    "run.alpha": ["", "fast", "0", "-2", "nan", "inf", "-inf"],
+    "run.schedule": ["", "Daily", "fixedhorizon"],
+    "run.seed": ["", "1.5", "x"],
+    "run.init_beta": ["", "x", "0.1,0.2", "nan", "inf"],
+    "run.init_theta": ["0.1", "0,0,0", "0,nan", "y"],
+    "sweep": ["", "0", "-4", "8,4", "4,4", "a", "1.5", "0,4"],
+    "replications": ["", "0", "-1", "x", "2.5"],
+    "lambda": ["x", "nan", "inf", "-1", "0"],
+    "c1": ["-", "nan", "inf", "-2.24", "0"],
+    "c2": ["1e", "nan", "-inf", "-1", "0"],
+    "workers": ["-1", "many", "1.5"],
+    "ledger.estimate": ["maybe", "2"],
+    "ledger.L_g": ["huge", "nan", "-1", "0"],
+    "ledger.bogus": ["1"],
+    "problem.n_x": ["3"],
+    "run.diag_every": ["4"],
+    "unknown": ["1"],
+}
+
+
+def _config_text(pairs, extra=(), out=None):
+    lines = [f"{key} = {value}" for key, value in pairs.items()] + list(extra)
+    return "\n".join(lines + [f"output_dir = {out}"]) + "\n"
+
+
+def _assert_fails_early(text, out):
+    with pytest.raises(CtxoptError):
+        harness.run_experiment(harness.parse_config(text))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key, values in BAD_VALUES.items() for value in values])
+def test_each_malformed_value_raises_a_ctxopt_error(tmp_path, key, value):
+    pairs = dict(VALID_CONFIG, **{key: value})
+    _assert_fails_early(_config_text(pairs, out=tmp_path / "out"), tmp_path / "out")
+
+
+@st.composite
+def malformed_configs(draw):
+    pairs = dict(VALID_CONFIG)
+    faults = draw(st.lists(st.sampled_from(sorted(BAD_VALUES) + ["drop", "line"]),
+                           min_size=1, max_size=3))
+    extra = []
+    for fault in faults:
+        if fault == "drop":
+            pairs.pop(draw(st.sampled_from(REQUIRED_KEYS)), None)
+        elif fault == "line":
+            extra.append(draw(st.sampled_from(["not a pair", "=", "= 4"])))
+        else:
+            pairs[fault] = draw(st.sampled_from(BAD_VALUES[fault]))
+    return draw(st.permutations(list(pairs.items()))), extra
+
+
+@given(config=malformed_configs())
+@settings(max_examples=150, deadline=None)
+def test_malformed_configs_raise_a_ctxopt_error(config, tmp_path_factory):
+    # Up to three faults, in any line order: parsing or the run must fail
+    # with a CtxoptError before anything is written.
+    out = tmp_path_factory.mktemp("malformed") / "out"
+    pairs, extra = config
+    _assert_fails_early(_config_text(dict(pairs), extra, out), out)

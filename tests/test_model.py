@@ -204,8 +204,9 @@ def test_batched_shape_mismatch_rejected(bt):
         model.evaluate_model(bt.spec, np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(ConfigurationError):
         model.evaluate_outer(bt.spec, np.zeros((3, 2)))
-    with pytest.raises(ConfigurationError):
-        model.evaluate_model(bt.spec, xs, np.zeros((3, 2)))
+    # three contexts and two stacked states do not broadcast
+    with pytest.raises(ConfigurationError, match="do not broadcast"):
+        model.evaluate_model(bt.spec, xs, np.zeros((2, 2)))
     # an evaluator that ignores the batch axes fails its output shape check
     per_sample = dataclasses.replace(
         bt.spec, inner=lambda x, y, beta: (np.zeros(1), np.zeros((1, 1))))
@@ -259,3 +260,102 @@ def test_list_inputs_match_array_inputs(bt):
             assert np.array_equal(a, b)
     with pytest.raises(ConfigurationError):
         model.evaluate_inner(bt.spec, [1.0, 0.0], [0.0], beta)
+
+
+def _state_calls(spec, xs, ys, betas, thetas):
+    """Each state-taking evaluator over contexts ``xs`` and states."""
+    return {
+        "inner": model.evaluate_inner(spec, xs, ys, betas),
+        "model": model.evaluate_model(spec, xs, thetas),
+        "oracle": model.conditional_oracle(spec, xs, betas),
+    }
+
+
+@pytest.mark.parametrize("name", ["BT", "LIN", "LG(1)", "LG(3)"])
+def test_stacked_states_match_per_state_calls(name):
+    # Four contexts (axis 0) by five states (axis 1) in one call per
+    # evaluator, against one call per context and state.  BT's oracle
+    # squares by a product, so its rows agree bit for bit too.
+    spec = problems.by_name(name).spec
+    rng = seeding.substream(3, 6)
+    xs, ys = model.sample_stack(spec, 4, rng)
+    betas = rng.uniform(-1, 1, (5, spec.dim_beta))
+    thetas = rng.uniform(-1, 1, (5, spec.dim_theta))
+    stacked = _state_calls(spec, xs[:, None], ys[:, None], betas, thetas)
+    for key, outputs in stacked.items():
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            for s in range(5):
+                single = _state_calls(spec, x, y, betas[s], thetas[s])[key]
+                for out, row in zip(outputs, single):
+                    assert out.shape == (4, 5) + row.shape
+                    if name == "LG(3)":
+                        np.testing.assert_allclose(out[i, s], row, rtol=1e-15,
+                                                   atol=1e-15)
+                    else:
+                        assert out[i, s].tolist() == row.tolist(), key
+
+
+@pytest.mark.parametrize("name", ["BT", "LG(3)"])
+def test_contexts_and_states_broadcast(name):
+    spec = problems.by_name(name).spec
+    xs, ys = model.sample_stack(spec, 6, seeding.substream(3, 7))
+    f, b, t = spec.dim_f, spec.dim_beta, spec.dim_theta
+    # one context by 3 states, and (6, 1, 1) contexts by 2 x 3 states
+    for x, y, lead in ((xs[0], ys[0], (3,)),
+                       (xs[:, None, None], ys[:, None, None], (6, 2, 3))):
+        betas, thetas = np.zeros(lead[-2:] + (b,)), np.zeros(lead[-2:] + (t,))
+        shapes = [out.shape for out in (
+            *model.evaluate_inner(spec, x, y, betas),
+            *model.evaluate_model(spec, x, thetas),
+            *model.conditional_oracle(spec, x, betas))]
+        assert shapes == [lead + (f,), lead + (b, f), lead + (f,),
+                          lead + (t, f), lead + (f,), lead + (b, f)]
+
+
+def test_wrong_state_width_is_rejected(bt):
+    xs = np.zeros((3, 1))
+    with pytest.raises(ConfigurationError, match="^evaluate_inner: input dim"):
+        model.evaluate_inner(bt.spec, xs, xs, np.zeros((3, 2)))
+    with pytest.raises(ConfigurationError, match="^evaluate_model: input dim"):
+        model.evaluate_model(bt.spec, xs, np.zeros((3, 1)))
+    with pytest.raises(ConfigurationError, match="^conditional_oracle: input dim"):
+        model.conditional_oracle(bt.spec, xs, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("evaluator, message", [
+    ("inner", "^inner produced a non-finite"),
+    ("model", "^model produced a non-finite"),
+    ("conditional_oracle", "^conditional oracle produced a non-finite"),
+])
+def test_nan_in_one_states_row_names_the_evaluator(bt, evaluator, message):
+    original = getattr(bt.spec, evaluator)
+
+    def poisoned(*args):
+        outputs = original(*args)
+        value = np.array(outputs[0], dtype=float)
+        value[:, 2] = np.nan                       # the third state's row
+        return (value,) + tuple(outputs[1:])
+
+    spec = dataclasses.replace(bt.spec, **{evaluator: poisoned})
+    xs = np.array([[0.0], [1.0]])[:, None]
+    betas, thetas = np.full((4, 1), 0.3), np.full((4, 2), 0.2)
+    calls = {
+        "inner": lambda: model.evaluate_inner(spec, xs, xs, betas),
+        "model": lambda: model.evaluate_model(spec, xs, thetas),
+        "conditional_oracle": lambda: model.conditional_oracle(spec, xs, betas),
+    }
+    with pytest.raises(EvaluationError, match=message) as exc:
+        calls[evaluator]()
+    assert exc.value.offending_input is not None
+
+
+def test_bt_oracle_over_many_stacked_states_matches_per_state_calls(bt):
+    # Over 10k states a float's ** 2 (C pow) would differ from the array
+    # product in a few F values; BT's oracle squares by a product.
+    betas = seeding.substream(3, 8).uniform(0, 1, (10000, 1))
+    xs = np.array([[0.0], [1.0]])[:, None]
+    F, F_grad = model.conditional_oracle(bt.spec, xs, betas)
+    for i, x in enumerate(np.array([[0.0], [1.0]])):
+        rows = [model.conditional_oracle(bt.spec, x, beta) for beta in betas]
+        assert F[i].tolist() == [row[0].tolist() for row in rows]
+        assert F_grad[i].tolist() == [row[1].tolist() for row in rows]
