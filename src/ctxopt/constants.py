@@ -264,6 +264,56 @@ def _envelope_moments(probes, evaluate):
                  for env in (grad_env, lip_env, value_env))
 
 
+def _nelder_mead(func, x0, maxiter, xatol, fatol):
+    """Least value of ``func`` found by a Nelder-Mead search from ``x0``.
+
+    A step-for-step port of the unbounded, non-adaptive Nelder-Mead of
+    SciPy's ``minimize`` (Nelder and Mead, Comput. J. 7(4), 1965), down to
+    the order of every floating-point operation, so it returns SciPy's bits.
+    """
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([func(x) for x in sim], dtype=float)
+    for _ in range(2):          # SciPy sorts twice after the first evaluation
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:                  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:                               # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = func(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:                               # shrink toward the best
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return np.min(fsim)
+
+
 def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
                     rng: np.random.Generator, *,
                     beta_box=(0.0, 1.0), theta_box=(0.0, 1.0),
@@ -338,16 +388,12 @@ def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
     else:
         # Polish the best probe so the estimate reaches the actual
         # supremum instead of stopping just below it.
-        from scipy.optimize import minimize
-
         def neg_ratio(point):
             q, denom = ratio(point)
             return -(q / float(denom)) if denom >= 1e-14 else 0.0
 
-        result = minimize(neg_ratio, points[best], method="Nelder-Mead",
-                          options={"maxiter": 500, "xatol": 1e-12,
-                                   "fatol": 1e-14})
-        M = max(M, -float(result.fun))
+        M = max(M, -float(_nelder_mead(neg_ratio, points[best], 500,
+                                       xatol=1e-12, fatol=1e-14)))
 
     tag = f"estimated(n={sample_count})"
     provenance = {key: tag for key in LEDGER_KEYS}

@@ -35,7 +35,6 @@ value diagnostics.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,23 +51,6 @@ from .model import (
     sample_stack,
     support_groups,
 )
-
-Array = np.ndarray
-
-
-@dataclass
-class DiagnosticsReport:
-    """Snapshot of all analytical quantities at one point (beta, theta)."""
-
-    q_value: float
-    q_stderr: float
-    grad_G: Array
-    grad_G_stderr: Array
-    v_value: float
-    delta_lambda: float
-    w_value: float
-    gamma_dir: Direction
-    mode: str
 
 
 def _contexts(problem: ProblemSpec, mode, n_samples, rng, *states):
@@ -148,12 +130,6 @@ def grad_G(problem: ProblemSpec, beta, mode="exact", n_samples=10000, rng=None):
     xs, average = _contexts(problem, mode, n_samples, rng, beta)
     F, F_grad = _F(problem, xs, beta)
     return average(_matvec(F_grad, evaluate_outer(problem, F)[1]))
-
-
-def grad_Q(problem: ProblemSpec, beta, theta, mode="exact",
-           n_samples=10000, rng=None):
-    """Gradient of Q: E[[grad F; -grad psi] (F - psi)] split into blocks."""
-    return Q_and_grad_Q(problem, beta, theta, mode, n_samples, rng)[1:]
 
 
 def Q_and_grad_Q(problem: ProblemSpec, beta, theta, mode="exact",
@@ -290,38 +266,3 @@ def rate_fit(records):
     ss_tot = float(((log_v - log_v.mean()) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r_squared
-
-
-def make_report(problem: ProblemSpec, beta, theta, *, gamma, lam, c1, c2,
-                mode="exact", n_samples=10000, rng=None) -> DiagnosticsReport:
-    """Assemble a full DiagnosticsReport at one point."""
-    q, q_se = tracking_error_Q(problem, beta, theta, mode, n_samples, rng)
-    g, g_se = grad_G(problem, beta, mode, n_samples, rng)
-    delta, w = bregman_delta_and_W(problem, beta, theta, lam, mode, n_samples, rng)
-    gam = expected_direction_Gamma(problem, beta, theta, gamma, mode, n_samples, rng)
-    v = c1 * q + c2 * float(np.dot(g, g))
-    label = "exact" if mode == "exact" else f"monte_carlo(n={n_samples})"
-    return DiagnosticsReport(q_value=q, q_stderr=q_se, grad_G=np.asarray(g),
-                             grad_G_stderr=np.asarray(g_se), v_value=v,
-                             delta_lambda=delta, w_value=w, gamma_dir=gam,
-                             mode=label)
-
-
-def minimize_scalar_G(problem: ProblemSpec, lo=0.0, hi=1.0, tol=1e-12):
-    """Locate the minimizer of G for a scalar decision by bisecting grad G.
-
-    Requires exact mode and a sign change of the scalar gradient on [lo, hi].
-    Returns (beta_star, G(beta_star)).
-    """
-    from scipy.optimize import brentq
-
-    if problem.dim_beta != 1:
-        raise ConfigurationError("minimize_scalar_G handles scalar beta only")
-
-    def dg(b):
-        g, _ = grad_G(problem, np.array([b]), mode="exact")
-        return float(g[0])
-
-    root = brentq(dg, lo, hi, xtol=tol)
-    g_val, _ = value_G(problem, np.array([root]), mode="exact")
-    return float(root), g_val

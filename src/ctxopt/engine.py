@@ -104,13 +104,6 @@ class RunRecord:
         n = len(self.taus)
         return IterateState(self.betas[n].copy(), self.thetas[n].copy(), n)
 
-    def trajectory(self):
-        """Iterate over (k, tau_k, beta^k, theta^k); tau_N is None."""
-        n = len(self.taus)
-        for k in range(n + 1):
-            tau = self.taus[k] if k < n else None
-            yield k, tau, self.betas[k], self.thetas[k]
-
 
 def compute_direction(problem: ProblemSpec, state: IterateState,
                       sample: tuple, gamma: float) -> Direction:

@@ -264,10 +264,13 @@ def _run_one(spec: problems.ProblemSpec, n_iters: int, replication: int,
     row = {"N": n_iters, "replication": replication, "seed": seed,
            "tau_schedule": schedule_value, "alpha": alpha, "gamma": gamma}
     start = time.perf_counter()
+    # A diverging run overflows before the EvaluationError that names its
+    # iteration; numpy's overflow warnings would only repeat the status.
     try:
-        record = engine.run(spec, run_config)
-        row["wall_ms"] = (time.perf_counter() - start) * 1000.0
-        row.update(_stopped_values(spec, record, seed, lam, c1, c2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            record = engine.run(spec, run_config)
+            row["wall_ms"] = (time.perf_counter() - start) * 1000.0
+            row.update(_stopped_values(spec, record, seed, lam, c1, c2))
     except EvaluationError as exc:
         # the engine's wall time, or its time to the failure
         row.setdefault("wall_ms", (time.perf_counter() - start) * 1000.0)

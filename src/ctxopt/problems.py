@@ -129,8 +129,9 @@ def make_bernoulli_testbed() -> BuiltinProblem:
         M=(3.0 + math.sqrt(5.0)) / 2.0,
         provenance=dict.fromkeys(LEDGER_KEYS, "analytic"),
     )
-    # G_min is diagnostics.minimize_scalar_G(spec, 0.0, 1.0)[1], stored bit
-    # for bit so that building BT needs neither scipy nor a root search.
+    # G_min is minimize_scalar_G(spec, 0.0, 1.0)[1] of tests/conftest.py,
+    # stored bit for bit so that building BT needs neither SciPy nor a root
+    # search.
     return BuiltinProblem(
         name="BT", spec=spec, ledger=ledger,
         g_min=float.fromhex("0x1.f186b95f4ab40p-6"),

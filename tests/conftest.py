@@ -5,10 +5,11 @@ session-scoped because estimation is the single most expensive setup step
 and several test modules verify against the same numbers.
 """
 
+import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
-from ctxopt import constants, problems, seeding
+from ctxopt import constants, diagnostics, problems, seeding
 
 MASTER_SEED = 20260823
 
@@ -34,6 +35,21 @@ def bt_estimated_ledger(bt):
     return constants.estimate_ledger(
         bt.spec, sample_count=10000, probe_count=10000, rng=rng,
         beta_box=bt.beta_box, theta_box=bt.theta_box)
+
+
+def minimize_scalar_G(problem, lo=0.0, hi=1.0, tol=1e-12):
+    """Locate the minimizer of G for a scalar decision by bisecting grad G.
+
+    Requires exact mode and a sign change of the scalar gradient on [lo, hi].
+    Returns (beta_star, G(beta_star)).
+    """
+    def dg(b):
+        g, _ = diagnostics.grad_G(problem, np.array([b]), mode="exact")
+        return float(g[0])
+
+    root = brentq(dg, lo, hi, xtol=tol)
+    g_val, _ = diagnostics.value_G(problem, np.array([root]), mode="exact")
+    return float(root), g_val
 
 
 def compliant_constants(ledger):

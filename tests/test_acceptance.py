@@ -181,7 +181,7 @@ def test_criterion_5_gradient_and_oracle_consistency(bt):
         assert err_b < 1e-5 * max(1, np.linalg.norm(wb))
         assert err_t < 1e-5 * max(1, np.linalg.norm(wt))
 
-        _, qt = diagnostics.grad_Q(bt.spec, beta, theta)
+        _, qt = diagnostics.Q_and_grad_Q(bt.spec, beta, theta)[1:]
         err_q = np.linalg.norm(fd(
             lambda t: diagnostics.tracking_error_Q(bt.spec, beta, t)[0],
             theta) - qt)

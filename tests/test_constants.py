@@ -1,11 +1,15 @@
 """Ledger arithmetic, derived constants, and numerical estimation."""
 
+import collections
 import dataclasses
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize, rosen
 
 from ctxopt import constants, diagnostics, model, seeding
 from ctxopt.constants import ConstantLedger
@@ -306,3 +310,65 @@ def test_zero_theta_gradient_gives_infinite_M_with_the_probe_loop_violations(bt)
     assert ledger.provenance["M"] == f"a4-violation({len(expected)} probes)"
     assert len(expected) > 100
     assert [(p.tolist(), q, d) for p, q, d in ledger.a4_violations] == expected
+
+
+NELDER_MEAD = constants._nelder_mead
+# The func calls of the port, in source order.
+NELDER_MEAD_STEPS = ("simplex", "reflection", "expansion",
+                     "outside contraction", "inside contraction", "shrink")
+
+
+def _assert_port_matches_scipy(func, x0, maxiter, xatol, fatol, steps):
+    """Run the port and scipy from ``x0`` and require equal bits and calls.
+
+    Each call of the port is counted in ``steps`` under the step of its call
+    site.  Returns the port's result and scipy's.
+    """
+    lines, first = inspect.getsourcelines(NELDER_MEAD)
+    sites = [first + i for i, line in enumerate(lines) if "func(" in line]
+    assert len(sites) == len(NELDER_MEAD_STEPS)
+    step_at = dict(zip(sites, NELDER_MEAD_STEPS))
+    calls = collections.Counter()
+
+    def counted(x):
+        calls[step_at[sys._getframe(1).f_lineno]] += 1
+        return func(x)
+
+    ours = NELDER_MEAD(counted, x0, maxiter, xatol, fatol)
+    ref = minimize(func, x0, method="Nelder-Mead",
+                   options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+    assert float(ours).hex() == float(ref.fun).hex()
+    assert sum(calls.values()) == ref.nfev
+    steps.update(calls)
+    return ours, ref
+
+
+def test_nelder_mead_port_matches_scipy_bit_for_bit(bt, monkeypatch):
+    steps = collections.Counter()
+
+    # The A4 polish of estimate_ledger, from the best probe of each draw.
+    starts = []
+
+    def polish(func, x0, maxiter, xatol, fatol):
+        starts.append(x0)
+        return _assert_port_matches_scipy(func, x0, maxiter, xatol, fatol,
+                                          steps)[0]
+
+    monkeypatch.setattr(constants, "_nelder_mead", polish)
+    for seed in range(5):
+        for boxes in ({}, {"beta_box": (-2.0, 3.0), "theta_box": (-1.0, 2.0)}):
+            constants.estimate_ledger(bt.spec, 300, 400,
+                                      seeding.substream(seed, 17), **boxes)
+    monkeypatch.undo()
+    assert len(starts) == 10
+
+    # Rosenbrock in 2-D and 3-D, stopped by maxiter (status 2) and by the
+    # tolerances (status 0).
+    for x0 in ([-1.2, 1.0], [0.0, 0.0], [2.0, -1.5], [-1.2, 1.0, 0.5],
+               [0.0, 0.0, 0.0], [2.0, -1.5, 0.3]):
+        for maxiter, status in ((30, 2), (5000, 0)):
+            _, ref = _assert_port_matches_scipy(rosen, np.array(x0), maxiter,
+                                                1e-12, 1e-14, steps)
+            assert ref.status == status
+
+    assert set(steps) == set(NELDER_MEAD_STEPS), steps

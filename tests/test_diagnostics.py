@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from ctxopt import diagnostics, problems, seeding
 from ctxopt.errors import CapabilityError, ConfigurationError
 
+from conftest import minimize_scalar_G
+
 Z0 = (np.array([0.0]), np.array([0.0, 0.0]))
 
 # Frozen independent-oracle values at z0 = (0, (0, 0)).
@@ -62,7 +64,7 @@ def test_grad_W_frozen(bt):
 
 
 def test_minimize_scalar_G_frozen(bt):
-    beta_star, g_star = diagnostics.minimize_scalar_G(bt.spec, 0.0, 1.0)
+    beta_star, g_star = minimize_scalar_G(bt.spec, 0.0, 1.0)
     assert beta_star == pytest.approx(BETA_STAR, abs=1e-9)
     assert g_star == pytest.approx(G_STAR, abs=1e-12)
     assert bt.g_min == pytest.approx(G_STAR, abs=1e-12)
@@ -90,7 +92,7 @@ def test_gradients_match_finite_differences(bt):
         g_fd = _fd(lambda b: diagnostics.value_G(bt.spec, b)[0], beta)
         assert np.linalg.norm(g_fd - g_exact) < 1e-5 * max(1, np.linalg.norm(g_exact))
 
-        qb, qt = diagnostics.grad_Q(bt.spec, beta, theta)
+        qb, qt = diagnostics.Q_and_grad_Q(bt.spec, beta, theta)[1:]
         qb_fd = _fd(lambda b: diagnostics.tracking_error_Q(bt.spec, b, theta)[0], beta)
         qt_fd = _fd(lambda t: diagnostics.tracking_error_Q(bt.spec, beta, t)[0], theta)
         assert np.linalg.norm(qb_fd - qb) < 1e-5 * max(1, np.linalg.norm(qb))
@@ -126,7 +128,7 @@ def test_lojasiewicz_spot_check(bt, bt_estimated_ledger):
         beta = rng.uniform(0, 1, 1)
         theta = rng.uniform(0, 1, 2)
         q, _ = diagnostics.tracking_error_Q(bt.spec, beta, theta)
-        _, gq_theta = diagnostics.grad_Q(bt.spec, beta, theta)
+        _, gq_theta = diagnostics.Q_and_grad_Q(bt.spec, beta, theta)[1:]
         assert q <= m_hat * float(gq_theta @ gq_theta) + 1e-12
 
 
@@ -191,7 +193,7 @@ def test_support_enumeration_matches_oracle_path(bt):
             (diagnostics.tracking_error_Q, (beta, theta)),
             (diagnostics.value_G, (beta,)),
             (diagnostics.grad_G, (beta,)),
-            (diagnostics.grad_Q, (beta, theta)),
+            (diagnostics.Q_and_grad_Q, (beta, theta)),
             (diagnostics.bregman_delta_and_W, (beta, theta, lam)),
             (diagnostics.grad_W, (beta, theta, lam)),
         ]
@@ -255,14 +257,9 @@ def test_rate_fit_excludes_nonpositive_with_warning():
         diagnostics.rate_fit([(100, 1.0), (100, 2.0)])
 
 
-def test_make_report_bundles_values(bt):
-    report = diagnostics.make_report(bt.spec, *Z0, gamma=1.0, lam=1.0,
-                                     c1=2.24, c2=0.21875)
-    assert report.mode == "exact"
-    assert report.q_value == pytest.approx(Q0, abs=1e-14)
-    assert report.v_value == pytest.approx(2.24 * Q0 + 0.21875 * DG0 ** 2,
-                                           abs=1e-14)
-    assert report.w_value == pytest.approx(W0_LAM1, abs=1e-14)
+def test_nonoptimality_V_frozen(bt):
+    v = diagnostics.nonoptimality_V(bt.spec, *Z0, c1=2.24, c2=0.21875)
+    assert v == pytest.approx(2.24 * Q0 + 0.21875 * DG0 ** 2, abs=1e-14)
 
 
 @given(q=st.floats(0, 100), lam=st.floats(0.1, 50),

@@ -209,8 +209,7 @@ def test_stop_index_laws_small():
 
 def test_trajectory_iterator(bt):
     rec = engine.run(bt.spec, RunConfig(gamma=1.0, alpha=0.1, n_iters=4, seed=1))
-    rows = list(rec.trajectory())
-    assert len(rows) == 5
-    assert rows[0][0] == 0 and rows[-1][0] == 4
-    assert rows[-1][1] is None
-    assert rows[2][1] == pytest.approx(0.1 / 2.0)
+    # N + 1 states beta^0 .. beta^N, and N stepsizes tau_0 .. tau_{N-1}
+    assert rec.betas.shape == (5, 1) and rec.thetas.shape == (5, 2)
+    assert len(rec.taus) == 4
+    assert rec.taus[2] == pytest.approx(0.1 / 2.0)

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -353,8 +356,6 @@ DIVERGING_CONFIG = SMALL_CONFIG.replace("run.alpha = 0.05", "run.alpha = 1e8") \
     .replace("sweep = 1", "sweep = 4,16").replace("replications = 1", "replications = 4")
 
 
-# The divergent rows overflow in the outer function before they fail.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_replications_are_recorded_not_fatal(tmp_path, capsys):
     # At alpha = 1e8 three of the four N = 16 replications overflow at
     # iterations 13-15; every N = 4 replication finishes.
@@ -378,7 +379,6 @@ def test_diverged_replications_are_recorded_not_fatal(tmp_path, capsys):
             (len(kept), excluded)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_rows_match_across_worker_counts(tmp_path, monkeypatch):
     monkeypatch.delenv("CTXOPT_WORKERS", raising=False)
     for workers in (1, 2):
@@ -388,6 +388,27 @@ def test_diverged_rows_match_across_worker_counts(tmp_path, monkeypatch):
     for name in ("results.csv", "summary.csv"):
         assert (tmp_path / "1" / name).read_bytes() == \
             (tmp_path / "2" / name).read_bytes()
+
+
+def test_diverging_run_prints_no_overflow_warnings(tmp_path):
+    # Both replications overflow in the pseudo-Huber outer at iteration 12.
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(
+        SMALL_CONFIG.format(out=tmp_path / "out")
+        .replace("run.alpha = 0.05", "run.alpha = 1e8")
+        .replace("run.seed = 7", "run.seed = 3")
+        .replace("sweep = 1", "sweep = 64").replace("replications = 1",
+                                                    "replications = 2"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "ctxopt.cli", "run",
+                           str(config_path)], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 1
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stderr.startswith("error: 2 replications diverged")
+    with open(tmp_path / "out" / "results.csv", newline="") as fh:
+        assert [row["status"] for row in csv.DictReader(fh)] == \
+            ["diverged@12", "diverged@12"]
 
 
 def test_z0_quantities_fail_before_drawing_without_g_min(tmp_path):

@@ -55,14 +55,30 @@ def test_bt_gradient_sign_change_brackets_minimum(bt):
     assert bt.g_min is not None and 0 < bt.g_min < 0.1
 
 
-def test_building_bt_leaves_scipy_unloaded():
-    code = ("import sys; from ctxopt import problems; "
-            "problems.make_bernoulli_testbed(); "
+def _scipy_modules_after(code, *args):
+    """The scipy modules loaded once ``code`` has run in a fresh process."""
+    code = ("import sys; " + code + "; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_building_bt_leaves_scipy_unloaded():
+    assert _scipy_modules_after("from ctxopt import problems; "
+                                "problems.make_bernoulli_testbed()") == "[]"
+
+
+def test_estimating_the_ledger_in_a_run_leaves_scipy_unloaded(tmp_path):
+    config = ("problem.name = BT\nrun.gamma = 2\nrun.alpha = 0.05\nsweep = 4\n"
+              "replications = 1\nlambda = 1\nc1 = 2.24\nc2 = 0.21875\n"
+              f"ledger.estimate = true\noutput_dir = {tmp_path}\n")
+    assert _scipy_modules_after(
+        "from ctxopt import harness; "
+        "harness.run_experiment(harness.parse_config(sys.argv[1]))",
+        config) == "[]"
+    manifest = (tmp_path / "manifest.jsonl").read_text()
+    assert '"M": "estimated(n=10000)"' in manifest
 
 
 def test_lin_reduces_to_quadratic_objective(lin):
