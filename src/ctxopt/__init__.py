@@ -1,7 +1,7 @@
 """Solver library and experiment harness for contextual stochastic
 optimization problems of the form min_beta E[g(E[f(X, Y, beta) | X])]."""
 
-from .engine import Direction, RunConfig, RunRecord, Schedule, run
+from .engine import RunConfig, RunRecord, Schedule, run
 from .errors import (
     CapabilityError,
     ConfigurationError,
@@ -9,7 +9,7 @@ from .errors import (
     DomainError,
     EvaluationError,
 )
-from .model import IterateState, ProblemSpec
+from .model import ProblemSpec
 from .constants import ConstantLedger, DerivedConstants
 from .problems import make_bernoulli_testbed, make_linear_gaussian, make_linear_outer
 
@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapabilityError", "ConfigurationError", "ConstantLedger", "CtxoptError",
-    "DerivedConstants", "Direction", "DomainError", "EvaluationError",
-    "IterateState", "ProblemSpec", "RunConfig", "RunRecord", "Schedule",
-    "make_bernoulli_testbed", "make_linear_gaussian", "make_linear_outer",
-    "run",
+    "DerivedConstants", "DomainError", "EvaluationError", "ProblemSpec",
+    "RunConfig", "RunRecord", "Schedule", "make_bernoulli_testbed",
+    "make_linear_gaussian", "make_linear_outer", "run",
 ]

@@ -78,27 +78,6 @@ class ConstantLedger:
     def as_dict(self) -> dict:
         return {key: getattr(self, key) for key in LEDGER_KEYS}
 
-    def to_text(self) -> str:
-        """Flat key=value serialization (harness config format)."""
-        return "".join(f"{key} = {getattr(self, key)!r}\n" for key in LEDGER_KEYS)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ConstantLedger":
-        values = {}
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in LEDGER_KEYS:
-                raise ConfigurationError(f"unknown ledger key {key!r}")
-            values[key] = float(raw)
-        missing = [key for key in LEDGER_KEYS if key not in values]
-        if missing:
-            raise ConfigurationError(f"ledger text missing keys {missing}")
-        return cls(**values)
-
 
 @dataclass
 class DerivedConstants:

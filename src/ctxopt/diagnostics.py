@@ -38,7 +38,7 @@ import warnings
 
 import numpy as np
 
-from .engine import Direction, IterateState, compute_direction
+from .engine import compute_direction
 from .errors import CapabilityError, ConfigurationError
 from .model import (
     ProblemSpec,
@@ -175,8 +175,8 @@ def bregman_delta_and_W(problem: ProblemSpec, beta, theta, lam,
 
 
 def expected_direction_Gamma(problem: ProblemSpec, beta, theta, gamma,
-                             mode="exact", n_samples=10000, rng=None) -> Direction:
-    """Expected update direction Gamma at (beta, theta).
+                             mode="exact", n_samples=10000, rng=None):
+    """Expected update direction Gamma = (d_beta, d_theta) at (beta, theta).
 
     Matches the Monte Carlo mean of ``engine.compute_direction`` at the same
     point (the single-sample direction is conditionally unbiased).
@@ -185,8 +185,8 @@ def expected_direction_Gamma(problem: ProblemSpec, beta, theta, gamma,
     F, F_grad = _F(problem, xs, beta)
     psi, psi_grad = evaluate_model(problem, xs, theta)
     g_psi_grad = evaluate_outer(problem, psi)[1]
-    return Direction(average(-_matvec(F_grad, g_psi_grad))[0],
-                     average(gamma * _matvec(psi_grad, F - psi))[0])
+    return (average(-_matvec(F_grad, g_psi_grad))[0],
+            average(gamma * _matvec(psi_grad, F - psi))[0])
 
 
 def grad_W(problem: ProblemSpec, beta, theta, lam, mode="exact",
@@ -221,9 +221,10 @@ def direction_moment_stats(problem: ProblemSpec, beta, theta, gamma,
     """
     if n < 1000:
         raise ConfigurationError("direction_moment_stats needs n >= 1000")
-    state = IterateState(np.asarray(beta, float), np.asarray(theta, float))
-    d = compute_direction(problem, state, sample_stack(problem, n, rng), gamma)
-    dirs = np.concatenate((d.d_beta, d.d_theta), axis=1)
+    d = compute_direction(problem, np.asarray(beta, float),
+                          np.asarray(theta, float), sample_stack(problem, n, rng),
+                          gamma)
+    dirs = np.concatenate(d, axis=1)
     mean = dirs.mean(axis=0)
     c_d_sq = float(mean @ mean)
     sigma_sq = float(((dirs - mean) ** 2).sum(axis=1).mean())
@@ -238,8 +239,9 @@ def descent_check(problem: ProblemSpec, beta, theta, gamma, lam, c1, c2):
     absolute.
     """
     gw_beta, gw_theta = grad_W(problem, beta, theta, lam, mode="exact")
-    gam = expected_direction_Gamma(problem, beta, theta, gamma, mode="exact")
-    lhs = float(gw_beta @ gam.d_beta + gw_theta @ gam.d_theta)
+    gam_beta, gam_theta = expected_direction_Gamma(problem, beta, theta, gamma,
+                                                   mode="exact")
+    lhs = float(gw_beta @ gam_beta + gw_theta @ gam_theta)
     rhs = -nonoptimality_V(problem, beta, theta, c1, c2, mode="exact")
     return lhs, rhs, lhs <= rhs + 1e-9
 

@@ -9,6 +9,11 @@ pulling the model parameters theta toward the observed inner values:
     beta   += tau_k * d_beta
     theta  += tau_k * d_theta
 
+``run`` draws the N pairs from the trajectory substream before the first
+step, in the order N single draws would take them, and step k uses pair k.
+``compute_direction`` is the one place the direction is formed; the loop
+only adds tau_k times it.
+
 The reported iterate is drawn at a random stopping index: uniform over
 {0..N-1} for the fixed-horizon schedule tau_k = alpha/sqrt(N), proportional
 to tau_k for the anytime schedule tau_k = alpha/sqrt(k+1).
@@ -18,21 +23,20 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import seeding
 from .errors import ConfigurationError, EvaluationError
 from .model import (
-    IterateState,
     ProblemSpec,
     _matvec,
     evaluate_inner,
     evaluate_model,
     evaluate_outer,
-    sample_joint,
+    sample_stack,
 )
 
 Array = np.ndarray
@@ -46,14 +50,6 @@ class Schedule(enum.Enum):
 
 
 @dataclass
-class Direction:
-    """One stochastic update direction (d_beta, d_theta)."""
-
-    d_beta: Array
-    d_theta: Array
-
-
-@dataclass
 class RunConfig:
     """Parameters of a single run of the method."""
 
@@ -62,19 +58,22 @@ class RunConfig:
     n_iters: int
     schedule: Schedule = Schedule.FIXED_HORIZON
     seed: int = 0
-    diag_every: int = 0
     init_beta: Optional[Array] = None
     init_theta: Optional[Array] = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigurationError("gamma must be positive")
-        if self.alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
+        for name in ("gamma", "alpha"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value!r}")
         if self.n_iters < 1:
             raise ConfigurationError("n_iters must be >= 1")
-        if self.diag_every < 0:
-            raise ConfigurationError("diag_every must be nonnegative")
+        for name in ("init_beta", "init_theta"):
+            value = getattr(self, name)
+            if (value is not None
+                    and not np.isfinite(np.asarray(value, dtype=float)).all()):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -84,7 +83,7 @@ class RunRecord:
     ``betas``/``thetas`` have N+1 rows (z^0 through z^N); ``taus`` has N
     entries.  The stopping index is drawn after the loop from a dedicated
     substream so the trajectory is independent of it, and any S maps onto a
-    recorded state.
+    recorded state: z^S is ``(betas[stop_index], thetas[stop_index])``.
     """
 
     betas: Array
@@ -92,22 +91,11 @@ class RunRecord:
     taus: Array
     stop_index: int
     seed: int
-    diagnostics: list = field(default_factory=list)
-
-    @property
-    def stopped_state(self) -> IterateState:
-        s = self.stop_index
-        return IterateState(self.betas[s].copy(), self.thetas[s].copy(), s)
-
-    @property
-    def final_state(self) -> IterateState:
-        n = len(self.taus)
-        return IterateState(self.betas[n].copy(), self.thetas[n].copy(), n)
 
 
-def compute_direction(problem: ProblemSpec, state: IterateState,
-                      sample: tuple, gamma: float) -> Direction:
-    """Stochastic direction at ``state`` from one joint sample.
+def compute_direction(problem: ProblemSpec, beta: Array, theta: Array,
+                      sample: tuple, gamma: float) -> tuple:
+    """Stochastic direction (d_beta, d_theta) at (beta, theta) from one sample.
 
     ``sample`` is (x, y), or a stack of samples with leading batch axes.
     Performs exactly one evaluation each of the inner function, the model,
@@ -116,36 +104,15 @@ def compute_direction(problem: ProblemSpec, state: IterateState,
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
     x, y = sample
-    f_value, f_grad = evaluate_inner(problem, x, y, state.beta)
-    psi_value, psi_grad = evaluate_model(problem, x, state.theta)
+    f_value, f_grad = evaluate_inner(problem, x, y, beta)
+    psi_value, psi_grad = evaluate_model(problem, x, theta)
     _, g_grad, _ = evaluate_outer(problem, psi_value)
-    d_beta = -_matvec(f_grad, g_grad)
-    d_theta = gamma * _matvec(psi_grad, f_value - psi_value)
-    return Direction(d_beta, d_theta)
-
-
-def step(state: IterateState, direction: Direction, tau: float) -> IterateState:
-    """Advance one iteration: z' = z + tau * d, k' = k + 1."""
-    if tau <= 0:
-        raise ConfigurationError("tau must be positive")
-    return IterateState(
-        beta=state.beta + tau * direction.d_beta,
-        theta=state.theta + tau * direction.d_theta,
-        k=state.k + 1,
-    )
-
-
-def stepsize(schedule: Schedule, k: int, n_iters: int, alpha: float) -> float:
-    """tau_k for the given schedule."""
-    if not 0 <= k < n_iters:
-        raise ConfigurationError(f"iteration index {k} outside [0, {n_iters})")
-    if schedule is Schedule.FIXED_HORIZON:
-        return alpha / math.sqrt(n_iters)
-    return alpha / math.sqrt(k + 1)
+    return (-_matvec(f_grad, g_grad),
+            gamma * _matvec(psi_grad, f_value - psi_value))
 
 
 def stepsizes(schedule: Schedule, n_iters: int, alpha: float) -> Array:
-    """All of tau_0 .. tau_{N-1} at once, bit for bit equal to ``stepsize``."""
+    """tau_0 .. tau_{N-1}: alpha/sqrt(N) each, or alpha/sqrt(k+1)."""
     if schedule is Schedule.FIXED_HORIZON:
         return np.full(n_iters, alpha / math.sqrt(n_iters))
     return alpha / np.sqrt(np.arange(1, n_iters + 1))
@@ -162,53 +129,41 @@ def draw_stop_index(schedule: Schedule, n_iters: int, alpha: float,
     return int(rng.choice(n_iters, p=taus / taus.sum()))
 
 
-def run(problem: ProblemSpec, config: RunConfig,
-        diagnostics_fn: Optional[Callable] = None) -> RunRecord:
+def run(problem: ProblemSpec, config: RunConfig) -> RunRecord:
     """Execute N iterations and draw the stopping index.
 
-    The trajectory consumes exactly N joint samples from its own substream.
-    If ``config.diag_every > 0`` and ``diagnostics_fn`` is given, the callback
-    ``diagnostics_fn(state, rng)`` is invoked at every multiple of
-    ``diag_every`` with a separate random substream, and its return value is
-    recorded as ``(k, report)``.
+    The N joint samples are drawn, and their shapes checked, in one
+    ``sample_stack`` call on the trajectory substream before the first
+    step; step k uses sample k.
     """
     n = config.n_iters
     beta = (np.zeros(problem.dim_beta) if config.init_beta is None
             else np.asarray(config.init_beta, dtype=float))
     theta = (np.zeros(problem.dim_theta) if config.init_theta is None
              else np.asarray(config.init_theta, dtype=float))
-    if len(beta) != problem.dim_beta or len(theta) != problem.dim_theta:
+    if beta.shape != (problem.dim_beta,) or theta.shape != (problem.dim_theta,):
         raise ConfigurationError("init vectors do not match problem dimensions")
 
-    rng_traj = seeding.substream(config.seed, seeding.STREAM_TRAJECTORY)
-    rng_diag = seeding.substream(config.seed, seeding.STREAM_DIAGNOSTICS)
-
+    xs, ys = sample_stack(
+        problem, n, seeding.substream(config.seed, seeding.STREAM_TRAJECTORY))
     betas = np.empty((n + 1, problem.dim_beta))
     thetas = np.empty((n + 1, problem.dim_theta))
     taus = stepsizes(config.schedule, n, config.alpha)
     betas[0], thetas[0] = beta, theta
 
-    # The loop rebinds state's arrays, never writes into them; a callback
-    # gets a snapshot of its own.
-    state = IterateState(beta, theta, 0)
-    diagnostics = []
     for k, tau in enumerate(taus.tolist()):
-        if diagnostics_fn is not None and config.diag_every > 0 and k % config.diag_every == 0:
-            snapshot = IterateState(state.beta, state.theta, k)
-            diagnostics.append((k, diagnostics_fn(snapshot, rng_diag)))
         try:
-            direction = compute_direction(
-                problem, state, sample_joint(problem, rng_traj), config.gamma)
+            d_beta, d_theta = compute_direction(
+                problem, beta, theta, (xs[k], ys[k]), config.gamma)
         except EvaluationError as exc:
             raise EvaluationError(
                 f"evaluation failed at iteration {k}: {exc}",
                 offending_input=exc.offending_input, iteration=k,
             ) from exc
-        state.beta = betas[k + 1] = state.beta + tau * direction.d_beta
-        state.theta = thetas[k + 1] = state.theta + tau * direction.d_theta
+        beta = betas[k + 1] = beta + tau * d_beta
+        theta = thetas[k + 1] = theta + tau * d_theta
 
     rng_stop = seeding.substream(config.seed, seeding.STREAM_STOPPING)
     stop = draw_stop_index(config.schedule, n, config.alpha, rng_stop)
     return RunRecord(betas=betas, thetas=thetas, taus=taus,
-                     stop_index=stop, seed=config.seed,
-                     diagnostics=diagnostics)
+                     stop_index=stop, seed=config.seed)

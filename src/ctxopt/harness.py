@@ -282,8 +282,8 @@ def _run_one(spec: problems.ProblemSpec, n_iters: int, replication: int,
 def _stopped_values(spec, record, seed, lam, c1, c2) -> dict:
     """The results.csv values of a completed run, with status ``ok``."""
     n_iters = len(record.taus)
-    stopped = record.stopped_state
-    final = record.final_state
+    s = record.stop_index
+    beta_s, theta_s = record.betas[s], record.thetas[s]
     diag_samples = 0
     if spec.has_support:
         mode, rng = "exact", None
@@ -291,14 +291,14 @@ def _stopped_values(spec, record, seed, lam, c1, c2) -> dict:
         mode = "mc"
         rng = seeding.substream(seed, STREAM_V_EVAL)
         diag_samples = 3 * _V_MC_SAMPLES  # Q and grad G at S, W at z^N
-    q, _ = diagnostics.tracking_error_Q(spec, stopped.beta, stopped.theta,
-                                        mode, _V_MC_SAMPLES, rng)
-    g, _ = diagnostics.grad_G(spec, stopped.beta, mode, _V_MC_SAMPLES, rng)
-    _, w_final = diagnostics.bregman_delta_and_W(spec, final.beta, final.theta,
-                                                 lam, mode, _V_MC_SAMPLES, rng)
+    q, _ = diagnostics.tracking_error_Q(spec, beta_s, theta_s, mode,
+                                        _V_MC_SAMPLES, rng)
+    g, _ = diagnostics.grad_G(spec, beta_s, mode, _V_MC_SAMPLES, rng)
+    _, w_final = diagnostics.bregman_delta_and_W(
+        spec, record.betas[-1], record.thetas[-1], lam, mode, _V_MC_SAMPLES, rng)
     v = c1 * q + c2 * float(g @ g)
     return {
-        "S": record.stop_index, "V_at_S": v, "Q_at_S": q,
+        "S": s, "V_at_S": v, "Q_at_S": q,
         "normgradG_at_S": float(np.linalg.norm(g)),
         "W_final": w_final, "samples_used": n_iters + diag_samples,
         "status": "ok",
@@ -312,8 +312,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     resolved (ledger, lam, c1, c2, alpha), and the number of diverged rows.
     """
     workers = config.workers or (os.cpu_count() or 1)
-    workers = _convert("CTXOPT_WORKERS",
-                       os.environ.get("CTXOPT_WORKERS", str(workers)), int)
     if workers < 0:
         raise ConfigurationError(f"workers must be >= 0, got {workers}")
     problem = problems.by_name(config.problem_name, **config.problem_params)

@@ -17,7 +17,8 @@ evaluator gives the per-sample result.  So the diagnostics evaluate all
 their contexts, and a stack of states, in one call, and a user-defined
 evaluator that handles one sample or one state at a time fails their output
 shape checks with a ConfigurationError.  The sampler makes one draw per
-call.
+call; ``sample_stack`` is the one place that draws samples, n sampler calls
+stacked into (n, dim) arrays with the shape of every draw checked.
 
 Gradient matrices follow the transpose-of-Jacobian convention throughout:
 an evaluator differentiated with respect to a parameter vector of length p
@@ -103,15 +104,6 @@ class ProblemSpec:
     @property
     def has_oracle(self) -> bool:
         return self.conditional_oracle is not None
-
-
-@dataclass
-class IterateState:
-    """Current point z^k = (beta^k, theta^k) with its iteration counter."""
-
-    beta: Array
-    theta: Array
-    k: int = 0
 
 
 def _all_finite(*values: Array) -> bool:
@@ -232,12 +224,6 @@ def evaluate_model(problem: ProblemSpec, x: Array, theta: Array):
     return psi_value, psi_grad
 
 
-def sample_joint(problem: ProblemSpec, rng: np.random.Generator):
-    """Draw one (x, y) pair from the joint distribution."""
-    x, y = problem.sampler(rng)
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-
-
 def sample_stack(problem: ProblemSpec, n: int, rng: np.random.Generator):
     """Draw n (x, y) pairs, one sampler call each, as (n, dim) arrays."""
     xs = np.empty((n, problem.dim_x))
@@ -298,7 +284,7 @@ def finite_difference_check(problem: ProblemSpec, n_probes: int,
     worst = {"inner": 0.0, "model": 0.0, "outer": 0.0}
     lo, hi = box
     for _ in range(n_probes):
-        x, y = sample_joint(problem, rng)
+        (x,), (y,) = sample_stack(problem, 1, rng)
         beta = rng.uniform(lo, hi, problem.dim_beta)
         theta = rng.uniform(lo, hi, problem.dim_theta)
         u = rng.uniform(lo, hi, problem.dim_f)

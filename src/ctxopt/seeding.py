@@ -17,7 +17,8 @@ import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Stream identifiers used by the engine and harness.
+# Stream identifiers of the engine; STREAM_DIAGNOSTICS is kept free for
+# diagnostics along a run, so they never touch the trajectory's draws.
 STREAM_TRAJECTORY = 1
 STREAM_STOPPING = 2
 STREAM_DIAGNOSTICS = 3

@@ -22,7 +22,6 @@ from scipy import stats
 
 from ctxopt import constants, diagnostics, engine, model, seeding
 from ctxopt.engine import RunConfig, Schedule
-from ctxopt.model import IterateState
 
 from conftest import MASTER_SEED
 
@@ -117,31 +116,28 @@ def test_criterion_4_one_step_recursion(bt, pipeline):
 
     # uniform direction second moment over the probes, exact by enumeration
     def second_moment(beta, theta):
-        state = IterateState(beta, theta)
         total = 0.0
         for x, y, p in atoms:
-            dd = engine.compute_direction(bt.spec, state, (x, y), d.gamma)
-            total += p * (float(dd.d_beta @ dd.d_beta)
-                          + float(dd.d_theta @ dd.d_theta))
+            d_beta, d_theta = engine.compute_direction(bt.spec, beta, theta,
+                                                       (x, y), d.gamma)
+            total += p * (float(d_beta @ d_beta) + float(d_theta @ d_theta))
         return total
 
     cd2_sig2 = max(second_moment(b, t) for b, t in probes)
 
     for i, (beta, theta) in enumerate(probes):
-        state = IterateState(beta, theta)
         v = diagnostics.nonoptimality_V(bt.spec, beta, theta, d.c1, d.c2)
         _, w = diagnostics.bregman_delta_and_W(bt.spec, beta, theta, d.lam)
         # the four possible successors and their Lyapunov values
         w_next = {}
         for x, y, _ in atoms:
-            dd = engine.compute_direction(bt.spec, state, (x, y), d.gamma)
-            nxt = engine.step(state, dd, tau)
+            d_beta, d_theta = engine.compute_direction(bt.spec, beta, theta,
+                                                       (x, y), d.gamma)
             _, w_next[(x[0], y[0])] = diagnostics.bregman_delta_and_W(
-                bt.spec, nxt.beta, nxt.theta, d.lam)
-        rng = seeding.substream(MASTER_SEED, 42, i)
-        draws = np.array([w_next[(x[0], y[0])]
-                          for x, y in (model.sample_joint(bt.spec, rng)
-                                       for _ in range(n_steps))])
+                bt.spec, beta + tau * d_beta, theta + tau * d_theta, d.lam)
+        xs, ys = model.sample_stack(bt.spec, n_steps,
+                                    seeding.substream(MASTER_SEED, 42, i))
+        draws = np.array([w_next[key] for key in zip(xs[:, 0], ys[:, 0])])
         mean_w = draws.mean()
         stderr = draws.std(ddof=1) / math.sqrt(n_steps)
         rhs = (w - tau * v + 0.5 * pipeline["L_W"] * tau ** 2 * cd2_sig2
@@ -200,16 +196,11 @@ def test_criterion_6_direction_unbiasedness_and_moments(bt):
     for i in range(20):
         beta = rng.uniform(0, 1, 1)
         theta = rng.uniform(0, 1, 2)
-        gamma = diagnostics.expected_direction_Gamma(bt.spec, beta, theta,
-                                                     GAMMA_RUN)
-        target = np.concatenate([gamma.d_beta, gamma.d_theta])
-        state = IterateState(beta, theta)
-        dirs = np.empty((n, 3))
-        for j in range(n):
-            dd = engine.compute_direction(
-                bt.spec, state, model.sample_joint(bt.spec, rng), GAMMA_RUN)
-            dirs[j, 0] = dd.d_beta[0]
-            dirs[j, 1:] = dd.d_theta
+        target = np.concatenate(diagnostics.expected_direction_Gamma(
+            bt.spec, beta, theta, GAMMA_RUN))
+        dirs = np.concatenate(engine.compute_direction(
+            bt.spec, beta, theta, model.sample_stack(bt.spec, n, rng),
+            GAMMA_RUN), axis=1)
         mean = dirs.mean(axis=0)
         stderr = dirs.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(mean - target) <= 4 * stderr + 1e-12), \

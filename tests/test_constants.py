@@ -101,19 +101,6 @@ def test_derive_bundles_everything():
                                 "L_W"}
 
 
-def test_ledger_text_round_trip():
-    ledger = ones_ledger(Lbar_f=2.0, M=2.5)
-    again = ConstantLedger.from_text(ledger.to_text())
-    assert again.as_dict() == ledger.as_dict()
-
-
-def test_ledger_text_rejects_unknown_and_missing_keys():
-    with pytest.raises(ConfigurationError):
-        ConstantLedger.from_text("L_g = 1\nbogus = 2\n")
-    with pytest.raises(ConfigurationError):
-        ConstantLedger.from_text("L_g = 1\n")
-
-
 def test_ledger_positivity_rules():
     with pytest.raises(ConfigurationError):
         ones_ledger(L_g=0.0)

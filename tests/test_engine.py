@@ -1,61 +1,67 @@
 """Iteration mechanics: directions, stepsizes, stopping laws, determinism."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from ctxopt import diagnostics, engine, model, seeding
-from ctxopt.engine import Direction, RunConfig, Schedule
+from ctxopt.engine import RunConfig, Schedule
 from ctxopt.errors import ConfigurationError, EvaluationError
-from ctxopt.model import IterateState
 
 
 def test_direction_worked_example(bt):
     # At theta=0 the model output is 0, grad g(0) = 0, so the beta component
     # vanishes and theta moves toward the observed inner value.
-    state = IterateState(np.array([0.0]), np.array([0.0, 0.0]))
     sample = (np.array([1.0]), np.array([1.0]))
-    d = engine.compute_direction(bt.spec, state, sample, gamma=2.0)
-    assert d.d_beta == pytest.approx([0.0])
-    assert d.d_theta == pytest.approx([2.0, 2.0])
+    d_beta, d_theta = engine.compute_direction(
+        bt.spec, np.array([0.0]), np.array([0.0, 0.0]), sample, gamma=2.0)
+    assert d_beta == pytest.approx([0.0])
+    assert d_theta == pytest.approx([2.0, 2.0])
 
 
 def test_direction_requires_positive_gamma(bt):
-    state = IterateState(np.array([0.0]), np.array([0.0, 0.0]))
     with pytest.raises(ConfigurationError):
-        engine.compute_direction(bt.spec, state,
+        engine.compute_direction(bt.spec, np.array([0.0]), np.array([0.0, 0.0]),
                                  (np.array([0.0]), np.array([0.0])), 0.0)
 
 
-def test_step_arithmetic():
-    state = IterateState(np.array([1.0]), np.array([2.0, 3.0]), k=4)
-    nxt = engine.step(state, Direction(np.array([2.0]), np.array([-1.0, 0.5])),
-                      tau=0.5)
-    assert nxt.beta == pytest.approx([2.0])
-    assert nxt.theta == pytest.approx([1.5, 3.25])
-    assert nxt.k == 5
-    with pytest.raises(ConfigurationError):
-        engine.step(state, Direction(np.array([0.0]), np.array([0.0, 0.0])), 0.0)
+def test_step_arithmetic(bt):
+    # Step k of a run is z^{k+1} = z^k + tau_k d(z^k; x_k, y_k), with sample k
+    # of the trajectory substream.
+    cfg = RunConfig(gamma=2.0, alpha=0.3, n_iters=6, seed=4,
+                    schedule=Schedule.ANYTIME, init_beta=[0.2],
+                    init_theta=[0.1, -0.3])
+    rec = engine.run(bt.spec, cfg)
+    xs, ys = model.sample_stack(
+        bt.spec, 6, seeding.substream(4, seeding.STREAM_TRAJECTORY))
+    assert rec.betas[0].tolist() == [0.2]
+    assert rec.thetas[0].tolist() == [0.1, -0.3]
+    for k in range(6):
+        d_beta, d_theta = engine.compute_direction(
+            bt.spec, rec.betas[k], rec.thetas[k], (xs[k], ys[k]), 2.0)
+        assert rec.betas[k + 1].tolist() == \
+            (rec.betas[k] + rec.taus[k] * d_beta).tolist()
+        assert rec.thetas[k + 1].tolist() == \
+            (rec.thetas[k] + rec.taus[k] * d_theta).tolist()
 
 
 def test_stepsize_schedules():
-    for k in range(16):
-        assert engine.stepsize(Schedule.FIXED_HORIZON, k, 16, 0.5) == 0.5 / 4.0
-        assert engine.stepsize(Schedule.ANYTIME, k, 16, 0.5) == \
-            pytest.approx(0.5 / np.sqrt(k + 1))
-    with pytest.raises(ConfigurationError):
-        engine.stepsize(Schedule.FIXED_HORIZON, 16, 16, 0.5)
-    with pytest.raises(ConfigurationError):
-        engine.stepsize(Schedule.ANYTIME, -1, 16, 0.5)
+    assert engine.stepsizes(Schedule.FIXED_HORIZON, 16, 0.5).tolist() == \
+        [0.5 / 4.0] * 16
+    assert engine.stepsizes(Schedule.ANYTIME, 16, 0.5) == \
+        pytest.approx([0.5 / np.sqrt(k + 1) for k in range(16)])
 
 
 def test_stepsizes_equal_stepsize_bitwise():
-    for schedule in Schedule:
-        for n in (1, 7, 1000):
-            expected = [engine.stepsize(schedule, k, n, 0.37) for k in range(n)]
-            assert engine.stepsizes(schedule, n, 0.37).tolist() == expected
+    # The closed forms alpha/sqrt(N) and alpha/sqrt(k+1), to the last bit.
+    for n in (1, 7, 1000):
+        assert engine.stepsizes(Schedule.FIXED_HORIZON, n, 0.37).tolist() == \
+            [0.37 / math.sqrt(n)] * n
+        assert engine.stepsizes(Schedule.ANYTIME, n, 0.37).tolist() == \
+            [0.37 / math.sqrt(k + 1) for k in range(n)]
 
 
 def test_nonfinite_inner_names_the_iteration(bt):
@@ -103,14 +109,14 @@ def test_nonfinite_outer_names_the_iteration(bt, output, message):
 
 
 def test_stacked_samples_give_per_sample_directions(bt):
-    state = IterateState(np.array([0.3]), np.array([0.1, 0.4]))
+    beta, theta = np.array([0.3]), np.array([0.1, 0.4])
     rng = seeding.substream(8, 1)
     xs, ys = model.sample_stack(bt.spec, 50, rng)
-    stacked = engine.compute_direction(bt.spec, state, (xs, ys), 2.0)
+    stacked = engine.compute_direction(bt.spec, beta, theta, (xs, ys), 2.0)
     for i in range(50):
-        d = engine.compute_direction(bt.spec, state, (xs[i], ys[i]), 2.0)
-        assert stacked.d_beta[i].tolist() == d.d_beta.tolist()
-        assert stacked.d_theta[i].tolist() == d.d_theta.tolist()
+        d = engine.compute_direction(bt.spec, beta, theta, (xs[i], ys[i]), 2.0)
+        assert stacked[0][i].tolist() == d[0].tolist()
+        assert stacked[1][i].tolist() == d[1].tolist()
 
 
 def test_run_shapes_and_taus(bt):
@@ -120,9 +126,6 @@ def test_run_shapes_and_taus(bt):
     assert rec.thetas.shape == (33, 2)
     assert rec.taus == pytest.approx(np.full(32, 0.1 / np.sqrt(32)))
     assert 0 <= rec.stop_index < 32
-    stopped = rec.stopped_state
-    assert np.array_equal(stopped.beta, rec.betas[rec.stop_index])
-    assert rec.final_state.k == 32
 
 
 def test_run_is_bitwise_deterministic(bt):
@@ -157,17 +160,43 @@ def test_run_rejects_bad_config(bt):
                                       init_beta=[0.0, 0.0]))
 
 
-def test_diagnostics_callback_cadence(bt):
-    seen = []
+@pytest.mark.parametrize("field, value", [
+    ("gamma", float("nan")), ("gamma", float("inf")),
+    ("alpha", float("nan")), ("alpha", float("inf")),
+    ("init_beta", [float("nan")]), ("init_theta", [0.0, float("inf")]),
+])
+def test_run_config_rejects_non_finite_values(field, value):
+    kwargs = dict(gamma=1.0, alpha=0.1, n_iters=8)
+    kwargs[field] = value
+    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+        RunConfig(**kwargs)
 
-    def cb(state, rng):
-        seen.append(state.k)
-        return state.k
 
-    cfg = RunConfig(gamma=1.0, alpha=0.1, n_iters=20, seed=5, diag_every=8)
-    rec = engine.run(bt.spec, cfg, diagnostics_fn=cb)
-    assert seen == [0, 8, 16]
-    assert rec.diagnostics == [(0, 0), (8, 8), (16, 16)]
+def test_misshapen_draw_fails_before_any_evaluation(bt):
+    # The sixth of eight draws has a y of length 2: the pre-draw rejects it
+    # before step 0 evaluates anything.
+    draws, calls = [], []
+    base_sampler = bt.spec.sampler
+
+    def sampler(rng):
+        draws.append(None)
+        x, y = base_sampler(rng)
+        return (x, np.append(y, 0.0)) if len(draws) == 6 else (x, y)
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapped
+
+    spec = dataclasses.replace(
+        bt.spec, sampler=sampler, inner=counting(bt.spec.inner),
+        model=counting(bt.spec.model), outer=counting(bt.spec.outer))
+    with pytest.raises(ConfigurationError, match="^sampler drew x of shape "
+                       r"\(1,\) and y of shape \(2,\), expected"):
+        engine.run(spec, RunConfig(gamma=1.0, alpha=0.1, n_iters=8, seed=2))
+    assert len(draws) == 6
+    assert calls == []
 
 
 def test_direction_is_unbiased_for_gamma_dir(bt):
@@ -178,15 +207,11 @@ def test_direction_is_unbiased_for_gamma_dir(bt):
     exact = diagnostics.expected_direction_Gamma(bt.spec, beta, theta, gamma)
     rng = seeding.substream(9, 1)
     n = 4000
-    dirs = np.empty((n, 3))
-    state = IterateState(beta, theta)
-    for i in range(n):
-        d = engine.compute_direction(bt.spec, state,
-                                     bt.spec.sampler(rng), gamma)
-        dirs[i] = [d.d_beta[0], d.d_theta[0], d.d_theta[1]]
+    dirs = np.concatenate(engine.compute_direction(
+        bt.spec, beta, theta, model.sample_stack(bt.spec, n, rng), gamma), axis=1)
     mean = dirs.mean(axis=0)
     stderr = dirs.std(axis=0, ddof=1) / np.sqrt(n)
-    target = np.array([exact.d_beta[0], exact.d_theta[0], exact.d_theta[1]])
+    target = np.concatenate(exact)
     assert np.all(np.abs(mean - target) <= 4 * stderr + 1e-12)
 
 

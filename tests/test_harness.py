@@ -97,16 +97,10 @@ def test_parse_config_bad_value_names_the_key(key, value):
         harness.parse_config(text)
 
 
-@pytest.mark.parametrize("line, env, message", [
-    ("workers = -3\n", None, "workers must be >= 0"),
-    ("", "-3", "workers must be >= 0"),
-    ("", "two", "^CTXOPT_WORKERS: "),
-], ids=["config-negative", "env-negative", "env-not-int"])
-def test_bad_worker_count_rejected(tmp_path, monkeypatch, line, env, message):
-    if env is None:
-        monkeypatch.delenv("CTXOPT_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("CTXOPT_WORKERS", env)
+@pytest.mark.parametrize("line, message", [
+    ("workers = -3\n", "workers must be >= 0"),
+], ids=["config-negative"])
+def test_bad_worker_count_rejected(tmp_path, line, message):
     config = harness.parse_config(SMALL_CONFIG.format(out=tmp_path / "out") + line)
     with pytest.raises(ConfigurationError, match=message):
         harness.run_experiment(config)
@@ -173,7 +167,7 @@ output_dir = {out}
     assert a["summary_rows"] == b["summary_rows"]
 
 
-def test_worker_pool_matches_serial(tmp_path, monkeypatch):
+def test_worker_pool_matches_serial(tmp_path):
     text = """\
 problem.name = BT
 run.gamma = 2
@@ -187,7 +181,6 @@ c2 = 1
 output_dir = {out}
 workers = {workers}
 """
-    monkeypatch.delenv("CTXOPT_WORKERS", raising=False)
     harness.run_experiment(harness.parse_config(
         text.format(out=tmp_path / "serial", workers=1)))
     harness.run_experiment(harness.parse_config(
@@ -219,7 +212,6 @@ def test_problem_is_built_once_per_sweep(tmp_path, monkeypatch):
         return build(name, **params)
 
     monkeypatch.setattr(harness.problems, "by_name", by_name)
-    monkeypatch.delenv("CTXOPT_WORKERS", raising=False)
     config = harness.parse_config(
         "problem.name=BT\nrun.gamma=2\nrun.alpha=0.05\nrun.seed=5\n"
         f"sweep=2,4\nreplications=3\nlambda=1\nc1=1\nc2=1\noutput_dir={tmp_path}\n"
@@ -379,8 +371,7 @@ def test_diverged_replications_are_recorded_not_fatal(tmp_path, capsys):
             (len(kept), excluded)
 
 
-def test_diverged_rows_match_across_worker_counts(tmp_path, monkeypatch):
-    monkeypatch.delenv("CTXOPT_WORKERS", raising=False)
+def test_diverged_rows_match_across_worker_counts(tmp_path):
     for workers in (1, 2):
         harness.run_experiment(harness.parse_config(
             DIVERGING_CONFIG.format(out=tmp_path / str(workers))

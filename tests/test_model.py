@@ -85,11 +85,11 @@ def test_finite_difference_consistency(fixture, request):
 
 
 def test_sampler_purity_and_law(bt):
-    a = [model.sample_joint(bt.spec, seeding.substream(5, 1)) for _ in range(50)]
-    b = [model.sample_joint(bt.spec, seeding.substream(5, 1)) for _ in range(50)]
-    assert np.array_equal(a[0][0], b[0][0])
-    xs = np.array([x[0] for x, _ in a])
-    assert set(xs) <= {0.0, 1.0}
+    a = model.sample_stack(bt.spec, 50, seeding.substream(5, 1))
+    b = model.sample_stack(bt.spec, 50, seeding.substream(5, 1))
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert a[0].shape == (50, 1) and a[1].shape == (50, 1)
+    assert set(a[0][:, 0]) <= {0.0, 1.0}
 
 
 def test_nonfinite_output_raises_evaluation_error(bt):
