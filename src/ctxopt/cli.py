@@ -4,17 +4,18 @@ Subcommands:
 
 * ``run <config>``: execute a replication sweep from a config file; exit 1
   after writing every file if a replication diverged.
-* ``check <problem> --gamma G --lambda L``: print the derived-constant table
-  and report whether (gamma, lambda) satisfy the strict descent inequalities
-  (exit 0 iff compliant, naming the violated inequality otherwise).
+* ``check <problem> --gamma G --lambda L``: print the ledger, the lambda
+  floor, and ``constants.derive``'s table (exit 0), or the violated
+  inequality that ``derive`` names (exit 1).
 * ``rate <summary.csv>``: fit the log-log rate line; exit 0 iff the slope
-  lies in [-0.65, -0.35], 2 on insufficient data.
+  lies in [-0.65, -0.35], 2 when fewer than 4 N have a finite mean.
 * ``gradcheck <problem>``: finite-difference consistency of all evaluators.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -45,50 +46,34 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     problem = problems.by_name(args.problem)
     if args.unit_ledger:
-        ones = {key: 1.0 for key in constants.LEDGER_KEYS}
-        ledger = constants.ConstantLedger(**ones)
+        ledger = constants.ConstantLedger(
+            **dict.fromkeys(constants.LEDGER_KEYS, 1.0))
     elif args.estimate:
         ledger = harness.estimated_ledger(problem, args.seed)
     else:
         ledger = problem.ledger
 
-    lam, gamma = args.lam, args.gamma
     print(f"problem          {problem.name}")
     for key, value in ledger.as_dict().items():
         print(f"ledger {key:<13} {value:.6g}")
     print(f"lambda_floor     {constants.lambda_floor(ledger):.6g}")
     try:
-        constants.check_lambda(ledger, lam)
+        derived = constants.derive(ledger, args.lam, args.gamma)
     except DomainError as exc:
         print(f"NON-COMPLIANT: {exc}")
         return 1
-    g_min = constants.gamma_min(ledger, lam)
-    print(f"gamma_min        {g_min:.6g}")
-    if gamma <= g_min:
-        print(f"NON-COMPLIANT: gamma={gamma} violates the strict descent "
-              f"threshold 2*(gamma*(lambda/M - 2*Lbar_psi^2*L_hess_g) - "
-              f"4*lambda*Lbar_f^2*L_hess_g) > lambda^2*Lbar_f^2 "
-              f"(requires gamma > {g_min:.6g})")
-        return 1
-    derived = constants.derive(ledger, lam, gamma)
     for key, value in derived.as_dict().items():
         print(f"derived {key:<12} {value:.6g}")
-    if args.alpha is not None and args.n_iters is not None:
-        print("note: theorem bound needs measured direction moments; "
-              "showing the bound with C_d = sigma = 1 as a scale reference")
-        bound = constants.theorem_bound(derived.L_W, 1.0, 1.0, args.alpha,
-                                        args.n_iters, 1.0, 0.0)
-        print(f"bound(alpha={args.alpha}, N={args.n_iters}, unit moments) "
-              f"{bound:.6g}")
     print("COMPLIANT")
     return 0
 
 
 def _cmd_rate(args) -> int:
     rows = harness.read_summary(args.summary)
-    distinct = len({n for n, _ in rows})
+    distinct = len({n for n, v in rows if math.isfinite(v)})
     if distinct < 4:
-        print(f"insufficient data: need >= 4 distinct N values, got {distinct}")
+        print(f"insufficient data: need >= 4 distinct N values, got "
+              f"{distinct} with a finite mean_V")
         return 2
     slope, intercept, r_squared = diagnostics.rate_fit(rows)
     print(f"slope     {slope:.6g}")
@@ -106,7 +91,7 @@ def _cmd_gradcheck(args) -> int:
     from .model import finite_difference_check, oracle_consistency_check
 
     problem = problems.by_name(args.problem)
-    rng = seeding.substream(args.seed, 23)
+    rng = seeding.substream(args.seed, seeding.STREAM_GRADCHECK)
     worst = finite_difference_check(problem.spec, args.probes, rng)
     status = 0
     for name, err in worst.items():
@@ -140,8 +125,6 @@ def main(argv=None) -> int:
     p_check.add_argument("problem")
     p_check.add_argument("--gamma", type=float, required=True)
     p_check.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_check.add_argument("--alpha", type=float, default=None)
-    p_check.add_argument("--n-iters", type=int, default=None)
     p_check.add_argument("--unit-ledger", action="store_true",
                          help="use an all-ones ledger stand-in")
     p_check.add_argument("--estimate", action="store_true",

@@ -128,14 +128,11 @@ def gamma_min(ledger: ConstantLedger, lam: float) -> float:
 
     Any gamma strictly above the returned value makes
     2*(gamma*(lam/M - 2*Lbar_psi^2*L_hess_g) - 4*lam*Lbar_f^2*L_hess_g)
-    exceed lam^2*Lbar_f^2.
+    exceed lam^2*Lbar_f^2.  A lambda that ``check_lambda`` rejects raises
+    its DomainError.
     """
+    check_lambda(ledger, lam)
     denom = lam / ledger.M - 2.0 * ledger.Lbar_psi ** 2 * ledger.L_hess_g
-    if denom <= 0:
-        raise DomainError(
-            f"lambda={lam} is at or below the floor "
-            f"2*M*Lbar_psi^2*L_hess_g={2 * ledger.M * ledger.Lbar_psi**2 * ledger.L_hess_g}"
-        )
     lf2 = ledger.Lbar_f ** 2
     return (lam ** 2 * lf2 / 2.0 + 4.0 * lam * lf2 * ledger.L_hess_g) / denom
 
@@ -150,7 +147,10 @@ def descent_coefficients(ledger: ConstantLedger, lam: float, gamma: float,
     """
     g_min = gamma_min(ledger, lam)
     if gamma <= g_min:
-        raise DomainError(f"gamma={gamma} must be strictly above gamma_min={g_min}")
+        raise DomainError(
+            f"gamma={gamma} violates the strict descent threshold 2*(gamma*(lambda/M"
+            f" - 2*Lbar_psi^2*L_hess_g) - 4*lambda*Lbar_f^2*L_hess_g) > "
+            f"lambda^2*Lbar_f^2 (requires gamma > {g_min:.6g})")
     denom = lam / ledger.M - 2.0 * ledger.Lbar_psi ** 2 * ledger.L_hess_g
     lf2 = ledger.Lbar_f ** 2
     cap_C = gamma * denom - 4.0 * lam * lf2 * ledger.L_hess_g
@@ -192,11 +192,11 @@ def optimal_alpha(L_W: float, C_d: float, sigma: float, W0: float,
     return math.sqrt(2.0 * (W0 - G_min) / (L_W * (C_d ** 2 + sigma ** 2)))
 
 
-def derive(ledger: ConstantLedger, lam: float, gamma: float,
-           epsilon: Optional[float] = None) -> DerivedConstants:
-    """Assemble the full DerivedConstants bundle for (ledger, lambda, gamma)."""
+def derive(ledger: ConstantLedger, lam: float, gamma: float) -> DerivedConstants:
+    """The DerivedConstants of (ledger, lambda, gamma), or the one compliance
+    verdict: check_lambda's DomainError, else descent_coefficients' on gamma."""
     g_min = gamma_min(ledger, lam)
-    cap_C, epsilon, c1, c2 = descent_coefficients(ledger, lam, gamma, epsilon)
+    cap_C, epsilon, c1, c2 = descent_coefficients(ledger, lam, gamma)
     lwb, lwt, lw = lipschitz_W(ledger, lam)
     return DerivedConstants(lam=lam, gamma=gamma, gamma_min=g_min,
                             epsilon=epsilon, cap_C=cap_C, c1=c1, c2=c2,
@@ -295,15 +295,15 @@ def _nelder_mead(func, x0, maxiter, xatol, fatol):
 
 def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
                     rng: np.random.Generator, *,
-                    beta_box=(0.0, 1.0), theta_box=(0.0, 1.0),
-                    u_box=(-100.0, 100.0), envelope_probes: int = 16) -> ConstantLedger:
+                    beta_box=(0.0, 1.0), theta_box=(0.0, 1.0)) -> ConstantLedger:
     """Estimate every ledger entry numerically over configured probe boxes.
 
     A1 constants come from maximizing ||grad g|| and the Hessian operator
-    norm over u probes; A2/A3 moment bounds from p=4 empirical moments of
-    per-sample envelopes maximized over (beta, theta) probes; M from
-    maximizing the exact ratio Q / ||grad_theta Q||^2 over probes, which
-    requires a support enumeration.  All entries are marked estimated.
+    norm over u probes in [-100, 100]^dim_f; A2/A3 moment bounds from p=4
+    empirical moments of per-sample envelopes maximized over 16 beta and 16
+    theta probes; M from maximizing the exact ratio Q / ||grad_theta Q||^2
+    over probes, which requires a support enumeration.  All entries are
+    marked estimated.
 
     Each evaluator call covers every u probe (A1), every sample at one beta
     or theta probe (A2/A3), or every context at every (beta, theta) probe
@@ -323,16 +323,15 @@ def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
         )
 
     # A1: suprema over u probes (0 and the box corners are always included).
-    u = _probe_box(rng, probe_count, u_box[0], u_box[1], problem.dim_f)
+    u = _probe_box(rng, probe_count, -100.0, 100.0, problem.dim_f)
     _, g_grad, g_hess = evaluate_outer(problem, u)
     L_g = float(np.max(_row_norms(g_grad)))
     L_hess_g = float(np.max(np.linalg.norm(g_hess, ord=2, axis=(1, 2))))
 
-    n_env = max(2, envelope_probes)
-    betas = _probe_box(rng, n_env - 2, beta_box[0], beta_box[1],
-                       problem.dim_beta, include_zero=False)
-    thetas = _probe_box(rng, n_env - 2, theta_box[0], theta_box[1],
-                        problem.dim_theta, include_zero=False)
+    betas = _probe_box(rng, 14, beta_box[0], beta_box[1], problem.dim_beta,
+                       include_zero=False)
+    thetas = _probe_box(rng, 14, theta_box[0], theta_box[1], problem.dim_theta,
+                        include_zero=False)
     xs, ys = sample_stack(problem, sample_count, rng)
 
     # A2: envelopes of f over beta probes; A3: of the model, over x only.

@@ -249,15 +249,17 @@ def descent_check(problem: ProblemSpec, beta, theta, gamma, lam, c1, c2):
 def rate_fit(records):
     """Least-squares fit of log(mean V) against log N.
 
-    ``records`` is a collection of (N, mean_V) pairs.  Nonpositive means are
-    excluded with a warning.  Returns (slope, intercept, r_squared); a slope
-    near -1/2 reproduces the theoretical rate.
+    ``records`` is a collection of (N, mean_V) pairs.  Nonpositive and
+    non-finite means (every replication of that N diverged) are excluded
+    with a warning.  Returns (slope, intercept, r_squared); a slope near
+    -1/2 reproduces the theoretical rate.
     """
     records = list(records)
-    kept = [(n, v) for n, v in records if v > 0]
+    kept = [(n, v) for n, v in records if 0 < v < np.inf]
     dropped = len(records) - len(kept)
     if dropped:
-        warnings.warn(f"rate_fit excluded {dropped} nonpositive mean-V points")
+        warnings.warn(f"rate_fit excluded {dropped} nonpositive or non-finite "
+                      f"mean-V points")
     if len({n for n, _ in kept}) < 2:
         raise ConfigurationError("rate_fit needs at least two distinct N values")
     log_n = np.log([n for n, _ in kept])

@@ -90,7 +90,21 @@ class RunRecord:
     thetas: Array
     taus: Array
     stop_index: int
-    seed: int
+
+
+def initial_state(problem: ProblemSpec, init_beta=None, init_theta=None,
+                  prefix: str = "") -> tuple:
+    """z^0 = (beta, theta), zeros where absent; a vector of the wrong shape
+    raises a ConfigurationError naming ``prefix + "init_beta"`` (or theta)."""
+    state = []
+    for name, value, dim in (("init_beta", init_beta, problem.dim_beta),
+                             ("init_theta", init_theta, problem.dim_theta)):
+        vector = np.zeros(dim) if value is None else np.asarray(value, dtype=float)
+        if vector.shape != (dim,):
+            raise ConfigurationError(
+                f"{prefix}{name}: shape {vector.shape}, not ({dim},)")
+        state.append(vector)
+    return tuple(state)
 
 
 def compute_direction(problem: ProblemSpec, beta: Array, theta: Array,
@@ -137,12 +151,7 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunRecord:
     step; step k uses sample k.
     """
     n = config.n_iters
-    beta = (np.zeros(problem.dim_beta) if config.init_beta is None
-            else np.asarray(config.init_beta, dtype=float))
-    theta = (np.zeros(problem.dim_theta) if config.init_theta is None
-             else np.asarray(config.init_theta, dtype=float))
-    if beta.shape != (problem.dim_beta,) or theta.shape != (problem.dim_theta,):
-        raise ConfigurationError("init vectors do not match problem dimensions")
+    beta, theta = initial_state(problem, config.init_beta, config.init_theta)
 
     xs, ys = sample_stack(
         problem, n, seeding.substream(config.seed, seeding.STREAM_TRAJECTORY))
@@ -165,5 +174,4 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunRecord:
 
     rng_stop = seeding.substream(config.seed, seeding.STREAM_STOPPING)
     stop = draw_stop_index(config.schedule, n, config.alpha, rng_stop)
-    return RunRecord(betas=betas, thetas=thetas, taus=taus,
-                     stop_index=stop, seed=config.seed)
+    return RunRecord(betas=betas, thetas=thetas, taus=taus, stop_index=stop)

@@ -1,6 +1,6 @@
 """Experiment harness: config parsing, replication sweeps, persistence.
 
-Configs are flat key=value text with dotted section keys::
+Configs are flat key=value text with dotted section keys, each set once::
 
     problem.name = BT
     run.gamma = 20
@@ -9,8 +9,8 @@ Configs are flat key=value text with dotted section keys::
     run.seed = 12345
     sweep = 1024,4096,16384,65536
     replications = 30
-    lambda = 3                # optional; with c1/c2 absent they are derived
-    c1 = 2.24
+    lambda = 3                # optional, >= L_hess_g; derived when absent
+    c1 = 2.24                 # optional; c1 and c2 are given or derived together
     c2 = 0.21875
     output_dir = out
     ledger.estimate = true    # re-estimate the ledger instead of the shipped one
@@ -47,7 +47,8 @@ import numpy as np
 
 from . import constants, diagnostics, engine, problems, seeding
 from .constants import ConstantLedger
-from .errors import CapabilityError, ConfigurationError, EvaluationError
+from .errors import (CapabilityError, ConfigurationError, DomainError,
+                     EvaluationError)
 
 RESULT_COLUMNS = ["N", "replication", "seed", "S", "tau_schedule", "alpha",
                   "gamma", "V_at_S", "Q_at_S", "normgradG_at_S", "W_final",
@@ -57,9 +58,6 @@ SUMMARY_COLUMNS = ["N", "mean_V", "stderr_V", "replications", "excluded"]
 
 _V_MC_SAMPLES = 10000
 _MOMENT_SAMPLES = 20000
-STREAM_MOMENTS = 7
-STREAM_V_EVAL = 8
-STREAM_LEDGER = 17
 
 
 @dataclass
@@ -118,7 +116,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigurationError(f"config line {lineno} is not key=value: {line!r}")
         key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in pairs:
+            raise ConfigurationError(f"{key}: set again on config line {lineno}")
+        pairs[key] = value.strip()
 
     def pop(key, default=None, kind=None):
         raw = pairs.pop(key, default)
@@ -162,6 +163,10 @@ def parse_config(text: str) -> ExperimentConfig:
     replications = pop("replications", "1", int)
     output_dir = Path(pop("output_dir", "out"))
     lam, c1, c2 = (pop(key, kind=positive) for key in ("lambda", "c1", "c2"))
+    if (c1 is None) != (c2 is None):
+        raise ConfigurationError(
+            f"{'c2' if c2 is None else 'c1'}: missing; c1 and c2 are given "
+            f"together or both derived")
     workers = pop("workers", "0", int)
     estimate = pop("ledger.estimate", "false", flag)
 
@@ -190,7 +195,7 @@ def estimated_ledger(problem: problems.BuiltinProblem, seed: int) -> ConstantLed
     """Ledger estimate from 10k samples and 10k probes over the problem's boxes."""
     return constants.estimate_ledger(
         problem.spec, sample_count=10000, probe_count=10000,
-        rng=seeding.substream(seed, STREAM_LEDGER),
+        rng=seeding.substream(seed, seeding.STREAM_LEDGER),
         beta_box=problem.beta_box, theta_box=problem.theta_box)
 
 
@@ -217,8 +222,9 @@ def resolve_coefficients(ledger: ConstantLedger, config: ExperimentConfig):
     """(lam, c1, c2) from the config, derived where absent."""
     lam = config.lam
     if lam is None:
-        floor = constants.lambda_floor(ledger)
-        lam = max(1.05 * floor, ledger.L_hess_g, 1.0)
+        lam = max(1.05 * constants.lambda_floor(ledger), 1.0)
+    elif lam < ledger.L_hess_g:     # W bounds G from above only from L_hess_g on
+        raise DomainError(f"lambda: {lam} is below L_hess_g = {ledger.L_hess_g:.6g}")
     if config.c1 is not None and config.c2 is not None:
         return lam, config.c1, config.c2
     _, _, c1, c2 = constants.descent_coefficients(ledger, lam, config.gamma)
@@ -232,17 +238,15 @@ def measure_z0_quantities(problem: problems.BuiltinProblem,
         raise CapabilityError(
             f"problem {problem.name} has no known G_min; supply run.alpha explicitly")
     spec = problem.spec
-    beta0 = (np.zeros(spec.dim_beta) if config.init_beta is None
-             else np.asarray(config.init_beta, dtype=float))
-    theta0 = (np.zeros(spec.dim_theta) if config.init_theta is None
-              else np.asarray(config.init_theta, dtype=float))
-    rng = seeding.substream(config.seed, STREAM_MOMENTS)
+    beta0, theta0 = engine.initial_state(spec, config.init_beta,
+                                         config.init_theta, "run.")
+    rng = seeding.substream(config.seed, seeding.STREAM_MOMENTS)
     c_d_sq, sigma_sq = diagnostics.direction_moment_stats(
         spec, beta0, theta0, config.gamma, _MOMENT_SAMPLES, rng)
     mode = "exact" if spec.has_support else "mc"
     _, w0 = diagnostics.bregman_delta_and_W(
         spec, beta0, theta0, lam, mode=mode, n_samples=_V_MC_SAMPLES,
-        rng=seeding.substream(config.seed, STREAM_MOMENTS, 1))
+        rng=seeding.substream(config.seed, seeding.STREAM_MOMENTS, 1))
     return c_d_sq, sigma_sq, w0, problem.g_min
 
 
@@ -289,7 +293,7 @@ def _stopped_values(spec, record, seed, lam, c1, c2) -> dict:
         mode, rng = "exact", None
     else:
         mode = "mc"
-        rng = seeding.substream(seed, STREAM_V_EVAL)
+        rng = seeding.substream(seed, seeding.STREAM_V_EVAL)
         diag_samples = 3 * _V_MC_SAMPLES  # Q and grad G at S, W at z^N
     q, _ = diagnostics.tracking_error_Q(spec, beta_s, theta_s, mode,
                                         _V_MC_SAMPLES, rng)
@@ -315,6 +319,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if workers < 0:
         raise ConfigurationError(f"workers must be >= 0, got {workers}")
     problem = problems.by_name(config.problem_name, **config.problem_params)
+    engine.initial_state(problem.spec, config.init_beta, config.init_theta,
+                         "run.")
     ledger = resolve_ledger(problem, config)
     lam, c1, c2 = resolve_coefficients(ledger, config)
 

@@ -274,20 +274,20 @@ def support_groups(problem: ProblemSpec):
 
 
 def finite_difference_check(problem: ProblemSpec, n_probes: int,
-                            rng: np.random.Generator, h: float = 1e-5,
-                            box=(-1.0, 2.0)) -> dict:
+                            rng: np.random.Generator) -> dict:
     """Compare supplied gradients against central finite differences.
 
-    Probes f in beta, psi in theta, and g in u at random points; returns the
-    worst relative error per evaluator, normalized by max(1, ||analytic||).
+    Probes f in beta, psi in theta, and g in u at random points in [-1, 2],
+    with step h = 1e-5; returns the worst relative error per evaluator,
+    normalized by max(1, ||analytic||).
     """
     worst = {"inner": 0.0, "model": 0.0, "outer": 0.0}
-    lo, hi = box
+    h = 1e-5
     for _ in range(n_probes):
         (x,), (y,) = sample_stack(problem, 1, rng)
-        beta = rng.uniform(lo, hi, problem.dim_beta)
-        theta = rng.uniform(lo, hi, problem.dim_theta)
-        u = rng.uniform(lo, hi, problem.dim_f)
+        beta = rng.uniform(-1.0, 2.0, problem.dim_beta)
+        theta = rng.uniform(-1.0, 2.0, problem.dim_theta)
+        u = rng.uniform(-1.0, 2.0, problem.dim_f)
         # (value, gradient) of each evaluator as a function of one point
         for name, fn, point in (
                 ("inner", lambda b: evaluate_inner(problem, x, y, b), beta),

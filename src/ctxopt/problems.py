@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -43,7 +43,6 @@ class BuiltinProblem:
     spec: ProblemSpec
     ledger: ConstantLedger
     g_min: Optional[float] = None
-    notes: str = ""
     beta_box: tuple = (0.0, 1.0)
     theta_box: tuple = (0.0, 1.0)
 
@@ -120,8 +119,10 @@ def make_bernoulli_testbed() -> BuiltinProblem:
         sampler=_bt_sampler, conditional_oracle=_bt_oracle,
         support=_bt_support(),
     )
-    # M is the exact supremum of Q/||grad_theta Q||^2 for a two-point
-    # uniform context with an interpolating affine model: (3 + sqrt 5)/2.
+    # The A2/A3 moment constants are exact over beta in [0, 1], theta in
+    # [0, 1]^2.  M is the exact supremum of Q/||grad_theta Q||^2 for a
+    # two-point uniform context with an interpolating affine model:
+    # (3 + sqrt 5)/2.
     ledger = ConstantLedger(
         L_g=1.0, L_hess_g=1.0,
         Lbar_f=2.0, C_f=1.0, Lbar_grad_f=2.0,
@@ -134,9 +135,7 @@ def make_bernoulli_testbed() -> BuiltinProblem:
     # search.
     return BuiltinProblem(
         name="BT", spec=spec, ledger=ledger,
-        g_min=float.fromhex("0x1.f186b95f4ab40p-6"),
-        notes="A2/A3 moment constants exact over beta in [0,1], theta in [0,1]^2.",
-    )
+        g_min=float.fromhex("0x1.f186b95f4ab40p-6"))
 
 
 # ---------------------------------------------------------------- LG pieces
@@ -189,7 +188,7 @@ def make_linear_gaussian(n_x: int, seed: int = 0) -> BuiltinProblem:
     """Continuous-context fixture (LG) with a unit-norm regression vector."""
     if n_x < 1:
         raise ConfigurationError("n_x must be >= 1")
-    rng = seeding.substream(seed, 101)
+    rng = seeding.substream(seed, seeding.STREAM_LG_VECTOR)
     a = rng.standard_normal(n_x)
     a /= np.linalg.norm(a)
     spec = ProblemSpec(
@@ -199,7 +198,8 @@ def make_linear_gaussian(n_x: int, seed: int = 0) -> BuiltinProblem:
     )
     # ||X|| has E||X||^4 = n(n+2); residual variance over the beta box
     # [-1, 1]^n is at most (1 + sqrt(n))^2 + 1 with Gaussian fourth moment
-    # 3 v^2.  Q = ||a - beta - theta||^2 / 2 gives M = 1/2 exactly.
+    # 3 v^2, so C_f and C_psi are box-relative (beta, theta in [-1, 1]^n).
+    # Q = ||a - beta - theta||^2 / 2 gives M = 1/2 exactly.
     v = (1.0 + math.sqrt(n_x)) ** 2 + 1.0
     moment4 = (n_x * (n_x + 2.0)) ** 0.25
     ledger = ConstantLedger(
@@ -211,7 +211,6 @@ def make_linear_gaussian(n_x: int, seed: int = 0) -> BuiltinProblem:
     )
     problem = BuiltinProblem(
         name=f"LG({n_x})", spec=spec, ledger=ledger,
-        notes="C_f/C_psi are box-relative (beta, theta in [-1,1]^n).",
         beta_box=(-1.0, 1.0), theta_box=(-1.0, 1.0),
     )
     problem.a = a
@@ -226,26 +225,13 @@ def _linear_outer(u):
 
 def make_linear_outer() -> BuiltinProblem:
     """BT with a linear outer function (plain-SGD reduction fixture)."""
-    spec = ProblemSpec(
-        dim_x=1, dim_y=1, dim_beta=1, dim_theta=2, dim_f=1,
-        inner=_bt_inner, outer=_linear_outer, model=_affine_model,
-        sampler=_bt_sampler, conditional_oracle=_bt_oracle,
-        support=_bt_support(),
-    )
-    ledger = ConstantLedger(
-        L_g=1.0, L_hess_g=0.0,
-        Lbar_f=2.0, C_f=1.0, Lbar_grad_f=2.0,
-        Lbar_psi=2.5 ** 0.25, C_psi=8.5 ** 0.25, Lbar_grad_psi=0.0,
-        M=(3.0 + math.sqrt(5.0)) / 2.0,
-        provenance=dict.fromkeys(LEDGER_KEYS, "analytic"),
-    )
+    bt = make_bernoulli_testbed()
+    # L_hess_g = 0, so the descent-constant machinery is degenerate.
     # G(beta) = E[(Y - beta)^2] with E[Y] = 0.45, so the minimum is
     # G(0.45) = 0.45 - 0.405 + 0.2025.
     return BuiltinProblem(
-        name="LIN", spec=spec, ledger=ledger, g_min=0.2475,
-        notes="Linear outer; the descent-constant machinery is degenerate "
-              "(L_hess_g = 0).",
-    )
+        name="LIN", spec=replace(bt.spec, outer=_linear_outer),
+        ledger=replace(bt.ledger, L_hess_g=0.0), g_min=0.2475)
 
 
 def by_name(name: str, **params) -> BuiltinProblem:

@@ -17,11 +17,16 @@ import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Stream identifiers of the engine; STREAM_DIAGNOSTICS is kept free for
-# diagnostics along a run, so they never touch the trajectory's draws.
+# Every substream label (the first label after the seed).  STREAM_DIAGNOSTICS
+# is kept for diagnostics along a run, so they never touch the trajectory's.
 STREAM_TRAJECTORY = 1
 STREAM_STOPPING = 2
 STREAM_DIAGNOSTICS = 3
+STREAM_MOMENTS = 7       # harness: direction moments and W(z^0)
+STREAM_V_EVAL = 8        # harness: Monte Carlo diagnostics of a row
+STREAM_LEDGER = 17       # harness: the estimated ledger
+STREAM_GRADCHECK = 23    # ctxopt gradcheck's probes
+STREAM_LG_VECTOR = 101   # LG's regression vector, keyed by problem.seed
 
 
 def splitmix64(z: int) -> int:

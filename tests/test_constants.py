@@ -50,7 +50,8 @@ def test_descent_coefficients_worked_example():
 
 
 def test_descent_coefficients_boundary():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^gamma=16.5 violates the strict "
+                       r"descent threshold .*\(requires gamma > 16.5\)$"):
         constants.descent_coefficients(ones_ledger(), 3.0, 16.5)
     # just above the threshold is accepted and gives tiny positive weights
     cap_C, _, c1, c2 = constants.descent_coefficients(ones_ledger(), 3.0,
@@ -359,3 +360,12 @@ def test_nelder_mead_port_matches_scipy_bit_for_bit(bt, monkeypatch):
             assert ref.status == status
 
     assert set(steps) == set(NELDER_MEAD_STEPS), steps
+
+
+@pytest.mark.parametrize("ledger, lam", [
+    (ones_ledger(), 1.0),                          # below the strict floor 2
+    (ones_ledger(L_hess_g=2.0, M=1e-3), 1.5),      # above it, below L_hess_g
+], ids=["strict-floor", "below-L_hess_g"])
+def test_derive_judges_lambda_with_check_lambda_first(ledger, lam):
+    with pytest.raises(DomainError, match="does not exceed the floor"):
+        constants.derive(ledger, lam, 1e6)

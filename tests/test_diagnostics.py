@@ -250,6 +250,11 @@ def test_rate_fit_excludes_nonpositive_with_warning():
     with pytest.warns(UserWarning):
         slope, _, _ = diagnostics.rate_fit(pts)
     assert slope == pytest.approx(-0.5, abs=1e-12)
+    # an N whose replications all diverged has mean V = nan
+    pts += [(25600, float("nan")), (102400, float("inf"))]
+    with pytest.warns(UserWarning, match="excluded 3 nonpositive or non-finite"):
+        slope, _, _ = diagnostics.rate_fit(pts)
+    assert slope == pytest.approx(-0.5, abs=1e-12)
     with pytest.raises(ConfigurationError):
         diagnostics.rate_fit([(100, 1.0), (100, 2.0)])
 

@@ -155,7 +155,7 @@ def test_run_rejects_bad_config(bt):
         RunConfig(gamma=1.0, alpha=0.1, n_iters=0)
     with pytest.raises(ConfigurationError):
         RunConfig(gamma=-1.0, alpha=0.1, n_iters=8)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^init_beta: shape \(2,\)"):
         engine.run(bt.spec, RunConfig(gamma=1.0, alpha=0.1, n_iters=8,
                                       init_beta=[0.0, 0.0]))
 
@@ -238,3 +238,12 @@ def test_trajectory_iterator(bt):
     assert rec.betas.shape == (5, 1) and rec.thetas.shape == (5, 2)
     assert len(rec.taus) == 4
     assert rec.taus[2] == pytest.approx(0.1 / 2.0)
+
+
+def test_initial_state_defaults_to_zeros_and_names_a_bad_vector(bt):
+    beta, theta = engine.initial_state(bt.spec)
+    assert beta.tolist() == [0.0] and theta.tolist() == [0.0, 0.0]
+    beta, theta = engine.initial_state(bt.spec, [0.5], (1, 2))
+    assert beta.tolist() == [0.5] and theta.tolist() == [1.0, 2.0]
+    with pytest.raises(ConfigurationError, match=r"^run\.init_theta: shape "):
+        engine.initial_state(bt.spec, None, [0.0], prefix="run.")

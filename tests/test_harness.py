@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctxopt import cli, diagnostics, engine, harness, problems, seeding
-from ctxopt.errors import CapabilityError, ConfigurationError, CtxoptError
+from ctxopt import cli, constants, diagnostics, engine, harness, problems, seeding
+from ctxopt.errors import (CapabilityError, ConfigurationError, CtxoptError,
+                           DomainError)
 
 SMALL_CONFIG = """\
 problem.name = BT
@@ -126,6 +128,62 @@ def test_bad_problem_parameter_names_the_key(tmp_path, capsys, lines, key):
 def test_diag_every_is_not_a_config_key():
     with pytest.raises(ConfigurationError, match="run.diag_every"):
         harness.parse_config(BASE_CONFIG + "run.diag_every = 4\n")
+
+
+def test_a_key_set_twice_is_rejected():
+    text = "problem.name = BT\nsweep = 4\nrun.gamma = 20\n\nrun.gamma = 5\n"
+    with pytest.raises(ConfigurationError,
+                       match=r"^run\.gamma: set again on config line 5$"):
+        harness.parse_config(text)
+
+
+@pytest.mark.parametrize("given, missing", [("c1", "c2"), ("c2", "c1")])
+def test_a_lone_weight_names_the_missing_one(given, missing):
+    with pytest.raises(ConfigurationError, match=f"^{missing}: missing"):
+        harness.parse_config(BASE_CONFIG + f"lambda = 20\n{given} = 5\n")
+
+
+@pytest.mark.parametrize("alpha", ["auto", "0.05"])
+def test_a_misshapen_init_vector_names_the_key_before_any_work(
+        tmp_path, monkeypatch, alpha):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the init vectors were checked")
+
+    monkeypatch.setattr(constants, "estimate_ledger", no_work)
+    monkeypatch.setattr(harness, "resolve_ledger", no_work)
+    config = harness.parse_config(
+        SMALL_CONFIG.format(out=tmp_path / "out").replace("run.alpha = 0.05", "")
+        + f"run.alpha = {alpha}\nrun.init_beta = 0.1,0.2\n")
+    with pytest.raises(ConfigurationError,
+                       match=r"^run\.init_beta: shape \(2,\), not \(1,\)$"):
+        harness.run_experiment(config)
+    assert not (tmp_path / "out").exists()
+
+
+def test_z0_quantities_name_a_misshapen_init_vector(tmp_path):
+    bt = problems.by_name("BT")
+    config = harness.parse_config(
+        SMALL_CONFIG.format(out=tmp_path) + "run.init_theta = 1,2,3\n")
+    with pytest.raises(ConfigurationError, match=r"^run\.init_theta: shape"):
+        harness.measure_z0_quantities(bt, config, lam=3.0)
+
+
+@pytest.mark.parametrize("estimate", ["false", "true"])
+def test_lambda_below_the_hessian_bound_is_rejected_before_any_work(
+        tmp_path, bt_estimated_ledger, monkeypatch, estimate):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before lambda was checked")
+
+    monkeypatch.setattr(harness, "estimated_ledger",
+                        lambda problem, seed: bt_estimated_ledger)
+    monkeypatch.setattr(harness, "measure_z0_quantities", no_work)
+    text = (SMALL_CONFIG.format(out=tmp_path / "out")
+            .replace("lambda = 1\n", "lambda = 0.1\n")
+            .replace("run.alpha = 0.05", "run.alpha = auto")
+            + f"ledger.estimate = {estimate}\n")
+    with pytest.raises(DomainError, match=r"^lambda: 0\.1 is below L_hess_g = 1$"):
+        harness.run_experiment(harness.parse_config(text))
+    assert not (tmp_path / "out").exists()
 
 
 def test_smallest_run_writes_single_row(tmp_path, bt):
@@ -270,6 +328,11 @@ def test_cli_check_gamma_boundary(capsys):
     out = capsys.readouterr().out
     assert status == 1
     assert "gamma" in out and "NON-COMPLIANT" in out
+    # the verdict is descent_coefficients' own inequality
+    ledger = constants.ConstantLedger(**dict.fromkeys(constants.LEDGER_KEYS, 1.0))
+    with pytest.raises(DomainError) as verdict:
+        constants.descent_coefficients(ledger, 3.0, 16.5)
+    assert out.endswith(f"lambda_floor     2\nNON-COMPLIANT: {verdict.value}\n")
 
 
 def test_cli_check_lambda_floor(capsys):
@@ -320,6 +383,22 @@ def test_cli_rate_counts_distinct_n(tmp_path, capsys):
     _write_summary(repeated, [(n, 1.0 / n) for n in (64, 64, 256, 256, 1024)])
     assert cli.main(["rate", str(repeated)]) == 2
     assert "need >= 4 distinct N values, got 3" in capsys.readouterr().out
+
+
+def test_cli_rate_counts_only_n_with_a_finite_mean(tmp_path, capsys):
+    # Every replication of N = 1024 and 4096 diverged: three N remain.
+    diverged = tmp_path / "diverged.csv"
+    _write_summary(diverged, [(64, 0.25), (256, 0.125), (1024, math.nan),
+                              (4096, math.nan), (16384, 0.03125)])
+    assert cli.main(["rate", str(diverged)]) == 2
+    assert "got 3 with a finite mean_V" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--n-iters"])
+def test_cli_check_prints_no_unit_moment_bound(flag, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["check", "BT", "--lambda", "20", "--gamma", "300", flag, "4"])
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_gradcheck(capsys):

@@ -150,3 +150,14 @@ def test_bt_oracle_rejects_contexts_outside_the_support(bt):
     xs = np.array([[0.0], [0.5], [1.0]])
     with pytest.raises(EvaluationError, match="^conditional oracle produced"):
         model.conditional_oracle(bt.spec, xs, np.array([0.3]))
+
+
+def test_lin_is_bt_with_a_linear_outer():
+    bt, lin = problems.make_bernoulli_testbed(), problems.make_linear_outer()
+    assert lin.ledger.as_dict() == dict(bt.ledger.as_dict(), L_hess_g=0.0)
+    assert lin.ledger.provenance == bt.ledger.provenance
+    assert lin.spec.outer is problems._linear_outer
+    for attr in ("inner", "model", "sampler", "conditional_oracle"):
+        assert getattr(lin.spec, attr) is getattr(bt.spec, attr)
+    assert lin.spec.support is not None and (lin.beta_box, lin.theta_box) == (
+        bt.beta_box, bt.theta_box)

@@ -30,5 +30,13 @@ def test_substream_reproducible_and_independent():
 
 def test_stream_ids_distinct():
     ids = {seeding.STREAM_TRAJECTORY, seeding.STREAM_STOPPING,
-           seeding.STREAM_DIAGNOSTICS}
-    assert len(ids) == 3
+           seeding.STREAM_DIAGNOSTICS, seeding.STREAM_MOMENTS,
+           seeding.STREAM_V_EVAL, seeding.STREAM_LEDGER,
+           seeding.STREAM_GRADCHECK, seeding.STREAM_LG_VECTOR}
+    assert len(ids) == 8
+    # the table holds every label, and no label changed value
+    assert {name: value for name, value in vars(seeding).items()
+            if name.startswith("STREAM_")} == {
+        "STREAM_TRAJECTORY": 1, "STREAM_STOPPING": 2, "STREAM_DIAGNOSTICS": 3,
+        "STREAM_MOMENTS": 7, "STREAM_V_EVAL": 8, "STREAM_LEDGER": 17,
+        "STREAM_GRADCHECK": 23, "STREAM_LG_VECTOR": 101}
