@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``run <config>``: execute a replication sweep from a config file; exit 1
-  after writing every file if a replication diverged.
+* ``run <config>``: execute a replication sweep from a config file (its
+  ``workers`` key sizes the pool); exit 1 after writing every file if a
+  replication diverged.
 * ``check <problem> --gamma G --lambda L``: print the ledger, the lambda
   floor, and ``constants.derive``'s table (exit 0), or the violated
   inequality that ``derive`` names (exit 1).
@@ -29,8 +30,6 @@ SLOPE_BAND = (-0.65, -0.35)
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
         config = harness.parse_config(fh.read())
-    if args.workers:
-        config.workers = args.workers
     result = harness.run_experiment(config)
     print(f"wrote {result['results']}")
     print(f"wrote {result['summary']}")
@@ -118,7 +117,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a replication sweep from a config")
     p_run.add_argument("config")
-    p_run.add_argument("--workers", type=int, default=0)
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="derived-constant compliance report")

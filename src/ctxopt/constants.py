@@ -114,7 +114,9 @@ def lambda_floor(ledger: ConstantLedger) -> float:
 
 
 def check_lambda(ledger: ConstantLedger, lam: float) -> None:
-    """Raise DomainError unless lam lies strictly above the lambda floor."""
+    """Raise DomainError unless lam is finite and strictly above the floor."""
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda={lam} must be finite")
     strict_floor = 2.0 * ledger.M * ledger.Lbar_psi ** 2 * ledger.L_hess_g
     if lam <= strict_floor or lam < ledger.L_hess_g:
         raise DomainError(
@@ -146,6 +148,8 @@ def descent_coefficients(ledger: ConstantLedger, lam: float, gamma: float,
     endpoints.  Returns (cap_C, epsilon, c1, c2).
     """
     g_min = gamma_min(ledger, lam)
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma={gamma} must be finite")
     if gamma <= g_min:
         raise DomainError(
             f"gamma={gamma} violates the strict descent threshold 2*(gamma*(lambda/M"

@@ -71,7 +71,7 @@ def _contexts(problem: ProblemSpec, mode, n_samples, rng, *states):
         def average(values):
             total = sum(p * v for p, v in zip(p_x, values))
             return total, np.zeros(np.shape(total))
-    else:
+    elif mode == "mc":
         if not problem.has_oracle:
             raise CapabilityError("Monte Carlo diagnostics require a conditional oracle for F")
         if rng is None:
@@ -79,6 +79,8 @@ def _contexts(problem: ProblemSpec, mode, n_samples, rng, *states):
         if n_samples < 1:
             raise ConfigurationError("n_samples must be positive")
         xs, average = sample_stack(problem, n_samples, rng)[0], _mean_stderr
+    else:
+        raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
     state_axes = max(map(np.ndim, states)) - 1
     if state_axes > 0:
         xs = xs.reshape(xs.shape[:1] + (1,) * state_axes + xs.shape[1:])
@@ -149,8 +151,10 @@ def Q_and_grad_Q(problem: ProblemSpec, beta, theta, mode="exact",
 def nonoptimality_V(problem: ProblemSpec, beta, theta, c1, c2, mode="exact",
                     n_samples=10000, rng=None) -> float:
     """Non-optimality measure V = c1*Q + c2*||grad G||^2."""
-    if c1 <= 0 or c2 <= 0:
-        raise ConfigurationError("c1 and c2 must be positive")
+    for name, value in (("c1", c1), ("c2", c2)):
+        if not 0 < value < np.inf:
+            raise ConfigurationError(
+                f"{name} must be positive and finite, got {value!r}")
     q, _ = tracking_error_Q(problem, beta, theta, mode, n_samples, rng)
     g, _ = grad_G(problem, beta, mode, n_samples, rng)
     return c1 * q + c2 * _float(_dot(g, g))

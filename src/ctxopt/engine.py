@@ -115,8 +115,8 @@ def compute_direction(problem: ProblemSpec, beta: Array, theta: Array,
     Performs exactly one evaluation each of the inner function, the model,
     and the outer function.
     """
-    if gamma <= 0:
-        raise ConfigurationError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ConfigurationError(f"gamma must be positive and finite, got {gamma!r}")
     x, y = sample
     f_value, f_grad = evaluate_inner(problem, x, y, beta)
     psi_value, psi_grad = evaluate_model(problem, x, theta)

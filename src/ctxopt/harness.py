@@ -1,20 +1,13 @@
 """Experiment harness: config parsing, replication sweeps, persistence.
 
-Configs are flat key=value text with dotted section keys, each set once::
-
-    problem.name = BT
-    run.gamma = 20
-    run.alpha = auto          # or a number; auto = rate-bound minimizer
-    run.schedule = FixedHorizon
-    run.seed = 12345
-    sweep = 1024,4096,16384,65536
-    replications = 30
-    lambda = 3                # optional, >= L_hess_g; derived when absent
-    c1 = 2.24                 # optional; c1 and c2 are given or derived together
-    c2 = 0.21875
-    output_dir = out
-    ledger.estimate = true    # re-estimate the ledger instead of the shipped one
-    ledger.L_g = 1.0          # individual overrides
+Configs are flat key=value text with dotted section keys, each set once
+(README.md shows every key).  ``_KEYS`` declares each plain key once: its
+ExperimentConfig field and the converter that checks its value and range,
+so ``parse_config`` rejects a bad value with an error naming the key before
+anything runs.  ``problem.*`` keys are problem parameters and ``ledger.*``
+keys are ledger overrides (``ledger.estimate`` re-estimates the ledger).
+``run_experiment`` builds one ``engine.RunConfig`` per task before the
+worker pool (``workers``; 0 means one per core) starts.
 
 Each (N, replication) pair runs with seed mix(master, N, r) and contributes
 one row to results.csv and its engine wall time to timings.csv; summary.csv
@@ -60,42 +53,75 @@ _V_MC_SAMPLES = 10000
 _MOMENT_SAMPLES = 20000
 
 
-@dataclass
-class ExperimentConfig:
-    """Parsed experiment description."""
-
-    problem_name: str
-    gamma: float
-    alpha: Optional[float]          # None means "auto"
-    schedule: engine.Schedule
-    seed: int
-    sweep: list
-    replications: int
-    output_dir: Path
-    lam: Optional[float] = None
-    c1: Optional[float] = None
-    c2: Optional[float] = None
-    init_beta: Optional[list] = None
-    init_theta: Optional[list] = None
-    problem_params: dict = field(default_factory=dict)
-    ledger_overrides: dict = field(default_factory=dict)
-    estimate_ledger: bool = False
-    workers: int = 0                # 0 = available parallelism
-    raw_text: str = ""
-
-    def __post_init__(self):
-        if not self.sweep:
-            raise ConfigurationError("sweep must be nonempty")
-        if list(self.sweep) != sorted(set(self.sweep)):
-            raise ConfigurationError("sweep must be strictly increasing")
-        if self.sweep[0] < 1:
-            raise ConfigurationError("sweep entries must be >= 1")
-        if self.replications < 1:
-            raise ConfigurationError("replications must be >= 1")
+def _checked(kind, ok, rule):
+    """A converter: ``kind(raw)``, or a ValueError when ``ok`` rejects it."""
+    def convert(raw):
+        value = kind(raw)
+        if not ok(value):
+            raise ValueError(f"{rule}, got {raw!r}")
+        return value
+    return convert
 
 
 _FLAGS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_finite_list = _checked(lambda raw: [float(v) for v in raw.split(",")],
+                        lambda vs: all(map(math.isfinite, vs)), "must be finite")
+
+# Every plain config key: (ExperimentConfig field, converter, required).  The
+# converter raises ValueError on a malformed or out-of-range value.  Keys
+# under problem.* and ledger.* are open prefixes: problem parameters (checked
+# by problems.by_name) and ledger overrides (checked by resolve_ledger).
+_KEYS = {
+    "problem.name": ("problem_name", str, True),
+    "run.gamma": ("gamma", _positive, True),
+    "sweep": ("sweep", _checked(
+        lambda raw: [int(n) for n in raw.split(",")],
+        lambda ns: ns[0] >= 1 and all(a < b for a, b in zip(ns, ns[1:])),
+        "must be strictly increasing from >= 1"), True),
+    "run.alpha": ("alpha", lambda raw: None if raw.lower() == "auto"
+                  else _positive(raw), False),
+    "run.schedule": ("schedule", engine.Schedule, False),
+    "run.seed": ("seed", int, False),
+    "run.init_beta": ("init_beta", _finite_list, False),
+    "run.init_theta": ("init_theta", _finite_list, False),
+    "replications": ("replications", _checked(int, lambda n: n >= 1, "must be >= 1"),
+                     False),
+    "output_dir": ("output_dir", _checked(str, bool, "must be non-empty"), False),
+    "lambda": ("lam", _positive, False),
+    "c1": ("c1", _positive, False),
+    "c2": ("c2", _positive, False),
+    "ledger.estimate": ("estimate_ledger", _checked(
+        lambda raw: _FLAGS.get(raw.lower()), lambda flag: flag is not None,
+        f"must be one of {sorted(_FLAGS)}"), False),
+    "workers": ("workers", _checked(int, lambda n: n >= 0, "must be >= 0"), False),
+}
+
+
+@dataclass
+class ExperimentConfig:
+    """Parsed experiment description: the fields of ``_KEYS`` with their
+    defaults, the prefix keys, and the config text."""
+
+    problem_name: Optional[str] = None
+    gamma: Optional[float] = None
+    sweep: list = field(default_factory=list)
+    alpha: Optional[float] = None           # None means "auto"
+    schedule: engine.Schedule = engine.Schedule.FIXED_HORIZON
+    seed: int = 0
+    init_beta: Optional[list] = None
+    init_theta: Optional[list] = None
+    replications: int = 1
+    output_dir: str = "out"
+    lam: Optional[float] = None
+    c1: Optional[float] = None
+    c2: Optional[float] = None
+    estimate_ledger: bool = False
+    workers: int = 0
+    problem_params: dict = field(default_factory=dict)
+    ledger_overrides: dict = field(default_factory=dict)
+    raw_text: str = ""
 
 
 def _convert(key: str, raw: str, kind):
@@ -107,88 +133,39 @@ def _convert(key: str, raw: str, kind):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key=value config format."""
-    pairs = {}
+    """Parse the flat key=value config format, converting and range-checking
+    each value as its line is read."""
+    config = ExperimentConfig(raw_text=text)
+    seen, unknown = set(), []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigurationError(f"config line {lineno} is not key=value: {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in pairs:
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key in seen:
             raise ConfigurationError(f"{key}: set again on config line {lineno}")
-        pairs[key] = value.strip()
-
-    def pop(key, default=None, kind=None):
-        raw = pairs.pop(key, default)
-        return raw if raw is None or kind is None else _convert(key, raw, kind)
-
-    def positive(raw):
-        value = float(raw)
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"must be positive and finite, got {raw!r}")
-        return value
-
-    def floats(raw):
-        values = [float(v) for v in raw.split(",")]
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"must be finite, got {raw!r}")
-        return values
-
-    def ints(raw):
-        return [int(v) for v in raw.split(",") if v.strip()]
-
-    def flag(raw):
-        if raw.lower() not in _FLAGS:
-            raise ValueError(f"must be one of {sorted(_FLAGS)}, got {raw!r}")
-        return _FLAGS[raw.lower()]
-
-    name = pop("problem.name")
-    if name is None:
-        raise ConfigurationError("config missing problem.name")
-    gamma = pop("run.gamma", kind=positive)
-    if gamma is None:
-        raise ConfigurationError("config missing run.gamma")
-    alpha = pop("run.alpha", "auto")
-    alpha = None if alpha.lower() == "auto" else _convert("run.alpha", alpha, positive)
-    schedule = pop("run.schedule", "FixedHorizon", engine.Schedule)
-    seed = pop("run.seed", "0", int)
-    init_beta = pop("run.init_beta", kind=floats)
-    init_theta = pop("run.init_theta", kind=floats)
-    sweep = pop("sweep", kind=ints)
-    if sweep is None:
-        raise ConfigurationError("config missing sweep")
-    replications = pop("replications", "1", int)
-    output_dir = Path(pop("output_dir", "out"))
-    lam, c1, c2 = (pop(key, kind=positive) for key in ("lambda", "c1", "c2"))
-    if (c1 is None) != (c2 is None):
-        raise ConfigurationError(
-            f"{'c2' if c2 is None else 'c1'}: missing; c1 and c2 are given "
-            f"together or both derived")
-    workers = pop("workers", "0", int)
-    estimate = pop("ledger.estimate", "false", flag)
-
-    problem_params = {}
-    ledger_overrides = {}
-    for key in list(pairs):
-        if key.startswith("problem."):
-            problem_params[key[len("problem."):]] = pairs.pop(key)
+        seen.add(key)
+        if key in _KEYS:
+            name, kind, _ = _KEYS[key]
+            setattr(config, name, _convert(key, raw, kind))
+        elif key.startswith("problem."):
+            config.problem_params[key[len("problem."):]] = raw
         elif key.startswith("ledger."):
-            ledger_overrides[key[len("ledger."):]] = pop(key, kind=float)
-    if pairs:
-        raise ConfigurationError(f"unknown config keys: {sorted(pairs)}")
-
-    return ExperimentConfig(
-        problem_name=name, gamma=gamma, alpha=alpha, schedule=schedule,
-        seed=seed, sweep=sweep, replications=replications,
-        output_dir=output_dir, lam=lam, c1=c1, c2=c2,
-        init_beta=init_beta, init_theta=init_theta,
-        problem_params=problem_params,
-        ledger_overrides=ledger_overrides, estimate_ledger=estimate,
-        workers=workers, raw_text=text,
-    )
+            config.ledger_overrides[key[len("ledger."):]] = _convert(key, raw, float)
+        else:
+            unknown.append(key)
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    for key, (_, _, required) in _KEYS.items():
+        if required and key not in seen:
+            raise ConfigurationError(f"config missing {key}")
+    if (config.c1 is None) != (config.c2 is None):
+        raise ConfigurationError(
+            f"{'c2' if config.c2 is None else 'c1'}: missing; c1 and c2 are "
+            f"given together or both derived")
+    return config
 
 
 def estimated_ledger(problem: problems.BuiltinProblem, seed: int) -> ConstantLedger:
@@ -250,23 +227,17 @@ def measure_z0_quantities(problem: problems.BuiltinProblem,
     return c_d_sq, sigma_sq, w0, problem.g_min
 
 
-def _run_one(spec: problems.ProblemSpec, n_iters: int, replication: int,
-             master_seed: int, gamma: float, alpha: float, schedule_value: str,
-             lam: float, c1: float, c2: float, init_beta=None,
-             init_theta=None) -> dict:
+def _run_one(spec: problems.ProblemSpec, run_config: engine.RunConfig,
+             replication: int, lam: float, c1: float, c2: float) -> dict:
     """Execute one replication and evaluate diagnostics at the stopped state.
 
     Returns the results.csv row plus its ``wall_ms`` timing.  An
     EvaluationError gives a row with status ``diverged@k`` and no values.
     """
-    seed = seeding.mix(master_seed, n_iters, replication)
-    run_config = engine.RunConfig(
-        gamma=gamma, alpha=alpha, n_iters=n_iters,
-        schedule=engine.Schedule(schedule_value), seed=seed,
-        init_beta=init_beta, init_theta=init_theta,
-    )
+    n_iters, seed = run_config.n_iters, run_config.seed
     row = {"N": n_iters, "replication": replication, "seed": seed,
-           "tau_schedule": schedule_value, "alpha": alpha, "gamma": gamma}
+           "tau_schedule": run_config.schedule.value,
+           "alpha": run_config.alpha, "gamma": run_config.gamma}
     start = time.perf_counter()
     # A diverging run overflows before the EvaluationError that names its
     # iteration; numpy's overflow warnings would only repeat the status.
@@ -315,9 +286,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Returns a dict with the output paths, the per-N summary rows, the
     resolved (ledger, lam, c1, c2, alpha), and the number of diverged rows.
     """
-    workers = config.workers or (os.cpu_count() or 1)
-    if workers < 0:
-        raise ConfigurationError(f"workers must be >= 0, got {workers}")
     problem = problems.by_name(config.problem_name, **config.problem_params)
     engine.initial_state(problem.spec, config.init_beta, config.init_theta,
                          "run.")
@@ -332,11 +300,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
         alpha = constants.optimal_alpha(l_w, np.sqrt(c_d_sq), np.sqrt(sigma_sq),
                                         w0, g_min)
 
-    tasks = [(n, r) for n in config.sweep for r in range(config.replications)]
-    args = [(problem.spec, n, r, config.seed,
-             config.gamma, alpha, config.schedule.value, lam, c1, c2,
-             config.init_beta, config.init_theta)
-            for n, r in tasks]
+    args = [(problem.spec,
+             engine.RunConfig(gamma=config.gamma, alpha=alpha, n_iters=n,
+                              schedule=config.schedule,
+                              seed=seeding.mix(config.seed, n, r),
+                              init_beta=config.init_beta,
+                              init_theta=config.init_theta),
+             r, lam, c1, c2)
+            for n in config.sweep for r in range(config.replications)]
+    workers = config.workers or (os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one_star, args, chunksize=1))

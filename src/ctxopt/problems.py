@@ -81,18 +81,15 @@ def _bt_sampler(rng):
 
 
 def _bt_oracle(x, beta):
+    # p = P[Y = 1 | x]; NaN outside {0, 1}, which the checks reject.
+    x0 = x[..., 0]
+    p = np.where(x0 == 1.0, _BT_P[1.0], np.where(x0 == 0.0, _BT_P[0.0], np.nan))[()]
     b = beta[..., 0][()]
     c = 1.0 - b
     # Squares are products, as numpy computes an array's ** 2; a float's
     # ** 2 is C pow, which can differ by one ulp, so stacked and per-state
     # calls would not agree bit for bit.
-    at0, at1 = (np.array([p * (c * c) + (1.0 - p) * b * b, 2.0 * b - 2.0 * p])
-                for p in _BT_P.values())
-    if at0.ndim > 1:                    # stacked states: move (F, grad F) last
-        at0, at1 = np.moveaxis(at0, 0, -1), np.moveaxis(at1, 0, -1)
-    # (F, grad F) at each context; NaN outside {0, 1}, which the checks reject.
-    both = np.where(x == 1.0, at1, np.where(x == 0.0, at0, np.nan))
-    return both[..., :1], both[..., 1:, None]
+    return (p * (c * c) + (1.0 - p) * b * b)[..., None], (2.0 * b - 2.0 * p)[..., None, None]
 
 
 def _bt_support():

@@ -155,6 +155,22 @@ def test_direction_moment_stats(bt):
                                            rng=rng)
 
 
+def test_direction_moment_stats_rejects_a_nan_gamma(bt):
+    with pytest.raises(ConfigurationError,
+                       match="^gamma must be positive and finite, got nan$"):
+        diagnostics.direction_moment_stats(bt.spec, *Z0, gamma=float("nan"),
+                                           n=1000, rng=seeding.substream(17, 4))
+
+
+@pytest.mark.parametrize("mode", ["Exact", "MC", "monte-carlo"])
+def test_an_unknown_mode_is_rejected_before_drawing(bt, mode):
+    spec = dataclasses.replace(bt.spec, sampler=None)   # a draw would fail
+    with pytest.raises(ConfigurationError,
+                       match=f"^mode must be 'exact' or 'mc', got '{mode}'$"):
+        diagnostics.tracking_error_Q(spec, *Z0, mode=mode,
+                                     rng=seeding.substream(0, 0))
+
+
 def test_mc_mode_agrees_with_exact(bt):
     beta, theta = np.array([0.3]), np.array([0.2, 0.1])
     q_exact, _ = diagnostics.tracking_error_Q(bt.spec, beta, theta)
@@ -262,6 +278,14 @@ def test_rate_fit_excludes_nonpositive_with_warning():
 def test_nonoptimality_V_frozen(bt):
     v = diagnostics.nonoptimality_V(bt.spec, *Z0, c1=2.24, c2=0.21875)
     assert v == pytest.approx(2.24 * Q0 + 0.21875 * DG0 ** 2, abs=1e-14)
+
+
+@pytest.mark.parametrize("c1, c2, name", [
+    (float("nan"), 1.0, "c1"), (1.0, float("inf"), "c2"), (1.0, 0.0, "c2")])
+def test_nonoptimality_V_names_a_bad_weight(bt, c1, c2, name):
+    with pytest.raises(ConfigurationError,
+                       match=f"^{name} must be positive and finite"):
+        diagnostics.nonoptimality_V(bt.spec, *Z0, c1, c2)
 
 
 @given(q=st.floats(0, 100), lam=st.floats(0.1, 50),

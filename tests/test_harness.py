@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,11 +85,17 @@ BASE_CONFIG = "problem.name = BT\nrun.gamma = 2\nsweep = 4\n"
     ("run.init_beta", "0.1,x"),
     ("run.init_theta", "y"),
     ("sweep", "4,eight"),
+    ("sweep", "8,4"),
+    ("sweep", "0,4"),
+    ("sweep", "4,,8"),
     ("replications", "two"),
+    ("replications", "0"),
+    ("output_dir", ""),
     ("lambda", "big"),
     ("c1", "-"),
     ("c2", "1e"),
     ("workers", "many"),
+    ("workers", "-3"),
     ("ledger.M", "huge"),
 ])
 def test_parse_config_bad_value_names_the_key(key, value):
@@ -97,16 +104,6 @@ def test_parse_config_bad_value_names_the_key(key, value):
     text = "\n".join(lines + [f"{key} = {value}"]) + "\n"
     with pytest.raises(ConfigurationError, match=f"^{re.escape(key)}: "):
         harness.parse_config(text)
-
-
-@pytest.mark.parametrize("line, message", [
-    ("workers = -3\n", "workers must be >= 0"),
-], ids=["config-negative"])
-def test_bad_worker_count_rejected(tmp_path, line, message):
-    config = harness.parse_config(SMALL_CONFIG.format(out=tmp_path / "out") + line)
-    with pytest.raises(ConfigurationError, match=message):
-        harness.run_experiment(config)
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("lines, key", [
@@ -184,6 +181,32 @@ def test_lambda_below_the_hessian_bound_is_rejected_before_any_work(
     with pytest.raises(DomainError, match=r"^lambda: 0\.1 is below L_hess_g = 1$"):
         harness.run_experiment(harness.parse_config(text))
     assert not (tmp_path / "out").exists()
+
+
+def test_a_bad_task_fails_before_the_pool_starts(tmp_path, monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the pool started before the tasks were checked")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(constants, "optimal_alpha", lambda *args: math.nan)
+    config = harness.parse_config(
+        SMALL_CONFIG.format(out=tmp_path / "out")
+        .replace("run.alpha = 0.05", "run.alpha = auto") + "workers = 2\n")
+    with pytest.raises(ConfigurationError, match="^alpha must be positive"):
+        harness.run_experiment(config)
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_block_names_every_key():
+    # Every key of the table, and problem.* and ledger.* keys as examples.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines()}
+    examples = keys - set(harness._KEYS)
+    assert set(harness._KEYS) <= keys
+    assert examples and all(key.startswith(("problem.", "ledger."))
+                            for key in examples)
 
 
 def test_smallest_run_writes_single_row(tmp_path, bt):
@@ -343,6 +366,16 @@ def test_cli_check_lambda_floor(capsys):
     assert "floor" in out
 
 
+@pytest.mark.parametrize("gamma, lam, verdict", [
+    ("inf", "20", "gamma=inf"), ("300", "nan", "lambda=nan"),
+    ("300", "inf", "lambda=inf"), ("nan", "20", "gamma=nan")])
+def test_cli_check_names_a_non_finite_input(capsys, gamma, lam, verdict):
+    status = cli.main(["check", "BT", "--gamma", gamma, "--lambda", lam])
+    assert status == 1
+    assert capsys.readouterr().out.endswith(
+        f"NON-COMPLIANT: {verdict} must be finite\n")
+
+
 def test_cli_check_estimate_is_the_harness_estimate(bt_estimated_ledger,
                                                    capsys):
     status = cli.main(["check", "BT", "--estimate", "--seed", "20260823",
@@ -399,6 +432,12 @@ def test_cli_check_prints_no_unit_moment_bound(flag, capsys):
     with pytest.raises(SystemExit):
         cli.main(["check", "BT", "--lambda", "20", "--gamma", "300", flag, "4"])
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_run_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--help"])
+    assert "--workers" not in capsys.readouterr().out
 
 
 def test_cli_gradcheck(capsys):
