@@ -44,9 +44,11 @@ from .model import (
 LEDGER_KEYS = ("L_g", "L_hess_g", "Lbar_f", "C_f", "Lbar_grad_f",
                "Lbar_psi", "C_psi", "Lbar_grad_psi", "M")
 
-# Gradient-Lipschitz entries may legitimately vanish (linear g, affine f or
-# psi); everything else must be strictly positive, and none may be NaN.
-_MAY_BE_ZERO = {"L_hess_g", "Lbar_grad_f", "Lbar_grad_psi"}
+# (ok, rule) of each entry: gradient-Lipschitz entries may legitimately vanish
+# (linear g, affine f or psi), every other one is positive, and none is NaN.
+ENTRY_RULES = {key: ((lambda v: v >= 0), "must be >= 0")
+               if key in ("L_hess_g", "Lbar_grad_f", "Lbar_grad_psi")
+               else ((lambda v: v > 0), "must be positive") for key in LEDGER_KEYS}
 
 
 @dataclass
@@ -70,10 +72,9 @@ class ConstantLedger:
     a4_violations: list = field(default_factory=list)
 
     def __post_init__(self):
-        for key in LEDGER_KEYS:
-            value = getattr(self, key)
-            if not value >= 0 or (value == 0 and key not in _MAY_BE_ZERO):
-                raise ConfigurationError(f"ledger entry {key}={value} must be positive")
+        for key, (ok, rule) in ENTRY_RULES.items():
+            if not ok(getattr(self, key)):
+                raise ConfigurationError(f"ledger entry {key}={getattr(self, key)} {rule}")
 
     def as_dict(self) -> dict:
         return {key: getattr(self, key) for key in LEDGER_KEYS}
@@ -169,9 +170,11 @@ def descent_coefficients(ledger: ConstantLedger, lam: float, gamma: float,
 
 
 def lipschitz_W(ledger: ConstantLedger, lam: float):
-    """Lipschitz constants of the Lyapunov gradient: (L_W_beta, L_W_theta, L_W)."""
-    if lam < ledger.L_hess_g:
-        raise DomainError(f"lambda={lam} must be >= L_hess_g={ledger.L_hess_g}")
+    """Lipschitz constants of the Lyapunov gradient: (L_W_beta, L_W_theta, L_W).
+
+    Only for lambda >= L_hess_g, where W = G + Delta^lambda bounds G above."""
+    if not lam >= ledger.L_hess_g:      # NaN fails too
+        raise DomainError(f"lambda: {lam} is below L_hess_g = {ledger.L_hess_g:.6g}")
     lg, lhg = ledger.L_g, ledger.L_hess_g
     lf, cf, ldf = ledger.Lbar_f, ledger.C_f, ledger.Lbar_grad_f
     lp, cp, ldp = ledger.Lbar_psi, ledger.C_psi, ledger.Lbar_grad_psi

@@ -16,9 +16,10 @@ modes:
   point of the method is that conditional sampling is infeasible.
 
 Each diagnostic calls each evaluator it needs once, over all the contexts
-(see the evaluator contract in ``ctxopt.model``).  F comes from the
-conditional oracle when the problem has one and otherwise from enumerating
-the support's conditional laws.
+(see the evaluator contract in ``ctxopt.model``), with one exception: F
+comes from the conditional oracle when the problem has one, and otherwise
+from enumerating the support's conditional laws, one ``evaluate_inner``
+call per support atom.
 
 The diagnostics also take stacks of states: ``beta`` of shape
 (S, dim_beta) and ``theta`` of shape (S, dim_theta), or any batch shape

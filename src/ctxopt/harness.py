@@ -4,8 +4,9 @@ Configs are flat key=value text with dotted section keys, each set once
 (README.md shows every key).  ``_KEYS`` declares each plain key once: its
 ExperimentConfig field and the converter that checks its value and range,
 so ``parse_config`` rejects a bad value with an error naming the key before
-anything runs.  ``problem.*`` keys are problem parameters and ``ledger.*``
-keys are ledger overrides (``ledger.estimate`` re-estimates the ledger).
+anything runs; ``ledger.<entry>`` overrides are checked by the ledger's own
+entry rule there too.  ``problem.*`` keys are problem parameters, checked by
+``problems.by_name``; LG's size is the n of ``problem.name = LG(n)``.
 ``run_experiment`` builds one ``engine.RunConfig`` per task before the
 worker pool (``workers``; 0 means one per core) starts.
 
@@ -32,7 +33,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -40,8 +41,7 @@ import numpy as np
 
 from . import constants, diagnostics, engine, problems, seeding
 from .constants import ConstantLedger
-from .errors import (CapabilityError, ConfigurationError, DomainError,
-                     EvaluationError)
+from .errors import CapabilityError, ConfigurationError, EvaluationError
 
 RESULT_COLUMNS = ["N", "replication", "seed", "S", "tau_schedule", "alpha",
                   "gamma", "V_at_S", "Q_at_S", "normgradG_at_S", "W_final",
@@ -71,8 +71,8 @@ _finite_list = _checked(lambda raw: [float(v) for v in raw.split(",")],
 
 # Every plain config key: (ExperimentConfig field, converter, required).  The
 # converter raises ValueError on a malformed or out-of-range value.  Keys
-# under problem.* and ledger.* are open prefixes: problem parameters (checked
-# by problems.by_name) and ledger overrides (checked by resolve_ledger).
+# under problem.* are an open prefix of problem parameters (checked by
+# problems.by_name).
 _KEYS = {
     "problem.name": ("problem_name", str, True),
     "run.gamma": ("gamma", _positive, True),
@@ -97,6 +97,9 @@ _KEYS = {
         f"must be one of {sorted(_FLAGS)}"), False),
     "workers": ("workers", _checked(int, lambda n: n >= 0, "must be >= 0"), False),
 }
+# ledger.<entry>: an override of one ledger entry, checked by the entry rule.
+_OVERRIDES = {f"ledger.{key}": _checked(float, ok, rule)
+              for key, (ok, rule) in constants.ENTRY_RULES.items()}
 
 
 @dataclass
@@ -150,10 +153,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in _KEYS:
             name, kind, _ = _KEYS[key]
             setattr(config, name, _convert(key, raw, kind))
+        elif key in _OVERRIDES:
+            config.ledger_overrides[key[len("ledger."):]] = _convert(
+                key, raw, _OVERRIDES[key])
         elif key.startswith("problem."):
             config.problem_params[key[len("problem."):]] = raw
-        elif key.startswith("ledger."):
-            config.ledger_overrides[key[len("ledger."):]] = _convert(key, raw, float)
         else:
             unknown.append(key)
     if unknown:
@@ -178,34 +182,24 @@ def estimated_ledger(problem: problems.BuiltinProblem, seed: int) -> ConstantLed
 
 def resolve_ledger(problem: problems.BuiltinProblem,
                    config: ExperimentConfig) -> ConstantLedger:
-    """Shipped or re-estimated ledger with config overrides applied."""
-    if config.estimate_ledger:
-        ledger = estimated_ledger(problem, config.seed)
-    else:
-        ledger = problem.ledger
-    if config.ledger_overrides:
-        values = ledger.as_dict()
-        for key, value in config.ledger_overrides.items():
-            if key not in values:
-                raise ConfigurationError(f"unknown ledger override {key!r}")
-            values[key] = value
-        provenance = dict(ledger.provenance)
-        provenance.update({k: "override" for k in config.ledger_overrides})
-        ledger = ConstantLedger(**values, provenance=provenance)
-    return ledger
+    """Shipped or re-estimated ledger with the config's overrides applied."""
+    ledger = (estimated_ledger(problem, config.seed) if config.estimate_ledger
+              else problem.ledger)
+    return replace(ledger, **config.ledger_overrides, provenance={
+        **ledger.provenance, **dict.fromkeys(config.ledger_overrides, "override")})
 
 
 def resolve_coefficients(ledger: ConstantLedger, config: ExperimentConfig):
-    """(lam, c1, c2) from the config, derived where absent."""
+    """(lam, c1, c2, L_W) from the config, lam and the weights derived where
+    absent; ``constants.lipschitz_W`` rejects a lambda below L_hess_g."""
     lam = config.lam
     if lam is None:
         lam = max(1.05 * constants.lambda_floor(ledger), 1.0)
-    elif lam < ledger.L_hess_g:     # W bounds G from above only from L_hess_g on
-        raise DomainError(f"lambda: {lam} is below L_hess_g = {ledger.L_hess_g:.6g}")
+    _, _, l_w = constants.lipschitz_W(ledger, lam)
     if config.c1 is not None and config.c2 is not None:
-        return lam, config.c1, config.c2
+        return lam, config.c1, config.c2, l_w
     _, _, c1, c2 = constants.descent_coefficients(ledger, lam, config.gamma)
-    return lam, c1, c2
+    return lam, c1, c2, l_w
 
 
 def measure_z0_quantities(problem: problems.BuiltinProblem,
@@ -290,13 +284,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     engine.initial_state(problem.spec, config.init_beta, config.init_theta,
                          "run.")
     ledger = resolve_ledger(problem, config)
-    lam, c1, c2 = resolve_coefficients(ledger, config)
+    lam, c1, c2, l_w = resolve_coefficients(ledger, config)
 
     c_d_sq = sigma_sq = w0 = g_min = None
     alpha = config.alpha
     if alpha is None:
         c_d_sq, sigma_sq, w0, g_min = measure_z0_quantities(problem, config, lam)
-        _, _, l_w = constants.lipschitz_W(ledger, lam)
         alpha = constants.optimal_alpha(l_w, np.sqrt(c_d_sq), np.sqrt(sigma_sq),
                                         w0, g_min)
 

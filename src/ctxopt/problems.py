@@ -234,29 +234,24 @@ def make_linear_outer() -> BuiltinProblem:
 def by_name(name: str, **params) -> BuiltinProblem:
     """Resolve a canonical problem name (BT, LIN, LG, LG(n)) to a fixture.
 
-    ``params`` are the ``problem.*`` config keys without their prefix: LG
-    takes the integers ``n_x`` (default 2, or the n of ``LG(n)``) and
-    ``seed``; BT and LIN take none.
+    LG's context size is the n of ``LG(n)``, 2 for a bare ``LG``.  ``params``
+    are the ``problem.*`` config keys without their prefix: LG takes the
+    integer ``seed``; BT and LIN take none.  Every error names its config key.
     """
     key = name.strip().upper()
-    lg = re.fullmatch(r"LG(?:\((.*)\))?", name.strip(), re.IGNORECASE)
+    lg = re.fullmatch(r"LG(?:\(0*([1-9][0-9]*)\))?", key)
     if key not in ("BT", "LIN") and lg is None:
-        raise ConfigurationError(f"unknown problem name {name!r}")
-    unknown = sorted(set(params) - ({"n_x", "seed"} if lg else set()))
+        raise ConfigurationError(
+            f"problem.name: {name!r} is not BT, LIN, LG or LG(n) with n >= 1")
+    unknown = sorted(set(params) - ({"seed"} if lg else set()))
     if unknown:
         raise ConfigurationError(f"problem.{unknown[0]}: not a parameter of {key}")
     if key == "BT":
         return make_bernoulli_testbed()
     if key == "LIN":
         return make_linear_outer()
-    values = {}
-    for param, raw in [("name", lg[1]), *params.items()]:
-        try:
-            values[param] = raw if raw is None else int(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"problem.{param}: {exc}") from None
-    n_x = values.pop("name")
-    if n_x is not None and values.setdefault("n_x", n_x) != n_x:
-        raise ConfigurationError(
-            f"problem.n_x: {values['n_x']} contradicts problem.name = {name}")
-    return make_linear_gaussian(values.get("n_x", 2), values.get("seed", 0))
+    try:
+        seed = int(params.get("seed", 0))
+    except ValueError as exc:
+        raise ConfigurationError(f"problem.seed: {exc}") from None
+    return make_linear_gaussian(int(lg[1] or 2), seed)

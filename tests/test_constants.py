@@ -74,8 +74,10 @@ def test_lipschitz_W_worked_example():
 
 
 def test_lipschitz_W_requires_lambda_above_hessian_bound():
-    with pytest.raises(DomainError):
-        constants.lipschitz_W(ones_ledger(), 0.5)
+    for lam in (0.5, math.nan):
+        with pytest.raises(DomainError,
+                           match=f"^lambda: {lam} is below L_hess_g = 1$"):
+            constants.lipschitz_W(ones_ledger(), lam)
 
 
 def test_theorem_bound_worked_example():
@@ -107,6 +109,9 @@ def test_ledger_positivity_rules():
         ones_ledger(L_g=0.0)
     with pytest.raises(ConfigurationError):
         ones_ledger(M=-1.0)
+    with pytest.raises(ConfigurationError,
+                       match=r"^ledger entry L_hess_g=-1\.0 must be >= 0$"):
+        ones_ledger(L_hess_g=-1.0)
     # gradient-Lipschitz entries may vanish (linear/affine evaluators)
     ledger = ones_ledger(L_hess_g=0.0, Lbar_grad_f=0.0, Lbar_grad_psi=0.0)
     assert ledger.L_hess_g == 0.0

@@ -97,6 +97,9 @@ BASE_CONFIG = "problem.name = BT\nrun.gamma = 2\nsweep = 4\n"
     ("workers", "many"),
     ("workers", "-3"),
     ("ledger.M", "huge"),
+    ("ledger.L_g", "nan"),
+    ("ledger.M", "0"),
+    ("ledger.L_hess_g", "-1"),
 ])
 def test_parse_config_bad_value_names_the_key(key, value):
     lines = [line for line in BASE_CONFIG.splitlines()
@@ -106,12 +109,47 @@ def test_parse_config_bad_value_names_the_key(key, value):
         harness.parse_config(text)
 
 
+def test_parse_config_accepts_the_overrides_the_ledger_accepts():
+    # a gradient-Lipschitz entry may be zero; M is infinite on an A4 violation
+    config = harness.parse_config(
+        BASE_CONFIG + "ledger.L_hess_g = 0\nledger.M = inf\n")
+    assert config.ledger_overrides == {"L_hess_g": 0.0, "M": math.inf}
+
+
+def test_an_unknown_ledger_key_fails_before_the_estimate(tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the ledger estimate ran before the keys were checked")
+
+    monkeypatch.setattr(harness, "estimated_ledger", no_work)
+    with pytest.raises(ConfigurationError,
+                       match=r"^unknown config keys: \['ledger\.Lg'\]$"):
+        harness.run_experiment(harness.parse_config(
+            SMALL_CONFIG.format(out=tmp_path / "out")
+            + "ledger.estimate = true\nledger.Lg = 1\n"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_ledger_overrides_are_marked_in_the_provenance(tmp_path):
+    result = harness.run_experiment(harness.parse_config(
+        SMALL_CONFIG.format(out=tmp_path / "out") + "ledger.M = 2\n"))
+    ledger = result["ledger"]
+    assert ledger.M == 2.0 and ledger.provenance["M"] == "override"
+    assert ledger.provenance["L_g"] == "analytic"
+
+
 @pytest.mark.parametrize("lines, key", [
-    ("problem.name = LG\nproblem.n_x = abc\n", "problem.n_x"),
+    ("problem.name = LG(abc)\n", "problem.name"),
     ("problem.name = BT\nproblem.colour = blue\n", "problem.colour"),
-    ("problem.name = LG(4)\nproblem.n_x = 3\n", "problem.n_x"),
+    ("problem.name = LG(0)\n", "problem.name"),
     ("problem.name = LG(four)\n", "problem.name"),
-], ids=["not-an-int", "unknown-param", "contradicts-name", "bad-name"])
+    ("problem.name = XYZ\n", "problem.name"),
+    ("problem.name = LG(-2)\n", "problem.name"),
+    ("problem.name = LG()\n", "problem.name"),
+    ("problem.name = LG(2)\nproblem.seed = x\n", "problem.seed"),
+    ("problem.name = LG\nproblem.n_x = 4\n", "problem.n_x"),
+], ids=["not-an-int", "unknown-param", "n-below-one", "bad-name",
+        "unknown-name", "negative-n", "empty-n", "seed-not-an-int",
+        "n_x-is-not-a-parameter"])
 def test_bad_problem_parameter_names_the_key(tmp_path, capsys, lines, key):
     text = SMALL_CONFIG.format(out=tmp_path / "out").replace(
         "problem.name = BT\n", lines)
@@ -181,6 +219,22 @@ def test_lambda_below_the_hessian_bound_is_rejected_before_any_work(
     with pytest.raises(DomainError, match=r"^lambda: 0\.1 is below L_hess_g = 1$"):
         harness.run_experiment(harness.parse_config(text))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alpha", ["auto", "0.05"])
+def test_a_sweep_computes_L_W_once(tmp_path, monkeypatch, alpha):
+    calls = []
+    lipschitz_W = constants.lipschitz_W
+
+    def counted(*args):
+        calls.append(args)
+        return lipschitz_W(*args)
+
+    monkeypatch.setattr(constants, "lipschitz_W", counted)
+    result = harness.run_experiment(harness.parse_config(
+        SMALL_CONFIG.format(out=tmp_path / "out")
+        .replace("run.alpha = 0.05", f"run.alpha = {alpha}")))
+    assert len(calls) == 1 and calls[0][1] == result["lam"]
 
 
 def test_a_bad_task_fails_before_the_pool_starts(tmp_path, monkeypatch):

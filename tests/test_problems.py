@@ -132,8 +132,11 @@ def test_by_name_resolution():
     assert problems.by_name("bt").name == "BT"
     assert problems.by_name("LIN").name == "LIN"
     assert problems.by_name("LG(3)").spec.dim_x == 3
-    assert problems.by_name("LG", n_x=4).spec.dim_beta == 4
-    assert problems.by_name("lg(4)", n_x="4", seed="1").spec.dim_x == 4
+    assert problems.by_name("LG").spec.dim_x == 2
+    assert problems.by_name("LG(4)").spec.dim_beta == 4
+    seeded = problems.by_name("lg(4)", seed="1")
+    assert seeded.spec.dim_x == 4
+    assert np.array_equal(seeded.a, problems.make_linear_gaussian(4, seed=1).a)
     with pytest.raises(ConfigurationError):
         problems.by_name("NOPE")
 
