@@ -11,6 +11,8 @@ Subcommands:
 * ``rate <summary.csv>``: fit the log-log rate line; exit 0 iff the slope
   lies in [-0.65, -0.35], 2 when fewer than 4 N have a finite mean.
 * ``gradcheck <problem>``: finite-difference consistency of all evaluators.
+
+A package error or an unreadable input file prints ``error: ...``, exit 1.
 """
 
 from __future__ import annotations
@@ -91,22 +93,17 @@ def _cmd_gradcheck(args) -> int:
 
     problem = problems.by_name(args.problem)
     rng = seeding.substream(args.seed, seeding.STREAM_GRADCHECK)
-    worst = finite_difference_check(problem.spec, args.probes, rng)
-    status = 0
-    for name, err in worst.items():
-        flag = "ok" if err < 1e-5 else "FAIL"
-        if err >= 1e-5:
-            status = 1
-        print(f"{name:<6} max relative error {err:.3e}  {flag}")
+    # (label, error, tolerance) of each check, printed in order
+    checks = [(f"{name:<6} max relative error", err, 1e-5) for name, err in
+              finite_difference_check(problem.spec, args.probes, rng).items()]
     if problem.spec.has_support and problem.spec.has_oracle:
         betas = [rng.uniform(problem.beta_box[0], problem.beta_box[1],
                              problem.spec.dim_beta) for _ in range(20)]
-        err = oracle_consistency_check(problem.spec, betas)
-        flag = "ok" if err < 1e-10 else "FAIL"
-        if err >= 1e-10:
-            status = 1
-        print(f"oracle max abs error      {err:.3e}  {flag}")
-    return status
+        checks.append(("oracle max abs error     ",
+                       oracle_consistency_check(problem.spec, betas), 1e-10))
+    for label, err, tol in checks:
+        print(f"{label} {err:.3e}  {'ok' if err < tol else 'FAIL'}")
+    return int(any(err >= tol for _, err, tol in checks))
 
 
 def main(argv=None) -> int:
@@ -143,7 +140,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CtxoptError as exc:
+    except (CtxoptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,9 +5,9 @@ psi(x, theta) and g over contexts x.  One context provider serves both
 modes:
 
 * ``"exact"`` takes the support's distinct contexts with their marginal
-  probabilities p_x, grouped once when the problem is built, and averages by
-  a p_x-weighted sum in support order.  It is the default for all
-  verification work; standard errors are zero.
+  probabilities p_x, grouped and stacked once when the problem is built, and
+  averages by a p_x-weighted sum in support order.  It is the default for
+  all verification work; standard errors are zero.
 * ``"mc"`` draws n contexts, one sampler call each, and averages by the
   sample mean with its standard error.  It requires the conditional oracle
   for F, because Q, the Bregman gap, and the expected direction all contain F
@@ -65,9 +65,7 @@ def _contexts(problem: ProblemSpec, mode, n_samples, rng, *states):
     if mode == "exact":
         if not problem.has_support:
             raise CapabilityError("exact mode requires a support enumeration")
-        groups = support_groups(problem)
-        xs = np.array([x for x, _, _ in groups])
-        p_x = [p for _, p, _ in groups]
+        xs, p_x = problem._exact
 
         def average(values):
             total = sum(p * v for p, v in zip(p_x, values))

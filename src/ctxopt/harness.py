@@ -15,7 +15,9 @@ one row to results.csv and its engine wall time to timings.csv; summary.csv
 holds the per-N mean and standard error of V at the random stopping index;
 a JSONL manifest records the config hash, ledger, derived constants, and
 versions.  results.csv and summary.csv are byte-identical across reruns and
-worker counts.
+worker counts.  An exact-mode row also holds ``V_grid``, the mean of V over
+z^k for k = 0, s, 2s, ... < N with s = max(1, N // 1024), which is E[V(z^S)]
+up to the grid under FixedHorizon alone; summary.csv has its per-N mean_V_grid.
 
 A replication whose evaluation fails (an EvaluationError, such as a state
 that overflows) does not stop the sweep: its row has ``status`` set to
@@ -41,15 +43,16 @@ import numpy as np
 
 from . import constants, diagnostics, engine, problems, seeding
 from .constants import ConstantLedger
-from .errors import CapabilityError, ConfigurationError, EvaluationError
+from .errors import CapabilityError, ConfigurationError, DomainError, EvaluationError
 
 RESULT_COLUMNS = ["N", "replication", "seed", "S", "tau_schedule", "alpha",
                   "gamma", "V_at_S", "Q_at_S", "normgradG_at_S", "W_final",
-                  "samples_used", "status"]
+                  "samples_used", "status", "V_grid"]
 TIMING_COLUMNS = ["N", "replication", "wall_ms"]
-SUMMARY_COLUMNS = ["N", "mean_V", "stderr_V", "replications", "excluded"]
+SUMMARY_COLUMNS = ["N", "mean_V", "stderr_V", "replications", "excluded", "mean_V_grid"]
 
 _V_MC_SAMPLES = 10000
+_V_GRID_POINTS = 1024
 _MOMENT_SAMPLES = 20000
 
 
@@ -195,6 +198,8 @@ def resolve_coefficients(ledger: ConstantLedger, config: ExperimentConfig):
     lam = config.lam
     if lam is None:
         lam = max(1.05 * constants.lambda_floor(ledger), 1.0)
+        if not math.isfinite(lam):
+            raise DomainError(f"lambda: M = {ledger.M} leaves no finite default; set lambda")
     _, _, l_w = constants.lipschitz_W(ledger, lam)
     if config.c1 is not None and config.c2 is not None:
         return lam, config.c1, config.c2, l_w
@@ -253,11 +258,13 @@ def _stopped_values(spec, record, seed, lam, c1, c2) -> dict:
     n_iters = len(record.taus)
     s = record.stop_index
     beta_s, theta_s = record.betas[s], record.thetas[s]
-    diag_samples = 0
     if spec.has_support:
-        mode, rng = "exact", None
+        mode, rng, diag_samples = "exact", None, 0
+        grid = slice(0, n_iters, max(1, n_iters // _V_GRID_POINTS))
+        grid_values = {"V_grid": float(np.mean(diagnostics.nonoptimality_V(
+            spec, record.betas[grid], record.thetas[grid], c1, c2)))}
     else:
-        mode = "mc"
+        mode, grid_values = "mc", {}
         rng = seeding.substream(seed, seeding.STREAM_V_EVAL)
         diag_samples = 3 * _V_MC_SAMPLES  # Q and grad G at S, W at z^N
     q, _ = diagnostics.tracking_error_Q(spec, beta_s, theta_s, mode,
@@ -270,7 +277,7 @@ def _stopped_values(spec, record, seed, lam, c1, c2) -> dict:
         "S": s, "V_at_S": v, "Q_at_S": q,
         "normgradG_at_S": float(np.linalg.norm(g)),
         "W_final": w_final, "samples_used": n_iters + diag_samples,
-        "status": "ok",
+        "status": "ok", **grid_values,
     }
 
 
@@ -280,6 +287,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     Returns a dict with the output paths, the per-N summary rows, the
     resolved (ledger, lam, c1, c2, alpha), and the number of diverged rows.
     """
+    out = Path(config.output_dir)
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ConfigurationError(f"output_dir: {nearest} is not a directory")
     problem = problems.by_name(config.problem_name, **config.problem_params)
     engine.initial_state(problem.spec, config.init_beta, config.init_theta,
                          "run.")
@@ -309,7 +320,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         rows = [_run_one(*a) for a in args]
     rows.sort(key=lambda row: (row["N"], row["replication"]))
 
-    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     _write_csv(out / "timings.csv", TIMING_COLUMNS, rows)
@@ -321,8 +331,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
         mean = float(vs.mean()) if len(vs) else math.nan
         stderr = (float(vs.std(ddof=1) / np.sqrt(len(vs))) if len(vs) > 1
                   else 0.0 if len(vs) else math.nan)
+        grid = [row["V_grid"] for row in of_n if "V_grid" in row]
         summary.append({"N": n, "mean_V": mean, "stderr_V": stderr,
-                        "replications": len(vs), "excluded": len(of_n) - len(vs)})
+                        "replications": len(vs), "excluded": len(of_n) - len(vs),
+                        "mean_V_grid": float(np.mean(grid)) if grid else math.nan})
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary)
 
     derived = {"lambda": lam, "c1": c1, "c2": c2, "alpha": alpha}
@@ -365,7 +377,15 @@ def _run_one_star(args):
 
 
 def read_summary(path) -> list:
-    """Load summary.csv rows as (N, mean_V) pairs."""
+    """Load summary.csv rows as (N, mean_V) pairs, naming a bad column."""
     with open(path, newline="") as fh:
-        return [(int(row["N"]), float(row["mean_V"]))
-                for row in csv.DictReader(fh)]
+        rows = list(csv.DictReader(fh))
+    columns = []
+    for name, kind in (("N", int), ("mean_V", float)):
+        try:
+            columns.append([kind(row[name]) for row in rows])
+        except KeyError:
+            raise ConfigurationError(f"{path}: no {name} column") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{path}: column {name}: {exc}") from None
+    return list(zip(*columns))

@@ -73,6 +73,8 @@ class ProblemSpec:
 
     _groups: Optional[list] = field(default=None, init=False, repr=False,
                                     compare=False)
+    # exact mode's contexts: the groups' x stacked (read-only), and their p_x
+    _exact: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("dim_x", "dim_y", "dim_beta", "dim_theta", "dim_f"):
@@ -96,6 +98,9 @@ class ProblemSpec:
                 groups[key][2].append((np.asarray(y, dtype=float), p))
             self._groups = [(x, p_x, [(y, p / p_x) for y, p in pairs])
                             for x, p_x, pairs in groups.values() if p_x > 0]
+            xs = np.array([x for x, _, _ in self._groups])
+            xs.flags.writeable = False
+            self._exact = xs, tuple(p_x for _, p_x, _ in self._groups)
 
     @property
     def has_support(self) -> bool:

@@ -5,13 +5,15 @@ the Lyapunov descent inequality, the one-step recursion, gradient/oracle
 consistency, direction unbiasedness and moment stability, the plain-SGD
 reduction, both stopping laws, and the derived-constant arithmetic.
 
-The rate sweep follows the pinned recipe (BT, gamma=20, fixed horizon,
-alpha from the rate-bound minimizer, N in {2^10, 2^12, 2^14, 2^16}, 30
-replications).  E[V(z^S)] is evaluated by averaging V over an evenly spaced
-grid of trajectory states, which is the conditional expectation of V(z^S)
-over the uniform stopping draw (up to grid discretization) and removes the
-heavy-tailed noise a single S draw per replication would add; the estimand
-is unchanged.  Each replication's grid is one stacked-state V evaluation.
+Criteria 1 and 2 run the sweep that ``ctxopt run`` ships
+(``harness.run_experiment``) on the pinned recipe: BT, gamma=20, fixed
+horizon, ``run.alpha = auto`` (the rate-bound minimizer), the estimated
+ledger, N in {2^10, 2^12, 2^14, 2^16}, 30 replications.  They read E[V(z^S)]
+as summary.csv's ``mean_V_grid``: each replication averages V over an
+evenly spaced grid of trajectory states, which is the conditional
+expectation of V(z^S) over the uniform stopping draw (up to grid
+discretization) and removes the heavy-tailed noise a single S draw per
+replication would add; the estimand is unchanged.
 """
 
 import math
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ctxopt import constants, diagnostics, engine, model, seeding
+from ctxopt import constants, diagnostics, engine, harness, model, seeding
 from ctxopt.engine import RunConfig, Schedule
 
 from conftest import MASTER_SEED
@@ -29,48 +31,34 @@ GAMMA_RUN = 20.0
 SWEEP = [1024, 4096, 16384, 65536]
 REPLICATIONS = 30
 SLOPE_BAND = (-0.65, -0.35)
+# the sweep's per-N mean_V_grid as float.hex, pinned bit for bit
+SWEEP_MEANS_HEX = {1024: "0x1.99025268a0ea9p+0", 4096: "0x1.a12cb93a903dep-1",
+                   16384: "0x1.adf8148e745ffp-2", 65536: "0x1.bcf98440ae7c7p-3"}
 
 
 @pytest.fixture(scope="module")
-def pipeline(bt, bt_estimated_ledger, bt_compliant):
-    """Estimated ledger, compliant weights, measured moments, tuned alpha."""
+def sweep(bt_compliant, tmp_path_factory):
+    """``harness.run_experiment`` on the pinned recipe and compliant weights."""
     d = bt_compliant
-    _, _, l_w = constants.lipschitz_W(bt_estimated_ledger, d.lam)
-    z0 = (np.zeros(1), np.zeros(2))
-    rng = seeding.substream(MASTER_SEED, 7)
-    c_d_sq, sigma_sq = diagnostics.direction_moment_stats(
-        bt.spec, *z0, gamma=GAMMA_RUN, n=20000, rng=rng)
-    _, w0 = diagnostics.bregman_delta_and_W(bt.spec, *z0, lam=d.lam)
-    alpha = constants.optimal_alpha(l_w, math.sqrt(c_d_sq),
-                                    math.sqrt(sigma_sq), w0, bt.g_min)
-    return {"ledger": bt_estimated_ledger, "derived": d, "L_W": l_w,
-            "c_d_sq": c_d_sq, "sigma_sq": sigma_sq, "w0": w0,
-            "g_min": bt.g_min, "alpha": alpha}
+    out = tmp_path_factory.mktemp("sweep") / "out"
+    text = (f"problem.name = BT\nrun.gamma = {GAMMA_RUN}\nrun.alpha = auto\n"
+            f"run.seed = {MASTER_SEED}\nsweep = {','.join(map(str, SWEEP))}\n"
+            f"replications = {REPLICATIONS}\nledger.estimate = true\n"
+            f"lambda = {d.lam!r}\nc1 = {d.c1!r}\nc2 = {d.c2!r}\n"
+            f"workers = 0\noutput_dir = {out}\n")
+    result = harness.run_experiment(harness.parse_config(text))
+    assert result["diverged"] == 0
+    result["means"] = {row["N"]: row["mean_V_grid"]
+                       for row in result["summary_rows"]}
+    return result
 
 
-@pytest.fixture(scope="module")
-def sweep_means(bt, pipeline):
-    """Per-N mean of E[V(z^S)] over the pinned replication sweep."""
-    d = pipeline["derived"]
-    alpha = pipeline["alpha"]
-    means = {}
-    for n in SWEEP:
-        stride = max(1, n // 1024)
-        per_rep = []
-        for r in range(REPLICATIONS):
-            seed = seeding.mix(MASTER_SEED, n, r)
-            record = engine.run(bt.spec, RunConfig(
-                gamma=GAMMA_RUN, alpha=alpha, n_iters=n, seed=seed))
-            grid = slice(0, n, stride)
-            vals = diagnostics.nonoptimality_V(
-                bt.spec, record.betas[grid], record.thetas[grid], d.c1, d.c2)
-            per_rep.append(float(np.mean(vals)))
-        means[n] = float(np.mean(per_rep))
-    return means
+def test_sweep_means_are_the_recorded_values(sweep):
+    assert {n: float.hex(v) for n, v in sweep["means"].items()} == SWEEP_MEANS_HEX
 
 
-def test_criterion_1_rate_reproduction(sweep_means):
-    slope, intercept, r2 = diagnostics.rate_fit(sorted(sweep_means.items()))
+def test_criterion_1_rate_reproduction(sweep):
+    slope, intercept, r2 = diagnostics.rate_fit(sorted(sweep["means"].items()))
     ok = SLOPE_BAND[0] <= slope <= SLOPE_BAND[1] and r2 >= 0.9
     print(f"criterion 1 (rate): slope={slope:.4f} r2={r2:.4f} -> "
           f"{'PASS' if ok else 'FAIL'}")
@@ -78,14 +66,14 @@ def test_criterion_1_rate_reproduction(sweep_means):
     assert r2 >= 0.9
 
 
-def test_criterion_2_theorem_bound_validity(pipeline, sweep_means):
-    c_d = math.sqrt(pipeline["c_d_sq"])
-    sigma = math.sqrt(pipeline["sigma_sq"])
+def test_criterion_2_theorem_bound_validity(sweep):
+    _, _, l_w = constants.lipschitz_W(sweep["ledger"], sweep["lam"])
+    c_d_sq, sigma_sq, w0, g_min = sweep["moments"]
     ok = True
-    for n, mean_v in sorted(sweep_means.items()):
-        bound = constants.theorem_bound(pipeline["L_W"], c_d, sigma,
-                                        pipeline["alpha"], n,
-                                        pipeline["w0"], pipeline["g_min"])
+    for n, mean_v in sorted(sweep["means"].items()):
+        bound = constants.theorem_bound(l_w, math.sqrt(c_d_sq),
+                                        math.sqrt(sigma_sq), sweep["alpha"], n,
+                                        w0, g_min)
         ok = ok and mean_v <= bound
         assert mean_v <= bound, f"N={n}: mean V {mean_v} exceeds bound {bound}"
     print(f"criterion 2 (bound validity): -> {'PASS' if ok else 'FAIL'}")
@@ -105,8 +93,9 @@ def test_criterion_3_descent_inequality(bt, bt_compliant):
     print(f"criterion 3 (descent): worst lhs-rhs={worst:.3e} -> PASS")
 
 
-def test_criterion_4_one_step_recursion(bt, pipeline):
-    d = pipeline["derived"]
+def test_criterion_4_one_step_recursion(bt, bt_estimated_ledger, bt_compliant):
+    d = bt_compliant
+    _, _, l_w = constants.lipschitz_W(bt_estimated_ledger, d.lam)
     tau = 0.01
     n_steps = 10**4
     probe_rng = seeding.substream(MASTER_SEED, 41)
@@ -140,7 +129,7 @@ def test_criterion_4_one_step_recursion(bt, pipeline):
         draws = np.array([w_next[key] for key in zip(xs[:, 0], ys[:, 0])])
         mean_w = draws.mean()
         stderr = draws.std(ddof=1) / math.sqrt(n_steps)
-        rhs = (w - tau * v + 0.5 * pipeline["L_W"] * tau ** 2 * cd2_sig2
+        rhs = (w - tau * v + 0.5 * l_w * tau ** 2 * cd2_sig2
                + 4 * stderr)
         assert mean_w <= rhs, f"probe {i}: {mean_w} > {rhs}"
     print("criterion 4 (one-step recursion): 20 probes -> PASS")

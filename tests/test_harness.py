@@ -221,6 +221,61 @@ def test_lambda_below_the_hessian_bound_is_rejected_before_any_work(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("alpha, weights", [
+    ("0.1", True), ("0.1", False), ("auto", True)])
+def test_an_infinite_default_lambda_is_rejected_before_any_work(
+        tmp_path, monkeypatch, alpha, weights):
+    # ledger.M = inf puts lambda_floor, and so the default lambda, at inf.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before lambda was checked")
+
+    monkeypatch.setattr(harness, "measure_z0_quantities", no_work)
+    monkeypatch.setattr(engine, "run", no_work)
+    text = (SMALL_CONFIG.format(out=tmp_path / "out")
+            .replace("lambda = 1\n", "ledger.M = inf\n")
+            .replace("run.alpha = 0.05", f"run.alpha = {alpha}"))
+    if not weights:
+        text = text.replace("c1 = 2.24\nc2 = 0.21875\n", "")
+    with pytest.raises(DomainError,
+                       match=r"^lambda: M = inf leaves no finite default; set lambda$"):
+        harness.run_experiment(harness.parse_config(text))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("output_dir", ["file", "file/out"])
+def test_an_output_dir_that_cannot_be_a_directory_fails_before_any_work(
+        tmp_path, monkeypatch, output_dir):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before output_dir was checked")
+
+    monkeypatch.setattr(harness.problems, "by_name", no_work)
+    (tmp_path / "file").write_text("kept\n")
+    with pytest.raises(ConfigurationError,
+                       match=f"^output_dir: {re.escape(str(tmp_path / 'file'))} "
+                             "is not a directory$"):
+        harness.run_experiment(harness.parse_config(
+            SMALL_CONFIG.format(out=tmp_path / output_dir)))
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv, content, message", [
+    (["run", "{path}"], None, "No such file or directory"),
+    (["rate", "{path}"], None, "No such file or directory"),
+    (["rate", "{path}"], "M,mean_V\n4,0.5\n", "no N column"),
+    (["rate", "{path}"], "N,mean_V\n4,abc\n", "column mean_V: .*'abc'"),
+], ids=["run-missing-config", "rate-missing-summary", "rate-no-N-column",
+        "rate-bad-mean_V"])
+def test_cli_input_file_errors_name_the_file(tmp_path, capsys, argv, content,
+                                             message):
+    path = tmp_path / "input.csv"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main([arg.format(path=path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert re.search(message, err)
+
+
 @pytest.mark.parametrize("alpha", ["auto", "0.05"])
 def test_a_sweep_computes_L_W_once(tmp_path, monkeypatch, alpha):
     calls = []
@@ -323,6 +378,44 @@ workers = {workers}
     for name in ("results.csv", "summary.csv"):
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "pool" / name).read_bytes()
+
+
+def test_V_grid_is_the_mean_of_V_over_the_trajectory_grid(tmp_path, bt):
+    # N = 2048 strides the grid by 2; N = 4 takes every state before z^N.
+    text = SMALL_CONFIG.replace("sweep = 1", "sweep = 4,2048").replace(
+        "replications = 1", "replications = 2") + "workers = {workers}\n"
+    results = {}
+    for workers in (1, 2):
+        out = tmp_path / str(workers)
+        results[workers] = harness.run_experiment(harness.parse_config(
+            text.format(out=out, workers=workers)))
+    for name in ("results.csv", "summary.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()
+    with open(results[1]["results"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        n = int(row["N"])
+        record = engine.run(bt.spec, engine.RunConfig(
+            gamma=2.0, alpha=0.05, n_iters=n, seed=int(row["seed"])))
+        grid = slice(0, n, max(1, n // 1024))
+        assert float(row["V_grid"]) == float(np.mean(diagnostics.nonoptimality_V(
+            bt.spec, record.betas[grid], record.thetas[grid], 2.24, 0.21875)))
+    for srow in results[1]["summary_rows"]:
+        assert srow["mean_V_grid"] == np.mean(
+            [float(r["V_grid"]) for r in rows if int(r["N"]) == srow["N"]])
+
+
+def test_V_grid_is_empty_in_monte_carlo_mode(tmp_path):
+    result = harness.run_experiment(harness.parse_config(
+        "problem.name = LG(2)\nrun.gamma = 1\nrun.alpha = 0.5\nsweep = 4\n"
+        f"lambda = 3\nc1 = 1\nc2 = 1\nworkers = 1\noutput_dir = {tmp_path}\n"))
+    with open(result["results"], newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    with open(result["summary"], newline="") as fh:
+        (srow,) = csv.DictReader(fh)
+    assert row["status"] == "ok" and row["V_grid"] == ""
+    assert srow["mean_V_grid"] == "nan"
 
 
 def test_timings_csv_holds_the_wall_times(tmp_path):
@@ -534,7 +627,7 @@ def test_diverged_replications_are_recorded_not_fatal(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [row["status"] for row in rows] == ["ok"] * 5 + [
         "diverged@15", "diverged@13", "diverged@15"]
-    assert all(row["V_at_S"] == row["S"] == "" for row in rows[5:])
+    assert all(row["V_at_S"] == row["S"] == row["V_grid"] == "" for row in rows[5:])
     with open(out / "summary.csv", newline="") as fh:
         summary = list(csv.DictReader(fh))
     for srow, kept, excluded in zip(summary, (rows[:4], rows[4:5]), (0, 3)):
