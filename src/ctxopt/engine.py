@@ -11,8 +11,10 @@ pulling the model parameters theta toward the observed inner values:
 
 ``run`` draws the N pairs from the trajectory substream before the first
 step, in the order N single draws would take them, and step k uses pair k.
-``compute_direction`` is the one place the direction is formed; the loop
-only adds tau_k times it.
+``_direction`` is the one place the direction is formed, from one call each
+of inner, model and outer: ``model._validated`` checks the outputs of inner
+and model before outer runs, then outer's.  The loop adds tau_k times it to
+checked inputs; ``compute_direction`` checks its inputs and calls it.
 
 The reported iterate is drawn at a random stopping index: uniform over
 {0..N-1} for the fixed-horizon schedule tau_k = alpha/sqrt(N), proportional
@@ -30,14 +32,8 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigurationError, EvaluationError
-from .model import (
-    ProblemSpec,
-    _matvec,
-    evaluate_inner,
-    evaluate_model,
-    evaluate_outer,
-    sample_stack,
-)
+from .model import (ProblemSpec, _is_count, _lead, _matvec, _validated,
+                    sample_stack)
 
 Array = np.ndarray
 
@@ -67,8 +63,9 @@ class RunConfig:
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigurationError(
                     f"{name} must be positive and finite, got {value!r}")
-        if self.n_iters < 1:
-            raise ConfigurationError("n_iters must be >= 1")
+        if not _is_count(self.n_iters):
+            raise ConfigurationError(
+                f"n_iters must be a positive integer, got {self.n_iters!r}")
         for name in ("init_beta", "init_theta"):
             value = getattr(self, name)
             if (value is not None
@@ -109,18 +106,23 @@ def initial_state(problem: ProblemSpec, init_beta=None, init_theta=None,
 
 def compute_direction(problem: ProblemSpec, beta: Array, theta: Array,
                       sample: tuple, gamma: float) -> tuple:
-    """Stochastic direction (d_beta, d_theta) at (beta, theta) from one sample.
-
-    ``sample`` is (x, y), or a stack of samples with leading batch axes.
-    Performs exactly one evaluation each of the inner function, the model,
-    and the outer function.
-    """
+    """Stochastic direction (d_beta, d_theta) at (beta, theta) from ``sample``,
+    an (x, y) pair or a stack of pairs with leading batch axes."""
     if not 0 < gamma < math.inf:
         raise ConfigurationError(f"gamma must be positive and finite, got {gamma!r}")
-    x, y = sample
-    f_value, f_grad = evaluate_inner(problem, x, y, beta)
-    psi_value, psi_grad = evaluate_model(problem, x, theta)
-    _, g_grad, _ = evaluate_outer(problem, psi_value)
+    x, y, beta, theta = map(np.asarray, (*sample, beta, theta))
+    return _direction(problem, beta, theta, x, y, gamma,
+                      _lead("compute_direction", problem, x, y, beta, problem.dim_beta),
+                      _lead("compute_direction", problem, x, None, theta, problem.dim_theta))
+
+
+def _direction(problem, beta, theta, x, y, gamma, lead, psi_lead):
+    # inner's outputs lead with ``lead``, the model's and outer's with ``psi_lead``
+    f_value, f_grad, psi_value, psi_grad = _validated(
+        problem, ("inner", lead, (x, y, beta), problem.inner(x, y, beta)),
+        ("model", psi_lead, (x, theta), problem.model(x, theta)))
+    _, g_grad, _ = _validated(
+        problem, ("outer", psi_lead, psi_value, problem.outer(psi_value)))
     return (-_matvec(f_grad, g_grad),
             gamma * _matvec(psi_grad, f_value - psi_value))
 
@@ -162,8 +164,8 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunRecord:
 
     for k, tau in enumerate(taus.tolist()):
         try:
-            d_beta, d_theta = compute_direction(
-                problem, beta, theta, (xs[k], ys[k]), config.gamma)
+            d_beta, d_theta = _direction(
+                problem, beta, theta, xs[k], ys[k], config.gamma, (), ())
         except EvaluationError as exc:
             raise EvaluationError(
                 f"evaluation failed at iteration {k}: {exc}",

@@ -19,6 +19,9 @@ evaluator that handles one sample or one state at a time fails their output
 shape checks with a ConfigurationError.  The sampler makes one draw per
 call; ``sample_stack`` is the one place that draws samples, n sampler calls
 stacked into (n, dim) arrays with the shape of every draw checked.
+``_validated`` is the one check of evaluator outputs, for shape and for
+finiteness: ``evaluate_*`` and ``conditional_oracle`` check their inputs and
+pass their outputs to it, and each ``engine`` step passes it all of its own.
 
 Gradient matrices follow the transpose-of-Jacobian convention throughout:
 an evaluator differentiated with respect to a parameter vector of length p
@@ -37,6 +40,11 @@ import numpy as np
 from .errors import CapabilityError, ConfigurationError, EvaluationError
 
 Array = np.ndarray
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is a positive int or numpy integer, and not True."""
+    return isinstance(value, (int, np.integer)) and value is not True and value >= 1
 
 
 @dataclass
@@ -78,7 +86,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         for name in ("dim_x", "dim_y", "dim_beta", "dim_theta", "dim_f"):
-            if getattr(self, name) < 1:
+            if not _is_count(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be a positive integer")
         if self.support is not None:
             total = sum(p for _, _, p in self.support)
@@ -111,39 +119,73 @@ class ProblemSpec:
         return self.conditional_oracle is not None
 
 
-def _all_finite(*values: Array) -> bool:
-    # A sum of squares is non-finite whenever an entry is NaN or +-inf, so
-    # one test covers every output of an evaluator call.
-    total = 0.0
-    for value in values:
-        total += np.vdot(value, value)
-    return math.isfinite(total)
+# Each evaluator's outputs in order: (name in a shape error, in a non-finite one)
+_OUTPUTS = {
+    "inner": (("f_value", "inner"), ("f_grad_beta", "inner gradient")),
+    "model": (("psi_value", "model"), ("psi_grad_theta", "model gradient")),
+    "outer": (("g_value", "outer value"), ("g_grad", "outer gradient"),
+              ("g_hess", "outer hessian")),
+    "conditional oracle": (("F_value", "conditional oracle"),
+                           ("F_grad_beta", "conditional oracle gradient")),
+}
 
 
-def _check_finite(name: str, value: Array, inputs) -> None:
-    # Run only when _all_finite fails (or when a sum of squares overflows).
-    if not np.isfinite(value).all():
-        raise EvaluationError(
-            f"{name} produced a non-finite output {value!r} at input {inputs!r}",
-            offending_input=inputs,
-        )
+def _output_shapes(problem: ProblemSpec, evaluator: str, lead: tuple) -> list:
+    f = problem.dim_f
+    if evaluator == "outer":
+        return [lead, lead + (f,), lead + (f, f)]
+    width = problem.dim_theta if evaluator == "model" else problem.dim_beta
+    return [lead + (f,), lead + (width, f)]
 
 
-def _check_shape(name: str, value: Array, shape: tuple) -> None:
-    if value.shape != shape:
-        raise ConfigurationError(
-            f"{name} has shape {value.shape}, expected {shape}"
-        )
+def _validated(problem: ProblemSpec, *calls) -> tuple:
+    """The outputs of evaluator calls as float arrays: the one output check.
 
-
-def _state_lead(caller: str, lead: tuple, state: Array, dim: int) -> tuple:
-    """The context ``lead`` broadcast with the batch axes of a stacked state.
-
-    Called only when ``state`` is not a single vector of length ``dim``, so
-    an unbatched call pays no broadcast.
+    Each call is ``(evaluator, lead, inputs, outputs)``: a key of
+    ``_OUTPUTS``, the outputs' batch shape, the inputs an EvaluationError
+    names, and what the evaluator returned.  One shape comparison and one
+    finiteness test cover all outputs; only if either fails is each call
+    checked, shapes before finiteness, to name the first bad output.  The
+    finiteness test is on the sum of squares, which is non-finite whenever
+    an entry is NaN or +-inf; a finite output whose sum overflows passes.
     """
-    if state.ndim < 2 or state.shape[-1] != dim:
+    values, actual, shapes, total = [], [], [], 0.0
+    for evaluator, lead, _, outputs in calls:
+        shapes += _output_shapes(problem, evaluator, lead)
+        for value in outputs:
+            value = np.asarray(value, dtype=float)
+            values.append(value)
+            actual.append(value.shape)
+            total += np.vdot(value, value)
+    if actual == shapes and math.isfinite(total):
+        return tuple(values)
+    for evaluator, lead, inputs, outputs in calls:
+        # strict: a wrong number of outputs fails as an unpacking would
+        own = list(zip(_OUTPUTS[evaluator], (np.asarray(v, dtype=float) for v in outputs),
+                       _output_shapes(problem, evaluator, lead), strict=True))
+        for (name, _), value, shape in own:
+            if value.shape != shape:
+                raise ConfigurationError(f"{name} has shape {value.shape}, expected {shape}")
+        for (_, label), value, _ in own:
+            if not np.isfinite(value).all():
+                raise EvaluationError(
+                    f"outer value non-finite at u={inputs!r}"
+                    if label == "outer value" else f"{label} produced a "
+                    f"non-finite output {value!r} at input {inputs!r}",
+                    offending_input=inputs)
+    return tuple(values)
+
+
+def _lead(caller, problem, x, y, state, dim) -> tuple:
+    """The outputs' batch shape: the contexts' (``x``, and ``y`` if given),
+    broadcast with the batch axes of a stacked ``state`` of width ``dim``."""
+    lead = x.shape[:-1]
+    if (x.shape != lead + (problem.dim_x,)
+            or y is not None and y.shape != lead + (problem.dim_y,)
+            or state.shape != (dim,) and (state.ndim < 2 or state.shape[-1] != dim)):
         raise ConfigurationError(f"{caller}: input dimensions do not match problem")
+    if state.shape == (dim,):
+        return lead
     try:
         return np.broadcast_shapes(lead, state.shape[:-1])
     except ValueError:
@@ -173,20 +215,8 @@ def _matvec(matrix: Array, vector: Array) -> Array:
 def evaluate_inner(problem: ProblemSpec, x: Array, y: Array, beta: Array):
     """Evaluate f(x, y, beta) and its beta-gradient (dim_beta x dim_f)."""
     x, y, beta = np.asarray(x), np.asarray(y), np.asarray(beta)
-    lead = x.shape[:-1]
-    if x.shape != lead + (problem.dim_x,) or y.shape != lead + (problem.dim_y,):
-        raise ConfigurationError("evaluate_inner: input dimensions do not match problem")
-    if beta.shape != (problem.dim_beta,):
-        lead = _state_lead("evaluate_inner", lead, beta, problem.dim_beta)
-    f_value, f_grad = problem.inner(x, y, beta)
-    f_value = np.asarray(f_value, dtype=float)
-    f_grad = np.asarray(f_grad, dtype=float)
-    _check_shape("f_value", f_value, lead + (problem.dim_f,))
-    _check_shape("f_grad_beta", f_grad, lead + (problem.dim_beta, problem.dim_f))
-    if not _all_finite(f_value, f_grad):
-        _check_finite("inner", f_value, (x, y, beta))
-        _check_finite("inner gradient", f_grad, (x, y, beta))
-    return f_value, f_grad
+    lead = _lead("evaluate_inner", problem, x, y, beta, problem.dim_beta)
+    return _validated(problem, ("inner", lead, (x, y, beta), problem.inner(x, y, beta)))
 
 
 def evaluate_outer(problem: ProblemSpec, u: Array):
@@ -195,38 +225,15 @@ def evaluate_outer(problem: ProblemSpec, u: Array):
     lead = u.shape[:-1]
     if u.shape != lead + (problem.dim_f,):
         raise ConfigurationError("evaluate_outer: input dimensions do not match problem")
-    g_value, g_grad, g_hess = problem.outer(u)
-    g_value = np.asarray(g_value, dtype=float)
-    g_grad = np.asarray(g_grad, dtype=float)
-    g_hess = np.asarray(g_hess, dtype=float)
-    _check_shape("g_value", g_value, lead)
-    _check_shape("g_grad", g_grad, lead + (problem.dim_f,))
-    _check_shape("g_hess", g_hess, lead + (problem.dim_f, problem.dim_f))
-    if not _all_finite(g_value, g_grad, g_hess):
-        if not np.isfinite(g_value).all():
-            raise EvaluationError(f"outer value non-finite at u={u!r}", offending_input=u)
-        _check_finite("outer gradient", g_grad, u)
-        _check_finite("outer hessian", g_hess, u)
+    g_value, g_grad, g_hess = _validated(problem, ("outer", lead, u, problem.outer(u)))
     return g_value[()], g_grad, g_hess
 
 
 def evaluate_model(problem: ProblemSpec, x: Array, theta: Array):
     """Evaluate psi(x, theta) and its theta-gradient (dim_theta x dim_f)."""
     x, theta = np.asarray(x), np.asarray(theta)
-    lead = x.shape[:-1]
-    if x.shape != lead + (problem.dim_x,):
-        raise ConfigurationError("evaluate_model: input dimensions do not match problem")
-    if theta.shape != (problem.dim_theta,):
-        lead = _state_lead("evaluate_model", lead, theta, problem.dim_theta)
-    psi_value, psi_grad = problem.model(x, theta)
-    psi_value = np.asarray(psi_value, dtype=float)
-    psi_grad = np.asarray(psi_grad, dtype=float)
-    _check_shape("psi_value", psi_value, lead + (problem.dim_f,))
-    _check_shape("psi_grad_theta", psi_grad, lead + (problem.dim_theta, problem.dim_f))
-    if not _all_finite(psi_value, psi_grad):
-        _check_finite("model", psi_value, (x, theta))
-        _check_finite("model gradient", psi_grad, (x, theta))
-    return psi_value, psi_grad
+    lead = _lead("evaluate_model", problem, x, None, theta, problem.dim_theta)
+    return _validated(problem, ("model", lead, (x, theta), problem.model(x, theta)))
 
 
 def sample_stack(problem: ProblemSpec, n: int, rng: np.random.Generator):
@@ -250,20 +257,9 @@ def conditional_oracle(problem: ProblemSpec, x: Array, beta: Array):
     if problem.conditional_oracle is None:
         raise CapabilityError("problem has no conditional oracle")
     x, beta = np.asarray(x), np.asarray(beta)
-    lead = x.shape[:-1]
-    if x.shape != lead + (problem.dim_x,):
-        raise ConfigurationError("conditional_oracle: input dimensions do not match problem")
-    if beta.shape != (problem.dim_beta,):
-        lead = _state_lead("conditional_oracle", lead, beta, problem.dim_beta)
-    F_value, F_grad = problem.conditional_oracle(x, beta)
-    F_value = np.asarray(F_value, dtype=float)
-    F_grad = np.asarray(F_grad, dtype=float)
-    _check_shape("F_value", F_value, lead + (problem.dim_f,))
-    _check_shape("F_grad_beta", F_grad, lead + (problem.dim_beta, problem.dim_f))
-    if not _all_finite(F_value, F_grad):
-        _check_finite("conditional oracle", F_value, (x, beta))
-        _check_finite("conditional oracle gradient", F_grad, (x, beta))
-    return F_value, F_grad
+    lead = _lead("conditional_oracle", problem, x, None, beta, problem.dim_beta)
+    return _validated(problem, ("conditional oracle", lead, (x, beta),
+                                problem.conditional_oracle(x, beta)))
 
 
 def support_groups(problem: ProblemSpec):

@@ -64,48 +64,66 @@ def test_stepsizes_equal_stepsize_bitwise():
             [0.37 / math.sqrt(k + 1) for k in range(n)]
 
 
-def test_nonfinite_inner_names_the_iteration(bt):
-    spec = bt.spec
-    calls = []
+# Each of the seven outputs of a step, by (evaluator, output): the text of
+# its non-finite error, the offending input, and the text of its shape error.
+# The outer value and Hessian feed no direction, and are checked all the same.
+_XYB = "(array([0.]), array([1.]), array([0.]))"
+_XT = "(array([0.]), array([0.02236068, 0.02236068]))"
+_U = "array([0.02236068])"
+BAD_STEP_OUTPUTS = {
+    ("inner", 0): (f"inner produced a non-finite output array([nan]) at input {_XYB}",
+                   _XYB, "f_value has shape (7,), expected (1,)"),
+    ("inner", 1): ("inner gradient produced a non-finite output array([[nan]]) "
+                   f"at input {_XYB}", _XYB,
+                   "f_grad_beta has shape (7,), expected (1, 1)"),
+    ("model", 0): (f"model produced a non-finite output array([nan]) at input {_XT}",
+                   _XT, "psi_value has shape (7,), expected (1,)"),
+    ("model", 1): ("model gradient produced a non-finite output array([[nan],\n"
+                   f"       [nan]]) at input {_XT}", _XT,
+                   "psi_grad_theta has shape (7,), expected (2, 1)"),
+    ("outer", 0): (f"outer value non-finite at u={_U}", _U,
+                   "g_value has shape (7,), expected ()"),
+    ("outer", 1): (f"outer gradient produced a non-finite output array([nan]) "
+                   f"at input {_U}", _U, "g_grad has shape (7,), expected (1,)"),
+    ("outer", 2): (f"outer hessian produced a non-finite output array([[nan]]) "
+                   f"at input {_U}", _U, "g_hess has shape (7,), expected (1, 1)"),
+}
 
-    def inner(x, y, beta):
-        calls.append(None)
-        if len(calls) == 6:
-            return np.array([np.nan]), np.array([[0.0]])
-        return spec.inner(x, y, beta)
 
-    broken = dataclasses.replace(spec, inner=inner)
-    with pytest.raises(EvaluationError) as exc:
-        engine.run(broken, RunConfig(gamma=1.0, alpha=0.1, n_iters=20, seed=2))
-    assert "evaluation failed at iteration 5: inner produced a non-finite" \
-        in str(exc.value)
-    x, y, beta = exc.value.offending_input
-    assert len(x) == len(y) == len(beta) == 1
+@pytest.mark.parametrize("bad", ["nan", "shape"])
+@pytest.mark.parametrize("evaluator, output", sorted(BAD_STEP_OUTPUTS))
+def test_a_bad_step_output_is_named(bt, evaluator, output, bad):
+    # The output is made NaN or misshapen at the ninth call of its
+    # evaluator, iteration 8 of the run.
+    calls = {"inner": 0, "model": 0, "outer": 0}
 
+    def counted(name):
+        def wrapped(*args):
+            calls[name] += 1
+            outputs = list(getattr(bt.spec, name)(*args))
+            if name == evaluator and calls[name] == 9:
+                outputs[output] = (outputs[output] * np.nan if bad == "nan"
+                                   else np.zeros(7))
+            return tuple(outputs)
+        return wrapped
 
-@pytest.mark.parametrize("output, message", [
-    (0, "outer value non-finite"),
-    (2, "outer hessian produced a non-finite"),
-])
-def test_nonfinite_outer_names_the_iteration(bt, output, message):
-    # The outer value and Hessian feed no direction; the step's one
-    # finiteness test covers them directly.
-    spec = bt.spec
-    calls = []
-
-    def outer(u):
-        calls.append(None)
-        outputs = list(spec.outer(u))
-        if len(calls) == 9:
-            outputs[output] = outputs[output] * np.inf
-        return tuple(outputs)
-
-    broken = dataclasses.replace(spec, outer=outer)
-    with pytest.raises(EvaluationError) as exc:
-        engine.run(broken, RunConfig(gamma=1.0, alpha=0.1, n_iters=20, seed=2))
-    assert f"evaluation failed at iteration 8: {message}" in str(exc.value)
-    assert exc.value.offending_input.shape == (1,)
-    assert len(calls) == 9
+    spec = dataclasses.replace(bt.spec, **{name: counted(name) for name in calls})
+    with pytest.raises((ConfigurationError, EvaluationError)) as exc:
+        engine.run(spec, RunConfig(gamma=1.0, alpha=0.1, n_iters=20, seed=2))
+    nan_text, offending, shape_text = BAD_STEP_OUTPUTS[evaluator, output]
+    if bad == "nan":
+        assert type(exc.value) is EvaluationError
+        assert str(exc.value) == f"evaluation failed at iteration 8: {nan_text}"
+        assert exc.value.iteration == 8
+        assert repr(exc.value.offending_input) == offending
+    else:
+        assert type(exc.value) is ConfigurationError
+        assert str(exc.value) == shape_text
+    # the failure is named from the outputs at hand: no evaluator runs again
+    assert calls[evaluator] == 9
+    # and outer never sees a psi that the checks reject
+    if evaluator == "model":
+        assert calls["outer"] == 8
 
 
 def test_stacked_samples_give_per_sample_directions(bt):
@@ -135,6 +153,9 @@ def test_run_is_bitwise_deterministic(bt):
     assert np.array_equal(a.betas, b.betas)
     assert np.array_equal(a.thetas, b.thetas)
     assert a.stop_index == b.stop_index
+    # a numpy integer N runs the same
+    c = engine.run(bt.spec, dataclasses.replace(cfg, n_iters=np.int64(64)))
+    assert np.array_equal(a.betas, c.betas) and a.stop_index == c.stop_index
 
 
 def test_run_consumes_exactly_one_sample_per_iteration(bt):
@@ -164,6 +185,7 @@ def test_run_rejects_bad_config(bt):
     ("gamma", float("nan")), ("gamma", float("inf")),
     ("alpha", float("nan")), ("alpha", float("inf")),
     ("init_beta", [float("nan")]), ("init_theta", [0.0, float("inf")]),
+    ("n_iters", 2.5), ("n_iters", "8"), ("n_iters", True),
 ])
 def test_run_config_rejects_non_finite_values(field, value):
     kwargs = dict(gamma=1.0, alpha=0.1, n_iters=8)

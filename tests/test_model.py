@@ -35,6 +35,10 @@ def test_dimension_mismatch_rejected(bt):
         model.evaluate_outer(bt.spec, np.array([0.0, 0.0]))
     with pytest.raises(ConfigurationError):
         model.evaluate_model(bt.spec, np.array([0.0]), np.array([0.0]))
+    for dim_x in (1.5, "1", True, 0):
+        with pytest.raises(ConfigurationError, match="^dim_x must be a positive integer"):
+            dataclasses.replace(bt.spec, dim_x=dim_x)
+    assert dataclasses.replace(bt.spec, dim_x=np.int64(1)).dim_x == 1
 
 
 def test_support_probabilities_must_sum_to_one(bt):

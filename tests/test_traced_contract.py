@@ -4,7 +4,9 @@
 case runs ``ctxopt run`` under it in a fresh interpreter.  The spans then go
 through ``benchmarks/run.layer_metrics``, and the test asserts what
 ``run.traced_metrics`` asserts of a traced round: one sampler call per engine
-iteration, and one ``harness._run_one`` task per results row.  A change to
+iteration, and one ``harness._run_one`` task per results row.  It also
+asserts one call each of the sampler, the inner function, the model and the
+outer function per iteration.  A change to
 that contract changes this test with it.
 """
 
@@ -58,6 +60,9 @@ def test_traced_run_keeps_one_sampler_call_per_iteration(tmp_path, name):
     assert metrics["code"] == 0
     assert metrics["sampler_calls"] == metrics["engine.iters"] == \
         replications * sum(sweep)
+    # the metric counts the sampler with the evaluators: each runs once per
+    # iteration, none of them twice
+    assert metrics["model.evaluator_calls"] == 4 * metrics["engine.iters"]
     assert metrics["harness.tasks"] == rows
     if mode == "exact":
         assert metrics["diagnostics.exact_points"] == rows
