@@ -4,10 +4,10 @@ Every diagnostic averages a per-context expression in F(x, beta),
 psi(x, theta) and g over contexts x.  One context provider serves both
 modes:
 
-* ``"exact"`` takes the support's distinct contexts with their marginal
-  probabilities p_x, grouped and stacked once when the problem is built, and
-  averages by a p_x-weighted sum in support order.  It is the default for
-  all verification work; standard errors are zero.
+* ``"exact"`` takes the distinct contexts and their marginal probabilities
+  p_x from the support table that ``ProblemSpec`` builds once, and averages
+  by a p_x-weighted sum in support order.  It is the default for all
+  verification work; standard errors are zero.
 * ``"mc"`` draws n contexts, one sampler call each, and averages by the
   sample mean with its standard error.  It requires the conditional oracle
   for F, because Q, the Bregman gap, and the expected direction all contain F
@@ -16,10 +16,9 @@ modes:
   point of the method is that conditional sampling is infeasible.
 
 Each diagnostic calls each evaluator it needs once, over all the contexts
-(see the evaluator contract in ``ctxopt.model``), with one exception: F
-comes from the conditional oracle when the problem has one, and otherwise
-from enumerating the support's conditional laws, one ``evaluate_inner``
-call per support atom.
+(see the evaluator contract in ``ctxopt.model``).  F comes from the
+conditional oracle when the problem has one, and otherwise from one
+``evaluate_inner`` call over all support atoms (``model._support_F``).
 
 The diagnostics also take stacks of states: ``beta`` of shape
 (S, dim_beta) and ``theta`` of shape (S, dim_theta), or any batch shape
@@ -44,13 +43,13 @@ from .errors import CapabilityError, ConfigurationError
 from .model import (
     ProblemSpec,
     _dot,
+    _is_count,
     _matvec,
+    _support_F,
     conditional_oracle,
-    enumerate_conditional,
     evaluate_model,
     evaluate_outer,
     sample_stack,
-    support_groups,
 )
 
 
@@ -65,7 +64,7 @@ def _contexts(problem: ProblemSpec, mode, n_samples, rng, *states):
     if mode == "exact":
         if not problem.has_support:
             raise CapabilityError("exact mode requires a support enumeration")
-        xs, p_x = problem._exact
+        xs, p_x = problem._exact[:2]
 
         def average(values):
             total = sum(p * v for p, v in zip(p_x, values))
@@ -75,8 +74,9 @@ def _contexts(problem: ProblemSpec, mode, n_samples, rng, *states):
             raise CapabilityError("Monte Carlo diagnostics require a conditional oracle for F")
         if rng is None:
             raise ConfigurationError("Monte Carlo mode needs an rng")
-        if n_samples < 1:
-            raise ConfigurationError("n_samples must be positive")
+        if not _is_count(n_samples):
+            raise ConfigurationError(
+                f"n_samples must be a positive integer, got {n_samples!r}")
         xs, average = sample_stack(problem, n_samples, rng)[0], _mean_stderr
     else:
         raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
@@ -87,15 +87,11 @@ def _contexts(problem: ProblemSpec, mode, n_samples, rng, *states):
 
 
 def _F(problem: ProblemSpec, xs, beta):
-    """F(x, beta) and its beta-gradient at every context of ``xs``.
-
-    Without a conditional oracle the contexts are the support groups.
-    """
+    """F(x, beta) and its beta-gradient at every context of ``xs``: the
+    conditional oracle's, else the support's enumeration at its contexts."""
     if problem.has_oracle:
         return conditional_oracle(problem, xs, beta)
-    F, F_grad = zip(*(enumerate_conditional(problem, x, beta, cond)
-                      for x, _, cond in support_groups(problem)))
-    return np.array(F), np.array(F_grad)
+    return _support_F(problem, beta)
 
 
 def _float(value):
@@ -222,8 +218,9 @@ def direction_moment_stats(problem: ProblemSpec, beta, theta, gamma,
     plus the variance about the mean (estimating sigma^2).  The n samples
     go through one ``compute_direction`` call.
     """
-    if n < 1000:
-        raise ConfigurationError("direction_moment_stats needs n >= 1000")
+    if not (_is_count(n) and n >= 1000):
+        raise ConfigurationError(
+            f"direction_moment_stats needs an integer n >= 1000, got {n!r}")
     d = compute_direction(problem, np.asarray(beta, float),
                           np.asarray(theta, float), sample_stack(problem, n, rng),
                           gamma)

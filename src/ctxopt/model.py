@@ -6,6 +6,11 @@ with a sampler for the joint law of (X, Y).  Problems over a finite sample
 space may additionally carry an explicit support enumeration, which powers
 exact (enumeration-based) diagnostics; a conditional oracle for
 F(x, beta) = E[f(x, Y, beta) | X = x] powers Monte Carlo diagnostics.
+The support is checked atom by atom and stacked once, when the problem is
+built, into one table: the distinct contexts with their marginals p_x, and
+every atom in context order with its p(y|x).  Without an oracle,
+``_support_F`` forms F at those contexts from one ``evaluate_inner`` call
+over all atoms.
 
 Evaluator contract: every argument may lead with batch axes.  The context
 arguments (``x`` and ``y`` of the inner function, ``x`` of the model and of
@@ -22,6 +27,8 @@ stacked into (n, dim) arrays with the shape of every draw checked.
 ``_validated`` is the one check of evaluator outputs, for shape and for
 finiteness: ``evaluate_*`` and ``conditional_oracle`` check their inputs and
 pass their outputs to it, and each ``engine`` step passes it all of its own.
+A wrong number of outputs fails it with a ConfigurationError naming the
+evaluator.
 
 Gradient matrices follow the transpose-of-Jacobian convention throughout:
 an evaluator differentiated with respect to a parameter vector of length p
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -79,9 +87,10 @@ class ProblemSpec:
     conditional_oracle: Optional[Callable[[Array, Array], tuple]] = None
     support: Optional[Sequence[tuple]] = None
 
-    _groups: Optional[list] = field(default=None, init=False, repr=False,
-                                    compare=False)
-    # exact mode's contexts: the groups' x stacked (read-only), and their p_x
+    # The support table: the distinct contexts xs and their p_x; then, used
+    # only inside ``model``, every atom's x and y stacked in context order,
+    # each atom's p(y|x), and each context's number of atoms.  All of its
+    # arrays are read-only.
     _exact: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,26 +98,34 @@ class ProblemSpec:
             if not _is_count(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be a positive integer")
         if self.support is not None:
+            groups: dict = {}
+            for i, (x, y, p) in enumerate(self.support):
+                x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+                for name, value, dim in (("x", x, self.dim_x), ("y", y, self.dim_y)):
+                    if value.shape != (dim,):
+                        raise ConfigurationError(f"support atom {i}: {name} of shape "
+                                                 f"{value.shape}, expected {(dim,)}")
+                # written so that a NaN probability fails too
+                if not 0 <= p < math.inf:
+                    raise ConfigurationError(
+                        f"support atom {i}: probability {p!r}, expected finite and >= 0")
+                group = groups.setdefault(x.tobytes(), [x, 0.0, []])
+                group[1] += p
+                group[2].append((y, p))
             total = sum(p for _, _, p in self.support)
-            if any(p < 0 for _, _, p in self.support):
-                raise ConfigurationError("support probabilities must be nonnegative")
             if abs(total - 1.0) > 1e-12:
                 raise ConfigurationError(
-                    f"support probabilities sum to {total!r}, expected 1"
-                )
-            groups: dict = {}
-            for x, y, p in self.support:
-                x = np.asarray(x, dtype=float)
-                key = x.tobytes()
-                if key not in groups:
-                    groups[key] = [x, 0.0, []]
-                groups[key][1] += p
-                groups[key][2].append((np.asarray(y, dtype=float), p))
-            self._groups = [(x, p_x, [(y, p / p_x) for y, p in pairs])
-                            for x, p_x, pairs in groups.values() if p_x > 0]
-            xs = np.array([x for x, _, _ in self._groups])
-            xs.flags.writeable = False
-            self._exact = xs, tuple(p_x for _, p_x, _ in self._groups)
+                    f"support probabilities sum to {total!r}, expected 1")
+            groups = [group for group in groups.values() if group[1] > 0]
+            xs = np.array([x for x, _, _ in groups])
+            counts = tuple(len(atoms) for _, _, atoms in groups)
+            x_atoms = np.repeat(xs, counts, axis=0)
+            y_atoms = np.array([y for _, _, atoms in groups for y, _ in atoms])
+            for array in (xs, x_atoms, y_atoms):
+                array.flags.writeable = False
+            self._exact = (xs, tuple(p_x for _, p_x, _ in groups), x_atoms, y_atoms,
+                           tuple(p / p_x for _, p_x, atoms in groups for _, p in atoms),
+                           counts)
 
     @property
     def has_support(self) -> bool:
@@ -160,9 +177,11 @@ def _validated(problem: ProblemSpec, *calls) -> tuple:
     if actual == shapes and math.isfinite(total):
         return tuple(values)
     for evaluator, lead, inputs, outputs in calls:
-        # strict: a wrong number of outputs fails as an unpacking would
+        if len(outputs) != len(_OUTPUTS[evaluator]):
+            raise ConfigurationError(f"{evaluator} returned {len(outputs)} outputs, "
+                                     f"expected {len(_OUTPUTS[evaluator])}")
         own = list(zip(_OUTPUTS[evaluator], (np.asarray(v, dtype=float) for v in outputs),
-                       _output_shapes(problem, evaluator, lead), strict=True))
+                       _output_shapes(problem, evaluator, lead)))
         for (name, _), value, shape in own:
             if value.shape != shape:
                 raise ConfigurationError(f"{name} has shape {value.shape}, expected {shape}")
@@ -262,18 +281,6 @@ def conditional_oracle(problem: ProblemSpec, x: Array, beta: Array):
                                 problem.conditional_oracle(x, beta)))
 
 
-def support_groups(problem: ProblemSpec):
-    """Group the support enumeration by context value.
-
-    Returns a list of (x, p_x, [(y, p_y_given_x), ...]) with p_x the marginal
-    probability of x and the inner list the conditional law of Y given X=x.
-    The grouping is built once, when the problem is constructed.
-    """
-    if problem.support is None:
-        raise CapabilityError("problem has no support enumeration")
-    return problem._groups
-
-
 def finite_difference_check(problem: ProblemSpec, n_probes: int,
                             rng: np.random.Generator) -> dict:
     """Compare supplied gradients against central finite differences.
@@ -282,6 +289,8 @@ def finite_difference_check(problem: ProblemSpec, n_probes: int,
     with step h = 1e-5; returns the worst relative error per evaluator,
     normalized by max(1, ||analytic||).
     """
+    if not _is_count(n_probes):
+        raise ConfigurationError(f"n_probes must be a positive integer, got {n_probes!r}")
     worst = {"inner": 0.0, "model": 0.0, "outer": 0.0}
     h = 1e-5
     for _ in range(n_probes):
@@ -303,27 +312,34 @@ def finite_difference_check(problem: ProblemSpec, n_probes: int,
     return worst
 
 
+def _support_F(problem: ProblemSpec, beta: Array):
+    """F(x, beta) and its beta-gradient at the support's contexts ``xs``.
+
+    One ``evaluate_inner`` call covers every atom, with a unit axis for each
+    batch axis of a stacked ``beta``; each context's atoms are then summed,
+    weighted by p(y|x), in support order from 0.
+    """
+    if problem.support is None:
+        raise CapabilityError("problem has no support enumeration")
+    _, _, x_atoms, y_atoms, p_y, counts = problem._exact
+    beta = np.asarray(beta)
+    lead = (len(p_y),) + (1,) * (beta.ndim - 1)
+    outputs = evaluate_inner(problem, x_atoms.reshape(lead + (problem.dim_x,)),
+                             y_atoms.reshape(lead + (problem.dim_y,)), beta)
+    ends = list(accumulate(counts, initial=0))
+    return tuple(np.array([sum(p_y[i] * values[i] for i in range(start, end))
+                           for start, end in zip(ends, ends[1:])])
+                 for values in outputs)
+
+
 def oracle_consistency_check(problem: ProblemSpec, betas) -> float:
     """Worst gap between the conditional oracle and support enumeration."""
     if problem.conditional_oracle is None or problem.support is None:
         raise CapabilityError("needs both a conditional oracle and a support")
-    worst = 0.0
-    for x, _, cond in support_groups(problem):
-        for beta in betas:
-            F_o, G_o = conditional_oracle(problem, x, beta)
-            F_e, G_e = enumerate_conditional(problem, x, beta, cond)
-            worst = max(worst, float(np.max(np.abs(F_o - F_e))),
-                        float(np.max(np.abs(G_o - G_e))))
-    return worst
-
-
-def enumerate_conditional(problem: ProblemSpec, x: Array, beta: Array,
-                          conditional: Sequence[tuple]):
-    """F(x, beta) and its gradient by enumerating a conditional law of Y."""
-    F = np.zeros(problem.dim_f)
-    F_grad = np.zeros((problem.dim_beta, problem.dim_f))
-    for y, p in conditional:
-        f_value, f_grad = evaluate_inner(problem, x, y, beta)
-        F = F + p * f_value
-        F_grad = F_grad + p * f_grad
-    return F, F_grad
+    betas = np.asarray(betas)
+    if betas.ndim != 2 or len(betas) == 0:
+        raise ConfigurationError(f"betas must be a nonempty (n, dim_beta) stack, "
+                                 f"got shape {betas.shape}")
+    oracle = conditional_oracle(problem, problem._exact[0][:, None], betas)
+    return float(max(np.max(np.abs(o - e))
+                     for o, e in zip(oracle, _support_F(problem, betas))))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctxopt import diagnostics, problems, seeding
+from ctxopt import diagnostics, model, problems, seeding
 from ctxopt.errors import CapabilityError, ConfigurationError
 
 from conftest import minimize_scalar_G
@@ -155,6 +155,22 @@ def test_direction_moment_stats(bt):
                                            rng=rng)
 
 
+@pytest.mark.parametrize("n", [1500.5, "2000", True, 999])
+def test_direction_moment_stats_needs_an_integer_count(bt, n):
+    with pytest.raises(ConfigurationError,
+                       match=f"^direction_moment_stats needs an integer n >= 1000, got {n!r}$"):
+        diagnostics.direction_moment_stats(bt.spec, *Z0, gamma=1.0, n=n,
+                                           rng=seeding.substream(17, 4))
+
+
+@pytest.mark.parametrize("n_samples", [2.5, True, 0, "100"])
+def test_monte_carlo_needs_an_integer_sample_count(bt, n_samples):
+    with pytest.raises(ConfigurationError,
+                       match=f"^n_samples must be a positive integer, got {n_samples!r}$"):
+        diagnostics.tracking_error_Q(bt.spec, *Z0, mode="mc", n_samples=n_samples,
+                                     rng=seeding.substream(17, 5))
+
+
 def test_direction_moment_stats_rejects_a_nan_gamma(bt):
     with pytest.raises(ConfigurationError,
                        match="^gamma must be positive and finite, got nan$"):
@@ -217,6 +233,42 @@ def test_support_enumeration_matches_oracle_path(bt):
         for fn, args in pairs:
             for a, b in zip(fn(enum, *args), fn(bt.spec, *args)):
                 assert np.allclose(a, b, rtol=0, atol=1e-15), fn.__name__
+
+
+def test_enumerated_F_is_one_inner_call(bt):
+    # Without an oracle, F at every context and state comes from one inner
+    # call over all support atoms.
+    calls = []
+
+    def counting(name):
+        fn = getattr(bt.spec, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    spec = dataclasses.replace(bt.spec, inner=counting("inner"),
+                               conditional_oracle=counting("conditional_oracle"))
+    enum = dataclasses.replace(spec, conditional_oracle=None)
+    rng = seeding.substream(19, 5)
+    betas, thetas = rng.uniform(0, 1, (5, 1)), rng.uniform(0, 1, (5, 2))
+    for fn, args in ((diagnostics.tracking_error_Q, (betas, thetas)),
+                     (diagnostics.value_G, (betas,)),
+                     (diagnostics.grad_G, (betas,)),
+                     (diagnostics.Q_and_grad_Q, (betas, thetas)),
+                     (diagnostics.bregman_delta_and_W, (betas, thetas, 3.0)),
+                     (diagnostics.expected_direction_Gamma, (betas, thetas, 2.0)),
+                     (diagnostics.grad_W, (betas, thetas, 3.0))):
+        calls.clear()
+        fn(enum, *args)
+        assert calls == ["inner"], fn.__name__
+    calls.clear()
+    diagnostics.nonoptimality_V(enum, betas, thetas, 2.24, 0.21875)
+    assert calls == ["inner", "inner"]          # tracking_error_Q, then grad_G
+    calls.clear()
+    model.oracle_consistency_check(spec, rng.uniform(0, 1, (20, 1)))
+    assert sorted(calls) == ["conditional_oracle", "inner"]
 
 
 def test_mc_mode_draws_one_sample_per_context(lg):

@@ -221,6 +221,16 @@ def test_misshapen_draw_fails_before_any_evaluation(bt):
     assert calls == []
 
 
+def test_a_wrong_number_of_step_outputs_names_the_evaluator(bt):
+    def inner(x, y, beta):
+        return (*bt.spec.inner(x, y, beta), None)
+
+    with pytest.raises(ConfigurationError,
+                       match="^inner returned 3 outputs, expected 2$"):
+        engine.run(dataclasses.replace(bt.spec, inner=inner),
+                   RunConfig(gamma=1.0, alpha=0.1, n_iters=8, seed=2))
+
+
 def test_direction_is_unbiased_for_gamma_dir(bt):
     # The single-sample direction matches the enumerated expectation within
     # Monte Carlo error.

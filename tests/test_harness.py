@@ -533,6 +533,15 @@ def test_cli_check_estimate_is_the_harness_estimate(bt_estimated_ledger,
         assert f"ledger {key:<13} {value:.6g}\n" in out
 
 
+@pytest.mark.parametrize("problem, probes", [("BT", "0"), ("LG", "-3")])
+def test_cli_gradcheck_rejects_a_probe_count_below_one(capsys, problem, probes):
+    status = cli.main(["gradcheck", problem, "--probes", probes])
+    captured = capsys.readouterr()
+    assert status == 1 and captured.out == ""
+    assert captured.err == (f"error: n_probes must be a positive integer, "
+                            f"got {probes}\n")
+
+
 def _write_summary(path, rows):
     with open(path, "w") as fh:
         fh.write("N,mean_V,stderr_V,replications\n")

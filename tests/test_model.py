@@ -42,41 +42,88 @@ def test_dimension_mismatch_rejected(bt):
 
 
 def test_support_probabilities_must_sum_to_one(bt):
-    bad = [(np.array([0.0]), np.array([0.0]), 0.5),
-           (np.array([1.0]), np.array([0.0]), 0.4)]
     spec = bt.spec
-    with pytest.raises(ConfigurationError):
-        ProblemSpec(dim_x=1, dim_y=1, dim_beta=1, dim_theta=2, dim_f=1,
-                    inner=spec.inner, outer=spec.outer, model=spec.model,
-                    sampler=spec.sampler, support=bad)
+    for bad, message in (
+            ([(np.array([0.0]), np.array([0.0]), 0.5),
+              (np.array([1.0]), np.array([0.0]), 0.4)], "^support probabilities sum to"),
+            # NaN fails both p < 0 and |total - 1| > tol, so it needs its own test
+            ([(np.array([0.0]), np.array([0.0]), np.nan),
+              (np.array([1.0]), np.array([1.0]), 1.0)],
+             "^support atom 0: probability nan, expected finite and >= 0$")):
+        with pytest.raises(ConfigurationError, match=message):
+            ProblemSpec(dim_x=1, dim_y=1, dim_beta=1, dim_theta=2, dim_f=1,
+                        inner=spec.inner, outer=spec.outer, model=spec.model,
+                        sampler=spec.sampler, support=bad)
 
 
-def test_support_groups_marginals_and_conditionals(bt):
-    groups = model.support_groups(bt.spec)
-    assert len(groups) == 2
-    by_x = {float(x[0]): (p_x, cond) for x, p_x, cond in groups}
-    assert by_x[0.0][0] == pytest.approx(0.5)
-    assert by_x[1.0][0] == pytest.approx(0.5)
-    # conditional law of Y given X=1 is Bernoulli(0.7)
-    cond = {float(y[0]): p for y, p in by_x[1.0][1]}
-    assert cond[1.0] == pytest.approx(0.7)
-    assert cond[0.0] == pytest.approx(0.3)
+@pytest.mark.parametrize("atom, message", [
+    ((np.zeros(2), np.zeros(1), 0.5), r"x of shape \(2,\), expected \(1,\)"),
+    ((np.zeros(1), np.zeros((1, 1)), 0.5), r"y of shape \(1, 1\), expected \(1,\)"),
+    ((0.0, np.zeros(1), 0.5), r"x of shape \(\), expected \(1,\)"),
+])
+def test_a_misshapen_support_atom_is_named(bt, atom, message):
+    support = [(np.zeros(1), np.ones(1), 0.5), atom]
+    with pytest.raises(ConfigurationError, match=f"^support atom 1: {message}$"):
+        dataclasses.replace(bt.spec, support=support)
 
 
-def test_enumerate_conditional_matches_oracle(bt):
-    groups = model.support_groups(bt.spec)
-    for beta in (np.array([0.0]), np.array([0.3]), np.array([0.9])):
-        for x, _, cond in groups:
-            F_o, G_o = model.conditional_oracle(bt.spec, x, beta)
-            F_e, G_e = model.enumerate_conditional(bt.spec, x, beta, cond)
-            assert F_o == pytest.approx(F_e, abs=1e-14)
-            assert G_o == pytest.approx(G_e, abs=1e-14)
+def test_support_table_marginals_and_conditionals(bt):
+    xs, p_x = bt.spec._exact[:2]
+    assert xs.tolist() == [[0.0], [1.0]] and not xs.flags.writeable
+    assert p_x == pytest.approx((0.5, 0.5))
+    # f = (y - beta)^2 with y in {0, 1}: F(x, 0) = P(Y=1 | x), F(x, 1) = P(Y=0 | x)
+    F, _ = model._support_F(bt.spec, np.array([[0.0], [1.0]]))
+    assert F[..., 0] == pytest.approx(np.array([[0.2, 0.8], [0.7, 0.3]]))
+    # a context of probability 0 is left out: it has no conditional law
+    zero = dataclasses.replace(bt.spec, support=[
+        *bt.spec.support, (np.array([2.0]), np.array([0.0]), 0.0)])
+    assert zero._exact[0].tolist() == [[0.0], [1.0]]
+
+
+def test_support_F_matches_oracle_at_stacked_betas(bt):
+    xs = bt.spec._exact[0]
+    betas = np.array([[0.0], [0.3], [0.9]])
+    for x, beta in ((xs[:, None], betas), (xs, betas[1])):
+        for oracle, enumerated in zip(model.conditional_oracle(bt.spec, x, beta),
+                                      model._support_F(bt.spec, beta)):
+            assert enumerated.shape == oracle.shape
+            assert enumerated == pytest.approx(oracle, abs=1e-14)
+
+
+def test_support_F_equals_a_per_atom_loop_bit_for_bit(bt):
+    # The reference: one inner call per atom and state, each context's atoms
+    # summed from 0 in support order, weighted by p / p_x.
+    xs, p_x = bt.spec._exact[:2]
+    betas = seeding.substream(3, 9).uniform(0, 1, (6, 1))
+    stacked = model._support_F(bt.spec, betas)
+    for i, x in enumerate(xs):
+        for s, beta in enumerate(betas):
+            sums = [0, 0]
+            for atom_x, y, p in bt.spec.support:
+                if atom_x.tolist() == x.tolist():
+                    for k, out in enumerate(model.evaluate_inner(bt.spec, x, y, beta)):
+                        sums[k] = sums[k] + p / p_x[i] * out
+            for out, total in zip(stacked, sums):
+                assert out[i, s].tolist() == total.tolist()
 
 
 def test_oracle_consistency_check_small(bt):
     rng = seeding.substream(0, 99)
     betas = [rng.uniform(0, 1, 1) for _ in range(20)]
     assert model.oracle_consistency_check(bt.spec, betas) < 1e-10
+
+
+@pytest.mark.parametrize("betas", [[], np.zeros((0, 1)), np.zeros(1)])
+def test_oracle_consistency_check_needs_a_stack_of_betas(bt, betas):
+    with pytest.raises(ConfigurationError, match="^betas must be a nonempty"):
+        model.oracle_consistency_check(bt.spec, betas)
+
+
+@pytest.mark.parametrize("n_probes", [0, -3, 2.5, True, "10"])
+def test_finite_difference_check_needs_a_probe_count(bt, n_probes):
+    with pytest.raises(ConfigurationError,
+                       match=f"^n_probes must be a positive integer, got {n_probes!r}$"):
+        model.finite_difference_check(bt.spec, n_probes, seeding.substream(7, 23))
 
 
 @pytest.mark.parametrize("fixture", ["bt", "lin", "lg"])
@@ -118,7 +165,7 @@ def test_missing_capabilities_raise(bt):
                        sampler=spec.sampler)
     assert not bare.has_support and not bare.has_oracle
     with pytest.raises(CapabilityError):
-        model.support_groups(bare)
+        model._support_F(bare, np.array([0.0]))
     with pytest.raises(CapabilityError):
         model.conditional_oracle(bare, np.array([0.0]), np.array([0.0]))
 
@@ -161,10 +208,6 @@ def test_nonfinite_outer_value_raises(bt, bad):
     with pytest.raises(EvaluationError, match="^outer value non-finite") as exc:
         model.evaluate_outer(broken, np.array([0.5]))
     assert exc.value.offending_input.tolist() == [0.5]
-
-
-def test_support_groups_are_built_once(bt):
-    assert model.support_groups(bt.spec) is model.support_groups(bt.spec)
 
 
 @pytest.mark.parametrize("name", ["BT", "LIN", "LG(1)", "LG(3)"])
@@ -245,6 +288,30 @@ def test_nan_in_one_row_names_the_evaluator(bt, evaluator, message):
     with pytest.raises(EvaluationError, match=message) as exc:
         calls[evaluator]()
     assert exc.value.offending_input is not None
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
+@pytest.mark.parametrize("evaluator", ["inner", "model", "outer", "conditional_oracle"])
+def test_a_wrong_number_of_outputs_names_the_evaluator(bt, evaluator, extra):
+    original = getattr(bt.spec, evaluator)
+
+    def miscounted(*args):
+        outputs = tuple(original(*args))
+        return outputs + outputs[:1] if extra > 0 else outputs[:-1]
+
+    spec = dataclasses.replace(bt.spec, **{evaluator: miscounted})
+    x, beta = np.array([1.0]), np.array([0.3])
+    calls = {
+        "inner": lambda: model.evaluate_inner(spec, x, x, beta),
+        "model": lambda: model.evaluate_model(spec, x, np.array([0.2, 0.4])),
+        "outer": lambda: model.evaluate_outer(spec, x),
+        "conditional_oracle": lambda: model.conditional_oracle(spec, x, beta),
+    }
+    expected = 3 if evaluator == "outer" else 2
+    name = evaluator.replace("_", " ")
+    with pytest.raises(ConfigurationError, match=f"^{name} returned "
+                       f"{expected + extra} outputs, expected {expected}$"):
+        calls[evaluator]()
 
 
 def test_list_inputs_match_array_inputs(bt):
