@@ -1,8 +1,8 @@
 """Analytical diagnostics: Q, grad G, V, the Lyapunov function, and checks.
 
 Every diagnostic averages a per-context expression in F(x, beta),
-psi(x, theta) and g over contexts x.  One context provider serves both
-modes:
+psi(x, theta) and g over contexts x, read from one context pass
+(``_Pass``).  Its contexts and their average come from one of two modes:
 
 * ``"exact"`` takes the distinct contexts and their marginal probabilities
   p_x from the support table that ``ProblemSpec`` builds once, and averages
@@ -15,18 +15,18 @@ modes:
   nested inner-sampling fallback is deliberately not provided: the whole
   point of the method is that conditional sampling is infeasible.
 
-Each diagnostic calls each evaluator it needs once, over all the contexts
-(see the evaluator contract in ``ctxopt.model``).  F comes from the
-conditional oracle when the problem has one, and otherwise from one
-``evaluate_inner`` call over all support atoms (``model._support_F``).
+The pass forms F (and psi, given theta) at once and g(F) and g(psi) on
+first read, each by one evaluator call over all the contexts (see the
+evaluator contract in ``ctxopt.model``), so V and ``descent_check`` form F
+once and V's Monte Carlo Q and grad G share one draw.  F comes from the
+conditional oracle, else from one ``evaluate_inner`` call over all atoms.
 
 The diagnostics also take stacks of states: ``beta`` of shape
 (S, dim_beta) and ``theta`` of shape (S, dim_theta), or any batch shape
-that broadcasts.  The contexts then sit on axis 0, ahead of the state axes,
-every evaluator is still called once, and each value comes back as an array
-with one entry (or row) per state.  All states share the same contexts, so
-in Monte Carlo mode they share one draw.  Unbatched calls return the floats
-and vectors of a single state.
+that broadcasts.  Every evaluator is still called once, over contexts and
+states, and each value comes back with one entry (or row) per state; in
+Monte Carlo mode all states share one draw.  Unbatched calls return the
+floats and vectors of a single state.
 
 Problems lacking both support and oracle admit engine-only runs with no
 value diagnostics.
@@ -40,58 +40,82 @@ import numpy as np
 
 from .engine import compute_direction
 from .errors import CapabilityError, ConfigurationError
-from .model import (
-    ProblemSpec,
-    _dot,
-    _is_count,
-    _matvec,
-    _support_F,
-    conditional_oracle,
-    evaluate_model,
-    evaluate_outer,
-    sample_stack,
-)
+from .model import (ProblemSpec, _dot, _is_count, _matvec, _support_F,
+                    conditional_oracle, evaluate_model, evaluate_outer, sample_stack)
 
 
-def _contexts(problem: ProblemSpec, mode, n_samples, rng, *states):
-    """The context points of ``mode`` and the average over them.
+class _Pass:
+    """The contexts of ``mode``, and F, psi, g(F) and g(psi) at them.
 
-    Returns (xs, average).  xs has the n contexts on axis 0 and one unit
-    axis for each batch axis of the ``states``, so that evaluator outputs
-    lead with n and then the state batch shape; ``average`` maps values
-    stacked that way to (mean, stderr) over axis 0.
+    Each term leads with the contexts, then the states' batch shape.  F, and
+    psi if ``theta`` is given, are formed here; g(F) and g(psi) on first read.
     """
-    if mode == "exact":
-        if not problem.has_support:
-            raise CapabilityError("exact mode requires a support enumeration")
-        xs, p_x = problem._exact[:2]
 
-        def average(values):
-            total = sum(p * v for p, v in zip(p_x, values))
-            return total, np.zeros(np.shape(total))
-    elif mode == "mc":
-        if not problem.has_oracle:
-            raise CapabilityError("Monte Carlo diagnostics require a conditional oracle for F")
-        if rng is None:
-            raise ConfigurationError("Monte Carlo mode needs an rng")
-        if not _is_count(n_samples):
-            raise ConfigurationError(
-                f"n_samples must be a positive integer, got {n_samples!r}")
-        xs, average = sample_stack(problem, n_samples, rng)[0], _mean_stderr
-    else:
-        raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    state_axes = max(map(np.ndim, states)) - 1
-    if state_axes > 0:
-        xs = xs.reshape(xs.shape[:1] + (1,) * state_axes + xs.shape[1:])
-    return xs, average
+    def __init__(self, problem: ProblemSpec, mode, n_samples, rng, beta, theta=None):
+        if mode == "exact":
+            if not problem.has_support:
+                raise CapabilityError("exact mode requires a support enumeration")
+            xs, self.p_x = problem._exact[:2]
+        elif mode == "mc":
+            if not problem.has_oracle:
+                raise CapabilityError(
+                    "Monte Carlo diagnostics require a conditional oracle for F")
+            if rng is None:
+                raise ConfigurationError("Monte Carlo mode needs an rng")
+            if not _is_count(n_samples):
+                raise ConfigurationError(
+                    f"n_samples must be a positive integer, got {n_samples!r}")
+            xs, self.p_x = sample_stack(problem, n_samples, rng)[0], None
+        else:
+            raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
+        state_axes = max(np.ndim(beta), 0 if theta is None else np.ndim(theta)) - 1
+        if state_axes > 0:
+            xs = xs.reshape(xs.shape[:1] + (1,) * state_axes + xs.shape[1:])
+        self.problem, self.outer = problem, {}
+        self.F = (conditional_oracle(problem, xs, beta) if problem.has_oracle
+                  else _support_F(problem, beta))
+        if theta is not None:
+            self.psi = evaluate_model(problem, xs, theta)
+            self.gap = self.F[0] - self.psi[0]
 
+    def average(self, values):
+        """(mean, stderr) over the contexts on axis 0."""
+        if self.p_x is None:
+            n, mean = len(values), values.mean(axis=0)
+            return mean, (values.std(axis=0, ddof=1) / np.sqrt(n) if n > 1
+                          else np.zeros_like(mean))
+        total = sum(p * v for p, v in zip(self.p_x, values))
+        return total, np.zeros(np.shape(total))
 
-def _F(problem: ProblemSpec, xs, beta):
-    """F(x, beta) and its beta-gradient at every context of ``xs``: the
-    conditional oracle's, else the support's enumeration at its contexts."""
-    if problem.has_oracle:
-        return conditional_oracle(problem, xs, beta)
-    return _support_F(problem, beta)
+    def g(self, term):
+        """g, grad g and hess g at ``term``, "F" or "psi": one outer call, made once."""
+        if term not in self.outer:
+            self.outer[term] = evaluate_outer(self.problem, getattr(self, term)[0])
+        return self.outer[term]
+
+    def Q(self):
+        return self.average(0.5 * (self.gap * self.gap).sum(axis=-1))
+
+    def grad_G(self):
+        return self.average(_matvec(self.F[1], self.g("F")[1]))
+
+    def V(self, c1, c2):
+        g = self.grad_G()[0]
+        return c1 * _float(self.Q()[0]) + c2 * _float(_dot(g, g))
+
+    def Gamma(self, gamma):
+        return (self.average(-_matvec(self.F[1], self.g("psi")[1]))[0],
+                self.average(gamma * _matvec(self.psi[1], self.gap))[0])
+
+    def grad_W(self, lam):
+        F_grad, psi_grad, g_F_grad, gap = self.F[1], self.psi[1], self.g("F")[1], self.gap
+        _, g_psi_grad, g_psi_hess = self.g("psi")
+        g_beta = (_matvec(F_grad, g_F_grad)
+                  + _matvec(F_grad, g_F_grad - g_psi_grad)
+                  + lam * _matvec(F_grad, gap))
+        g_theta = (-_matvec(psi_grad, _matvec(g_psi_hess, gap))
+                   - lam * _matvec(psi_grad, gap))
+        return self.average(g_beta)[0], self.average(g_theta)[0]
 
 
 def _float(value):
@@ -99,60 +123,43 @@ def _float(value):
     return float(value) if value.ndim == 0 else value
 
 
-def _mean_stderr(values):
-    n = values.shape[0]
-    mean = values.mean(axis=0)
-    stderr = values.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
-    return mean, stderr
+def _check_weights(c1, c2):
+    for name, value in (("c1", c1), ("c2", c2)):
+        if not 0 < value < np.inf:
+            raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
 
 
 def tracking_error_Q(problem: ProblemSpec, beta, theta, mode="exact",
                      n_samples=10000, rng=None):
     """Mean squared model gap Q = (1/2) E ||F(X,beta) - psi(X,theta)||^2."""
-    xs, average = _contexts(problem, mode, n_samples, rng, beta, theta)
-    gap = _F(problem, xs, beta)[0] - evaluate_model(problem, xs, theta)[0]
-    q, stderr = average(0.5 * (gap * gap).sum(axis=-1))
+    q, stderr = _Pass(problem, mode, n_samples, rng, beta, theta).Q()
     return _float(q), _float(stderr)
 
 
 def value_G(problem: ProblemSpec, beta, mode="exact", n_samples=10000, rng=None):
     """Objective value G(beta) = E[g(F(X, beta))]."""
-    xs, average = _contexts(problem, mode, n_samples, rng, beta)
-    g, stderr = average(evaluate_outer(problem, _F(problem, xs, beta)[0])[0])
-    return _float(g), _float(stderr)
+    run = _Pass(problem, mode, n_samples, rng, beta)
+    return tuple(map(_float, run.average(run.g("F")[0])))
 
 
 def grad_G(problem: ProblemSpec, beta, mode="exact", n_samples=10000, rng=None):
     """Objective gradient E[grad_beta F(X,beta) grad g(F(X,beta))]."""
-    xs, average = _contexts(problem, mode, n_samples, rng, beta)
-    F, F_grad = _F(problem, xs, beta)
-    return average(_matvec(F_grad, evaluate_outer(problem, F)[1]))
+    return _Pass(problem, mode, n_samples, rng, beta).grad_G()
 
 
 def Q_and_grad_Q(problem: ProblemSpec, beta, theta, mode="exact",
                  n_samples=10000, rng=None):
-    """Q and both blocks of grad Q from one oracle call and one model call.
-
-    Returns (q, grad_beta, grad_theta); q is the mean of tracking_error_Q.
-    """
-    xs, average = _contexts(problem, mode, n_samples, rng, beta, theta)
-    F, F_grad = _F(problem, xs, beta)
-    psi, psi_grad = evaluate_model(problem, xs, theta)
-    gap = F - psi
-    return (_float(average(0.5 * (gap * gap).sum(axis=-1))[0]),
-            average(_matvec(F_grad, gap))[0], average(-_matvec(psi_grad, gap))[0])
+    """(q, grad_beta, grad_theta): Q and both blocks of grad Q, from one pass."""
+    run = _Pass(problem, mode, n_samples, rng, beta, theta)
+    return (_float(run.Q()[0]), run.average(_matvec(run.F[1], run.gap))[0],
+            run.average(-_matvec(run.psi[1], run.gap))[0])
 
 
 def nonoptimality_V(problem: ProblemSpec, beta, theta, c1, c2, mode="exact",
                     n_samples=10000, rng=None) -> float:
     """Non-optimality measure V = c1*Q + c2*||grad G||^2."""
-    for name, value in (("c1", c1), ("c2", c2)):
-        if not 0 < value < np.inf:
-            raise ConfigurationError(
-                f"{name} must be positive and finite, got {value!r}")
-    q, _ = tracking_error_Q(problem, beta, theta, mode, n_samples, rng)
-    g, _ = grad_G(problem, beta, mode, n_samples, rng)
-    return c1 * q + c2 * _float(_dot(g, g))
+    _check_weights(c1, c2)
+    return _Pass(problem, mode, n_samples, rng, beta, theta).V(c1, c2)
 
 
 def bregman_delta_and_W(problem: ProblemSpec, beta, theta, lam,
@@ -162,15 +169,11 @@ def bregman_delta_and_W(problem: ProblemSpec, beta, theta, lam,
     Delta = E[g(F) - g(psi) - grad g(psi)^T (F - psi) + (lam/2)||F - psi||^2]
     is nonnegative whenever lam >= L_hess_g, making W an upper bound on G.
     """
-    xs, average = _contexts(problem, mode, n_samples, rng, beta, theta)
-    F = _F(problem, xs, beta)[0]
-    psi = evaluate_model(problem, xs, theta)[0]
-    g_F = evaluate_outer(problem, F)[0]
-    g_psi, g_psi_grad, _ = evaluate_outer(problem, psi)
-    gap = F - psi
-    delta = _float(average(g_F - g_psi - (g_psi_grad * gap).sum(axis=-1)
-                           + 0.5 * lam * (gap * gap).sum(axis=-1))[0])
-    return delta, _float(average(g_F)[0]) + delta
+    run = _Pass(problem, mode, n_samples, rng, beta, theta)
+    (g_F, _, _), (g_psi, g_psi_grad, _), gap = run.g("F"), run.g("psi"), run.gap
+    delta = _float(run.average(g_F - g_psi - (g_psi_grad * gap).sum(axis=-1)
+                               + 0.5 * lam * (gap * gap).sum(axis=-1))[0])
+    return delta, _float(run.average(g_F)[0]) + delta
 
 
 def expected_direction_Gamma(problem: ProblemSpec, beta, theta, gamma,
@@ -180,12 +183,7 @@ def expected_direction_Gamma(problem: ProblemSpec, beta, theta, gamma,
     Matches the Monte Carlo mean of ``engine.compute_direction`` at the same
     point (the single-sample direction is conditionally unbiased).
     """
-    xs, average = _contexts(problem, mode, n_samples, rng, beta, theta)
-    F, F_grad = _F(problem, xs, beta)
-    psi, psi_grad = evaluate_model(problem, xs, theta)
-    g_psi_grad = evaluate_outer(problem, psi)[1]
-    return (average(-_matvec(F_grad, g_psi_grad))[0],
-            average(gamma * _matvec(psi_grad, F - psi))[0])
+    return _Pass(problem, mode, n_samples, rng, beta, theta).Gamma(gamma)
 
 
 def grad_W(problem: ProblemSpec, beta, theta, lam, mode="exact",
@@ -196,18 +194,7 @@ def grad_W(problem: ProblemSpec, beta, theta, lam, mode="exact",
                  + lam E[grad F (F - psi)]
     theta block: -E[grad psi hess g(psi) (F - psi)] - lam E[grad psi (F - psi)]
     """
-    xs, average = _contexts(problem, mode, n_samples, rng, beta, theta)
-    F, F_grad = _F(problem, xs, beta)
-    psi, psi_grad = evaluate_model(problem, xs, theta)
-    g_F_grad = evaluate_outer(problem, F)[1]
-    _, g_psi_grad, g_psi_hess = evaluate_outer(problem, psi)
-    gap = F - psi
-    g_beta = (_matvec(F_grad, g_F_grad)
-              + _matvec(F_grad, g_F_grad - g_psi_grad)
-              + lam * _matvec(F_grad, gap))
-    g_theta = (-_matvec(psi_grad, _matvec(g_psi_hess, gap))
-               - lam * _matvec(psi_grad, gap))
-    return average(g_beta)[0], average(g_theta)[0]
+    return _Pass(problem, mode, n_samples, rng, beta, theta).grad_W(lam)
 
 
 def direction_moment_stats(problem: ProblemSpec, beta, theta, gamma,
@@ -232,17 +219,17 @@ def direction_moment_stats(problem: ProblemSpec, beta, theta, gamma,
 
 
 def descent_check(problem: ProblemSpec, beta, theta, gamma, lam, c1, c2):
-    """Verify <grad W, Gamma> <= -V at one point by exact enumeration.
+    """Verify <grad W, Gamma> <= -V by exact enumeration, from one pass.
 
-    Returns (lhs, rhs, passed) with passed iff lhs <= rhs + 1e-9; all
-    quantities here are closed-form on a finite support, so the tolerance is
-    absolute.
+    Returns (lhs, rhs, passed), each with one entry per state of a stack,
+    with passed iff lhs <= rhs + 1e-9; all quantities here are closed-form
+    on a finite support, so the tolerance is absolute.
     """
-    gw_beta, gw_theta = grad_W(problem, beta, theta, lam, mode="exact")
-    gam_beta, gam_theta = expected_direction_Gamma(problem, beta, theta, gamma,
-                                                   mode="exact")
-    lhs = float(gw_beta @ gam_beta + gw_theta @ gam_theta)
-    rhs = -nonoptimality_V(problem, beta, theta, c1, c2, mode="exact")
+    _check_weights(c1, c2)
+    run = _Pass(problem, "exact", None, None, beta, theta)
+    (gw_beta, gw_theta), (gam_beta, gam_theta) = run.grad_W(lam), run.Gamma(gamma)
+    lhs = _float(_dot(gw_beta, gam_beta) + _dot(gw_theta, gam_theta))
+    rhs = -run.V(c1, c2)
     return lhs, rhs, lhs <= rhs + 1e-9
 
 

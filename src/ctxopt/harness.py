@@ -16,8 +16,9 @@ holds the per-N mean and standard error of V at the random stopping index;
 a JSONL manifest records the config hash, ledger, derived constants, and
 versions.  results.csv and summary.csv are byte-identical across reruns and
 worker counts.  An exact-mode row also holds ``V_grid``, the mean of V over
-z^k for k = 0, s, 2s, ... < N with s = max(1, N // 1024), which is E[V(z^S)]
-up to the grid under FixedHorizon alone; summary.csv has its per-N mean_V_grid.
+z^k for k = 0, s, 2s, ... < N with s = max(1, N // 1024), weighted by tau_k
+under Anytime, so that it is E[V(z^S)] up to the grid under either stopping
+law; summary.csv has its per-N mean_V_grid.
 
 A replication whose evaluation fails (an EvaluationError, such as a state
 that overflows) does not stop the sweep: its row has ``status`` set to
@@ -44,6 +45,7 @@ import numpy as np
 from . import constants, diagnostics, engine, problems, seeding
 from .constants import ConstantLedger
 from .errors import CapabilityError, ConfigurationError, DomainError, EvaluationError
+from .model import _dot
 
 RESULT_COLUMNS = ["N", "replication", "seed", "S", "tau_schedule", "alpha",
                   "gamma", "V_at_S", "Q_at_S", "normgradG_at_S", "W_final",
@@ -244,7 +246,7 @@ def _run_one(spec: problems.ProblemSpec, run_config: engine.RunConfig,
         with np.errstate(over="ignore", invalid="ignore"):
             record = engine.run(spec, run_config)
             row["wall_ms"] = (time.perf_counter() - start) * 1000.0
-            row.update(_stopped_values(spec, record, seed, lam, c1, c2))
+            row.update(_stopped_values(spec, record, run_config, lam, c1, c2))
     except EvaluationError as exc:
         # the engine's wall time, or its time to the failure
         row.setdefault("wall_ms", (time.perf_counter() - start) * 1000.0)
@@ -253,32 +255,35 @@ def _run_one(spec: problems.ProblemSpec, run_config: engine.RunConfig,
     return row
 
 
-def _stopped_values(spec, record, seed, lam, c1, c2) -> dict:
-    """The results.csv values of a completed run, with status ``ok``."""
-    n_iters = len(record.taus)
-    s = record.stop_index
-    beta_s, theta_s = record.betas[s], record.thetas[s]
+def _stopped_values(spec, record, run_config, lam, c1, c2) -> dict:
+    """The results.csv values of a completed run, with status ``ok``.
+
+    Exact mode takes Q and grad G at the grid states and z^S from one
+    stacked call each; Monte Carlo mode at z^S alone, each from its own draw.
+    """
+    n_iters, s = len(record.taus), record.stop_index
     if spec.has_support:
-        mode, rng, diag_samples = "exact", None, 0
-        grid = slice(0, n_iters, max(1, n_iters // _V_GRID_POINTS))
-        grid_values = {"V_grid": float(np.mean(diagnostics.nonoptimality_V(
-            spec, record.betas[grid], record.thetas[grid], c1, c2)))}
-    else:
-        mode, grid_values = "mc", {}
-        rng = seeding.substream(seed, seeding.STREAM_V_EVAL)
-        diag_samples = 3 * _V_MC_SAMPLES  # Q and grad G at S, W at z^N
-    q, _ = diagnostics.tracking_error_Q(spec, beta_s, theta_s, mode,
-                                        _V_MC_SAMPLES, rng)
-    g, _ = diagnostics.grad_G(spec, beta_s, mode, _V_MC_SAMPLES, rng)
+        grid = np.arange(0, n_iters, max(1, n_iters // _V_GRID_POINTS))
+        mode, states, rng, diag_samples = "exact", np.append(grid, s), None, 0
+    else:  # Q and grad G at S, W at z^N: one draw each
+        mode, states, diag_samples = "mc", s, 3 * _V_MC_SAMPLES
+        rng = seeding.substream(run_config.seed, seeding.STREAM_V_EVAL)
+    q, _ = diagnostics.tracking_error_Q(spec, record.betas[states],
+                                        record.thetas[states], mode, _V_MC_SAMPLES, rng)
+    g, _ = diagnostics.grad_G(spec, record.betas[states], mode, _V_MC_SAMPLES, rng)
     _, w_final = diagnostics.bregman_delta_and_W(
         spec, record.betas[-1], record.thetas[-1], lam, mode, _V_MC_SAMPLES, rng)
-    v = c1 * q + c2 * float(g @ g)
-    return {
-        "S": s, "V_at_S": v, "Q_at_S": q,
-        "normgradG_at_S": float(np.linalg.norm(g)),
-        "W_final": w_final, "samples_used": n_iters + diag_samples,
-        "status": "ok", **grid_values,
-    }
+    v = c1 * q + c2 * _dot(g, g)
+    values = {"status": "ok"}
+    if spec.has_support:
+        # E[V(z^S)] up to the grid: each z^k weighted as the stopping law weighs it
+        fixed = run_config.schedule is engine.Schedule.FIXED_HORIZON
+        values["V_grid"] = float(np.mean(v[:-1]) if fixed
+                                 else np.average(v[:-1], weights=record.taus[grid]))
+        q, g, v = q[-1], g[-1], v[-1]
+    return {"S": s, "V_at_S": float(v), "Q_at_S": float(q),
+            "normgradG_at_S": float(np.linalg.norm(g)), "W_final": w_final,
+            "samples_used": n_iters + diag_samples, **values}
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

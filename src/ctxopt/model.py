@@ -27,8 +27,8 @@ stacked into (n, dim) arrays with the shape of every draw checked.
 ``_validated`` is the one check of evaluator outputs, for shape and for
 finiteness: ``evaluate_*`` and ``conditional_oracle`` check their inputs and
 pass their outputs to it, and each ``engine`` step passes it all of its own.
-A wrong number of outputs fails it with a ConfigurationError naming the
-evaluator.
+A bare value or a wrong number of outputs fails it with a
+ConfigurationError naming the evaluator.
 
 Gradient matrices follow the transpose-of-Jacobian convention throughout:
 an evaluator differentiated with respect to a parameter vector of length p
@@ -167,19 +167,26 @@ def _validated(problem: ProblemSpec, *calls) -> tuple:
     an entry is NaN or +-inf; a finite output whose sum overflows passes.
     """
     values, actual, shapes, total = [], [], [], 0.0
-    for evaluator, lead, _, outputs in calls:
-        shapes += _output_shapes(problem, evaluator, lead)
-        for value in outputs:
-            value = np.asarray(value, dtype=float)
-            values.append(value)
-            actual.append(value.shape)
-            total += np.vdot(value, value)
+    try:
+        for evaluator, lead, _, outputs in calls:
+            shapes += _output_shapes(problem, evaluator, lead)
+            for value in outputs:
+                value = np.asarray(value, dtype=float)
+                values.append(value)
+                actual.append(value.shape)
+                total += np.vdot(value, value)
+    except TypeError:           # a bare value, not a tuple of outputs
+        shapes = None
     if actual == shapes and math.isfinite(total):
         return tuple(values)
     for evaluator, lead, inputs, outputs in calls:
-        if len(outputs) != len(_OUTPUTS[evaluator]):
+        count = len(_OUTPUTS[evaluator])
+        if not isinstance(outputs, (tuple, list)):
+            raise ConfigurationError(f"{evaluator} returned {type(outputs).__name__}, "
+                                     f"expected a tuple of {count} outputs")
+        if len(outputs) != count:
             raise ConfigurationError(f"{evaluator} returned {len(outputs)} outputs, "
-                                     f"expected {len(_OUTPUTS[evaluator])}")
+                                     f"expected {count}")
         own = list(zip(_OUTPUTS[evaluator], (np.asarray(v, dtype=float) for v in outputs),
                        _output_shapes(problem, evaluator, lead)))
         for (name, _), value, shape in own:

@@ -237,7 +237,8 @@ def test_support_enumeration_matches_oracle_path(bt):
 
 def test_enumerated_F_is_one_inner_call(bt):
     # Without an oracle, F at every context and state comes from one inner
-    # call over all support atoms.
+    # call over all support atoms, and each diagnostic forms F, psi, g(F)
+    # and g(psi) at most once.
     calls = []
 
     def counting(name):
@@ -248,24 +249,28 @@ def test_enumerated_F_is_one_inner_call(bt):
             return fn(*args)
         return wrapped
 
-    spec = dataclasses.replace(bt.spec, inner=counting("inner"),
-                               conditional_oracle=counting("conditional_oracle"))
+    spec = dataclasses.replace(bt.spec, **{name: counting(name) for name in (
+        "inner", "model", "outer", "conditional_oracle")})
     enum = dataclasses.replace(spec, conditional_oracle=None)
     rng = seeding.substream(19, 5)
     betas, thetas = rng.uniform(0, 1, (5, 1)), rng.uniform(0, 1, (5, 2))
-    for fn, args in ((diagnostics.tracking_error_Q, (betas, thetas)),
-                     (diagnostics.value_G, (betas,)),
-                     (diagnostics.grad_G, (betas,)),
-                     (diagnostics.Q_and_grad_Q, (betas, thetas)),
-                     (diagnostics.bregman_delta_and_W, (betas, thetas, 3.0)),
-                     (diagnostics.expected_direction_Gamma, (betas, thetas, 2.0)),
-                     (diagnostics.grad_W, (betas, thetas, 3.0))):
+    for fn, args, expected in (
+            (diagnostics.tracking_error_Q, (betas, thetas), "inner model"),
+            (diagnostics.value_G, (betas,), "inner outer"),
+            (diagnostics.grad_G, (betas,), "inner outer"),
+            (diagnostics.Q_and_grad_Q, (betas, thetas), "inner model"),
+            (diagnostics.nonoptimality_V, (betas, thetas, 2.24, 0.21875),
+             "inner model outer"),
+            (diagnostics.bregman_delta_and_W, (betas, thetas, 3.0),
+             "inner model outer outer"),
+            (diagnostics.expected_direction_Gamma, (betas, thetas, 2.0),
+             "inner model outer"),
+            (diagnostics.grad_W, (betas, thetas, 3.0), "inner model outer outer"),
+            (diagnostics.descent_check, (betas, thetas, 2.0, 3.0, 2.24, 0.21875),
+             "inner model outer outer")):
         calls.clear()
         fn(enum, *args)
-        assert calls == ["inner"], fn.__name__
-    calls.clear()
-    diagnostics.nonoptimality_V(enum, betas, thetas, 2.24, 0.21875)
-    assert calls == ["inner", "inner"]          # tracking_error_Q, then grad_G
+        assert sorted(calls) == expected.split(), fn.__name__
     calls.clear()
     model.oracle_consistency_check(spec, rng.uniform(0, 1, (20, 1)))
     assert sorted(calls) == ["conditional_oracle", "inner"]
@@ -370,6 +375,9 @@ def test_stacked_states_match_per_state_exact_diagnostics(name, oracle):
         (diagnostics.grad_G, (betas,), ()),
         (diagnostics.Q_and_grad_Q, (betas, thetas), ()),
         (diagnostics.bregman_delta_and_W, (betas, thetas), (3.0,)),
+        (diagnostics.grad_W, (betas, thetas), (3.0,)),
+        (diagnostics.expected_direction_Gamma, (betas, thetas), (2.0,)),
+        (diagnostics.descent_check, (betas, thetas), (20.0, 3.0, 2.24, 0.21875)),
     ]
     for fn, stacks, args in calls:
         rows = _per_state(lambda *state: fn(spec, *state, *args), *stacks)
@@ -405,3 +413,5 @@ def test_unbatched_diagnostics_return_floats(bt):
     assert type(q) is float and type(se) is float
     assert type(diagnostics.Q_and_grad_Q(bt.spec, *Z0)[0]) is float
     assert type(diagnostics.nonoptimality_V(bt.spec, *Z0, 1.0, 1.0)) is float
+    lhs, rhs, passed = diagnostics.descent_check(bt.spec, *Z0, 20.0, 3.0, 2.24, 0.21875)
+    assert (type(lhs), type(rhs), type(passed)) == (float, float, bool)

@@ -231,6 +231,14 @@ def test_a_wrong_number_of_step_outputs_names_the_evaluator(bt):
                    RunConfig(gamma=1.0, alpha=0.1, n_iters=8, seed=2))
 
 
+@pytest.mark.parametrize("bare", [0.5, np.zeros(2)], ids=["float", "ndarray"])
+def test_a_bare_step_output_names_the_evaluator(bt, bare):
+    with pytest.raises(ConfigurationError, match=f"^inner returned {type(bare).__name__}, "
+                       f"expected a tuple of 2 outputs$"):
+        engine.run(dataclasses.replace(bt.spec, inner=lambda x, y, beta: bare),
+                   RunConfig(gamma=1.0, alpha=0.1, n_iters=8, seed=2))
+
+
 def test_direction_is_unbiased_for_gamma_dir(bt):
     # The single-sample direction matches the enumerated expectation within
     # Monte Carlo error.

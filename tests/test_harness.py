@@ -406,6 +406,28 @@ def test_V_grid_is_the_mean_of_V_over_the_trajectory_grid(tmp_path, bt):
             [float(r["V_grid"]) for r in rows if int(r["N"]) == srow["N"]])
 
 
+def test_anytime_V_grid_is_the_tau_weighted_mean_of_V(tmp_path, bt):
+    # Under Anytime, P[S=k] is proportional to tau_k, so V_grid weights each
+    # grid state's V by its tau_k; N = 2048 strides the grid by 2.
+    text = SMALL_CONFIG.replace("FixedHorizon", "Anytime").replace(
+        "sweep = 1", "sweep = 16,2048") + "workers = 1\n"
+    result = harness.run_experiment(harness.parse_config(text.format(out=tmp_path)))
+    with open(result["results"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        n = int(row["N"])
+        record = engine.run(bt.spec, engine.RunConfig(
+            gamma=2.0, alpha=0.05, n_iters=n, schedule=engine.Schedule.ANYTIME,
+            seed=int(row["seed"])))
+        grid = range(0, n, max(1, n // 1024))
+        vs = [diagnostics.nonoptimality_V(bt.spec, record.betas[k], record.thetas[k],
+                                          2.24, 0.21875) for k in grid]
+        taus = [record.taus[k] for k in grid]
+        weighted = sum(t * v for t, v in zip(taus, vs)) / sum(taus)
+        assert float(row["V_grid"]) == pytest.approx(weighted, rel=1e-12, abs=0)
+        assert float(row["V_grid"]) != pytest.approx(np.mean(vs), rel=1e-6)
+
+
 def test_V_grid_is_empty_in_monte_carlo_mode(tmp_path):
     result = harness.run_experiment(harness.parse_config(
         "problem.name = LG(2)\nrun.gamma = 1\nrun.alpha = 0.5\nsweep = 4\n"

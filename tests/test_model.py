@@ -314,6 +314,26 @@ def test_a_wrong_number_of_outputs_names_the_evaluator(bt, evaluator, extra):
         calls[evaluator]()
 
 
+@pytest.mark.parametrize("bare", [0.5, "zeros"], ids=["float", "ndarray"])
+@pytest.mark.parametrize("evaluator", ["inner", "model", "outer", "conditional_oracle"])
+def test_a_bare_output_names_the_evaluator(bt, evaluator, bare):
+    expected = 3 if evaluator == "outer" else 2
+    # an array of as many entries as outputs unpacks, but is still not a tuple
+    value = np.zeros(expected) if bare == "zeros" else bare
+    spec = dataclasses.replace(bt.spec, **{evaluator: lambda *args: value})
+    x, beta = np.array([1.0]), np.array([0.3])
+    calls = {
+        "inner": lambda: model.evaluate_inner(spec, x, x, beta),
+        "model": lambda: model.evaluate_model(spec, x, np.array([0.2, 0.4])),
+        "outer": lambda: model.evaluate_outer(spec, x),
+        "conditional_oracle": lambda: model.conditional_oracle(spec, x, beta),
+    }
+    name = evaluator.replace("_", " ")
+    with pytest.raises(ConfigurationError, match=f"^{name} returned "
+                       f"{type(value).__name__}, expected a tuple of {expected} outputs$"):
+        calls[evaluator]()
+
+
 def test_list_inputs_match_array_inputs(bt):
     beta, theta = [0.3], [0.2, 0.4]
     pairs = [
