@@ -8,7 +8,7 @@ psi(x, theta) and g over contexts x, read from one context pass
   p_x from the support table that ``ProblemSpec`` builds once, and averages
   by a p_x-weighted sum in support order.  It is the default for all
   verification work; standard errors are zero.
-* ``"mc"`` draws n contexts, one sampler call each, and averages by the
+* ``"mc"`` draws n contexts in one ``sample_stack`` call, and averages by the
   sample mean with its standard error.  It requires the conditional oracle
   for F, because Q, the Bregman gap, and the expected direction all contain F
   inside nonlinear expressions where a single-sample plug-in is biased.  A

@@ -10,7 +10,7 @@ pulling the model parameters theta toward the observed inner values:
     theta  += tau_k * d_theta
 
 ``run`` draws the N pairs from the trajectory substream before the first
-step, in the order N single draws would take them, and step k uses pair k.
+step, one ``sampler(rng)`` call each, and step k uses pair k.
 ``_direction`` is the one place the direction is formed, from one call each
 of inner, model and outer: ``model._validated`` checks the outputs of inner
 and model before outer runs, then outer's.  The loop adds tau_k times it to
@@ -32,8 +32,8 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigurationError, EvaluationError
-from .model import (ProblemSpec, _is_count, _lead, _matvec, _validated,
-                    sample_stack)
+from .model import (ProblemSpec, _checked_draw, _is_count, _lead, _matvec,
+                    _validated)
 
 Array = np.ndarray
 
@@ -148,15 +148,16 @@ def draw_stop_index(schedule: Schedule, n_iters: int, alpha: float,
 def run(problem: ProblemSpec, config: RunConfig) -> RunRecord:
     """Execute N iterations and draw the stopping index.
 
-    The N joint samples are drawn, and their shapes checked, in one
-    ``sample_stack`` call on the trajectory substream before the first
-    step; step k uses sample k.
+    The N joint samples are drawn and checked on the trajectory substream
+    before the first step, one sampler call each; step k uses sample k.
     """
     n = config.n_iters
     beta, theta = initial_state(problem, config.init_beta, config.init_theta)
 
-    xs, ys = sample_stack(
-        problem, n, seeding.substream(config.seed, seeding.STREAM_TRAJECTORY))
+    rng = seeding.substream(config.seed, seeding.STREAM_TRAJECTORY)
+    xs, ys = np.empty((n, problem.dim_x)), np.empty((n, problem.dim_y))
+    for k in range(n):      # checked first: a row would broadcast a short draw
+        xs[k], ys[k] = _checked_draw(problem, (), problem.sampler(rng))
     betas = np.empty((n + 1, problem.dim_beta))
     thetas = np.empty((n + 1, problem.dim_theta))
     taus = stepsizes(config.schedule, n, config.alpha)

@@ -319,8 +319,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
             for n in config.sweep for r in range(config.replications)]
     workers = config.workers or (os.cpu_count() or 1)
     if workers > 1:
+        # The sweep ascends: start the largest N first, so no long row starts last.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_one_star, args, chunksize=1))
+            rows = list(pool.map(_run_one_star, args[::-1], chunksize=1))
     else:
         rows = [_run_one(*a) for a in args]
     rows.sort(key=lambda row: (row["N"], row["replication"]))

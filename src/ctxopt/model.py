@@ -21,14 +21,15 @@ every output leads with the broadcast shape.  Called without batch axes, an
 evaluator gives the per-sample result.  So the diagnostics evaluate all
 their contexts, and a stack of states, in one call, and a user-defined
 evaluator that handles one sample or one state at a time fails their output
-shape checks with a ConfigurationError.  The sampler makes one draw per
-call; ``sample_stack`` is the one place that draws samples, n sampler calls
-stacked into (n, dim) arrays with the shape of every draw checked.
+shape checks with a ConfigurationError.  ``sampler(rng, n)`` draws n pairs
+as (n, dim) arrays, equal bit for bit to n one-draw ``sampler(rng)`` calls;
+``sample_stack`` makes every bulk draw one such call, and ``_checked_draw``
+is the one shape check of a draw, there and in ``engine.run``.
 ``_validated`` is the one check of evaluator outputs, for shape and for
 finiteness: ``evaluate_*`` and ``conditional_oracle`` check their inputs and
 pass their outputs to it, and each ``engine`` step passes it all of its own.
-A bare value or a wrong number of outputs fails it with a
-ConfigurationError naming the evaluator.
+A bare value, a wrong number of outputs or an output that is not numeric
+fails it with a ConfigurationError naming the evaluator.
 
 Gradient matrices follow the transpose-of-Jacobian convention throughout:
 an evaluator differentiated with respect to a parameter vector of length p
@@ -38,6 +39,7 @@ products.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -67,7 +69,8 @@ class ProblemSpec:
             hess (dim_f, dim_f) symmetric.
         model: (x, theta) -> (psi, grad_psi_theta) with shapes (dim_f,) and
             (dim_theta, dim_f).
-        sampler: (rng,) -> (x, y) i.i.d. draw from the joint distribution.
+        sampler: (rng,) -> (x, y), one i.i.d. draw from the joint law;
+            (rng, n) -> n draws as (n, dim) arrays, equal bit for bit.
         conditional_oracle: optional (x, beta) -> (F, grad_F_beta).
         support: optional finite enumeration of (x, y, probability) triples.
 
@@ -83,7 +86,7 @@ class ProblemSpec:
     inner: Callable[[Array, Array, Array], tuple]
     outer: Callable[[Array], tuple]
     model: Callable[[Array, Array], tuple]
-    sampler: Callable[[np.random.Generator], tuple]
+    sampler: Callable[..., tuple]
     conditional_oracle: Optional[Callable[[Array, Array], tuple]] = None
     support: Optional[Sequence[tuple]] = None
 
@@ -175,7 +178,7 @@ def _validated(problem: ProblemSpec, *calls) -> tuple:
                 values.append(value)
                 actual.append(value.shape)
                 total += np.vdot(value, value)
-    except TypeError:           # a bare value, not a tuple of outputs
+    except (TypeError, ValueError):     # a bare value, or an output not numeric
         shapes = None
     if actual == shapes and math.isfinite(total):
         return tuple(values)
@@ -187,12 +190,18 @@ def _validated(problem: ProblemSpec, *calls) -> tuple:
         if len(outputs) != count:
             raise ConfigurationError(f"{evaluator} returned {len(outputs)} outputs, "
                                      f"expected {count}")
-        own = list(zip(_OUTPUTS[evaluator], (np.asarray(v, dtype=float) for v in outputs),
-                       _output_shapes(problem, evaluator, lead)))
-        for (name, _), value, shape in own:
+        own = []
+        for (name, label), value, shape in zip(_OUTPUTS[evaluator], outputs,
+                                               _output_shapes(problem, evaluator, lead)):
+            try:
+                value = np.asarray(value, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"{evaluator} output {name} is not a float array: {exc}") from None
             if value.shape != shape:
                 raise ConfigurationError(f"{name} has shape {value.shape}, expected {shape}")
-        for (_, label), value, _ in own:
+            own.append((label, value))
+        for label, value in own:
             if not np.isfinite(value).all():
                 raise EvaluationError(
                     f"outer value non-finite at u={inputs!r}"
@@ -262,20 +271,25 @@ def evaluate_model(problem: ProblemSpec, x: Array, theta: Array):
     return _validated(problem, ("model", lead, (x, theta), problem.model(x, theta)))
 
 
+def _checked_draw(problem: ProblemSpec, lead: tuple, draw) -> tuple:
+    """A sampler's ``(x, y)``, whose shapes must be ``lead + (dim,)``."""
+    x, y = draw
+    expected = (lead + (problem.dim_x,), lead + (problem.dim_y,))
+    if (np.shape(x), np.shape(y)) != expected:
+        raise ConfigurationError(f"sampler drew x of shape {np.shape(x)} and y of shape "
+                                 f"{np.shape(y)}, expected {expected[0]} and {expected[1]}")
+    return x, y
+
+
 def sample_stack(problem: ProblemSpec, n: int, rng: np.random.Generator):
-    """Draw n (x, y) pairs, one sampler call each, as (n, dim) arrays."""
-    xs = np.empty((n, problem.dim_x))
-    ys = np.empty((n, problem.dim_y))
-    expected = ((problem.dim_x,), (problem.dim_y,))
-    for i in range(n):
-        x, y = problem.sampler(rng)
-        # A row assignment would broadcast a short draw over the whole row.
-        if (np.shape(x), np.shape(y)) != expected:
-            raise ConfigurationError(
-                f"sampler drew x of shape {np.shape(x)} and y of shape "
-                f"{np.shape(y)}, expected {expected[0]} and {expected[1]}")
-        xs[i], ys[i] = x, y
-    return xs, ys
+    """Draw n (x, y) pairs in one ``sampler(rng, n)`` call, as (n, dim) arrays."""
+    try:
+        inspect.signature(problem.sampler).bind(rng, n)
+    except TypeError:
+        raise ConfigurationError("sampler takes no draw count: the contract is sampler(rng) "
+                                 "for one draw and sampler(rng, n) for n draws") from None
+    xs, ys = _checked_draw(problem, (n,), problem.sampler(rng, n))
+    return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
 
 
 def conditional_oracle(problem: ProblemSpec, x: Array, beta: Array):

@@ -74,10 +74,16 @@ def _affine_model(x, theta):
     return value[..., None], grad
 
 
-def _bt_sampler(rng):
-    x = 1.0 if rng.random() < 0.5 else 0.0
-    y = 1.0 if rng.random() < _BT_P[x] else 0.0
-    return np.array([x]), np.array([y])
+def _bt_sampler(rng, n=None):
+    # One draw stays scalar, which is cheaper per engine step than arrays.
+    if n is None:
+        x = 1.0 if rng.random() < 0.5 else 0.0
+        y = 1.0 if rng.random() < _BT_P[x] else 0.0
+        return np.array([x]), np.array([y])
+    u = rng.random((n, 2))
+    x = (u[:, :1] < 0.5) * 1.0
+    # 0.2 + 0.5 * x is _BT_P[x] exactly
+    return x, (u[:, 1:] < 0.2 + 0.5 * x) * 1.0
 
 
 def _bt_oracle(x, beta):
@@ -166,10 +172,14 @@ class _LGSampler:
     def __init__(self, a):
         self.a = a
 
-    def __call__(self, rng):
-        x = rng.standard_normal(len(self.a))
-        y = np.array([self.a @ x + rng.standard_normal()])
-        return x, y
+    def __call__(self, rng, n=None):
+        if n is None:
+            x = rng.standard_normal(len(self.a))
+            return x, np.array([self.a @ x + rng.standard_normal()])
+        z = rng.standard_normal((n, len(self.a) + 1))
+        x = z[:, :-1]
+        # Stacked row dots give the bits of the one-draw a @ x; a gemv does not.
+        return x, (x[:, None, :] @ self.a[:, None])[:, 0] + z[:, -1:]
 
 
 class _LGOracle:

@@ -201,14 +201,19 @@ def test_estimate_ledger_names_a_nonfinite_inner(bt):
 
 
 def test_estimate_ledger_names_a_sampler_of_the_wrong_shape(bt):
-    # dim_x = 3 with a support, but the sampler draws a length-1 x; a row
-    # assignment into the (n, 3) sample stack would broadcast it silently.
+    # dim_x = 3 with a support, but the sampler draws x of length 1: an
+    # (n, 1) stack would broadcast silently against the (n, 3) contexts.
+    def sampler(rng, n=None):
+        shape = (1,) if n is None else (n, 1)
+        return rng.random(shape), np.ones(shape)
+
     spec = dataclasses.replace(
-        bt.spec, dim_x=3,
-        sampler=lambda rng: (np.array([rng.random()]), np.array([1.0])),
+        bt.spec, dim_x=3, sampler=sampler,
         support=[(np.zeros(3), np.array([0.0]), 0.5),
                  (np.ones(3), np.array([1.0]), 0.5)])
-    with pytest.raises(ConfigurationError, match="^sampler drew x of shape"):
+    with pytest.raises(ConfigurationError, match=r"^sampler drew x of shape "
+                       r"\(20, 1\) and y of shape \(20, 1\), expected "
+                       r"\(20, 3\) and \(20, 1\)$"):
         constants.estimate_ledger(spec, sample_count=20, probe_count=20,
                                   rng=seeding.substream(0, 1))
 
@@ -290,8 +295,11 @@ def test_zero_theta_gradient_gives_infinite_M_with_the_probe_loop_violations(bt)
         grad[..., 0, 0] = w
         return (theta[..., 0] * w)[..., None], grad
 
-    def sampler(rng):
-        return np.array([rng.random()]), np.array([float(rng.random() < 0.5)])
+    def sampler(rng, n=None):
+        if n is None:
+            return np.array([rng.random()]), np.array([float(rng.random() < 0.5)])
+        u = rng.random((n, 2))
+        return u[:, :1], (u[:, 1:] < 0.5) * 1.0
 
     spec = dataclasses.replace(bt.spec, model=bump_model, sampler=sampler)
     boxes = {"beta_box": (0.0, 1.0), "theta_box": (-1.0, 2.0)}

@@ -277,26 +277,26 @@ def test_enumerated_F_is_one_inner_call(bt):
 
 
 def test_mc_mode_draws_one_sample_per_context(lg):
-    calls = []
+    counts = []                 # the rows each sampler call draws
 
-    def sampler(rng):
-        calls.append(None)
-        return lg.spec.sampler(rng)
+    def sampler(rng, n=None):
+        counts.append(n)
+        return lg.spec.sampler(rng, n)
 
     spec = dataclasses.replace(lg.spec, sampler=sampler)
     diagnostics.grad_G(spec, np.zeros(2), mode="mc", n_samples=300,
                        rng=seeding.substream(20, 4))
-    assert len(calls) == 300
+    assert counts == [300]
 
 
-@pytest.mark.parametrize("short", [lambda x: x[:1], lambda x: x[0]],
+@pytest.mark.parametrize("short", [lambda x: x[..., :1], lambda x: x[..., 0]],
                          ids=["length-1", "scalar"])
 def test_short_sampler_draw_is_rejected(short):
-    # A draw of the wrong shape must not broadcast over a row of contexts.
+    # Draws of the wrong shape must not broadcast against the contexts.
     lg3 = problems.make_linear_gaussian(3, seed=0)
 
-    def sampler(rng):
-        x, y = lg3.spec.sampler(rng)
+    def sampler(rng, n=None):
+        x, y = lg3.spec.sampler(rng, n)
         return short(x), y
 
     spec = dataclasses.replace(lg3.spec, sampler=sampler)

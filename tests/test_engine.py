@@ -239,6 +239,14 @@ def test_a_bare_step_output_names_the_evaluator(bt, bare):
                    RunConfig(gamma=1.0, alpha=0.1, n_iters=8, seed=2))
 
 
+@pytest.mark.parametrize("output", ["abc", {"a": 1}], ids=["string", "dict"])
+def test_a_non_numeric_step_output_names_the_evaluator(bt, output):
+    with pytest.raises(ConfigurationError, match="^inner output f_grad_beta is "
+                       "not a float array: "):
+        engine.run(dataclasses.replace(bt.spec, inner=lambda x, y, beta: (np.zeros(1), output)),
+                   RunConfig(gamma=1.0, alpha=0.1, n_iters=8, seed=2))
+
+
 def test_direction_is_unbiased_for_gamma_dir(bt):
     # The single-sample direction matches the enumerated expectation within
     # Monte Carlo error.

@@ -334,6 +334,35 @@ def test_a_bare_output_names_the_evaluator(bt, evaluator, bare):
         calls[evaluator]()
 
 
+@pytest.mark.parametrize("output", ["abc", {"a": 1}], ids=["string", "dict"])
+def test_a_non_numeric_output_names_the_evaluator(bt, output):
+    # numpy raises a ValueError for the string and a TypeError for the dict
+    spec = dataclasses.replace(bt.spec, inner=lambda x, y, beta: (np.zeros(1), output))
+    with pytest.raises(ConfigurationError, match="^inner output f_grad_beta is "
+                       "not a float array: "):
+        model.evaluate_inner(spec, np.ones(1), np.ones(1), np.array([0.3]))
+
+
+def test_a_sampler_without_a_draw_count_names_the_contract(bt):
+    spec = dataclasses.replace(bt.spec, sampler=lambda rng: bt.spec.sampler(rng))
+    rng = seeding.substream(5, 1)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigurationError, match=r"^sampler takes no draw count: "
+                       r"the contract is sampler\(rng\) for one draw and "
+                       r"sampler\(rng, n\) for n draws"):
+        model.sample_stack(spec, 10, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_a_type_error_inside_the_sampler_is_not_caught(bt):
+    def sampler(rng, n=None):
+        raise TypeError("raised in the sampler")
+
+    spec = dataclasses.replace(bt.spec, sampler=sampler)
+    with pytest.raises(TypeError, match="^raised in the sampler$"):
+        model.sample_stack(spec, 10, seeding.substream(5, 1))
+
+
 def test_list_inputs_match_array_inputs(bt):
     beta, theta = [0.3], [0.2, 0.4]
     pairs = [

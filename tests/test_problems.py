@@ -81,6 +81,21 @@ def test_estimating_the_ledger_in_a_run_leaves_scipy_unloaded(tmp_path):
     assert '"M": "estimated(n=10000)"' in manifest
 
 
+@pytest.mark.parametrize("name", ["BT", "LIN", "LG(1)", "LG(2)", "LG(8)"])
+def test_a_batched_draw_equals_one_draw_calls(name):
+    spec = problems.by_name(name).spec
+    for n in (1, 7, 2000):
+        batched, single = seeding.substream(5, n), seeding.substream(5, n)
+        xs, ys = spec.sampler(batched, n)
+        draws = [spec.sampler(single) for _ in range(n)]
+        assert {np.shape(v) for draw in draws for v in draw} == \
+            ({(spec.dim_x,)} | {(spec.dim_y,)})
+        assert xs.shape == (n, spec.dim_x) and ys.shape == (n, spec.dim_y)
+        assert xs.tobytes() == np.array([x for x, _ in draws]).tobytes()
+        assert ys.tobytes() == np.array([y for _, y in draws]).tobytes()
+        assert batched.bit_generator.state == single.bit_generator.state
+
+
 def test_lin_reduces_to_quadratic_objective(lin):
     # linear outer: grad G = 2 beta - 2 E[Y] with E[Y] = 0.45
     rng = seeding.substream(4, 3)
