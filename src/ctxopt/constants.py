@@ -35,6 +35,7 @@ from .errors import CapabilityError, ConfigurationError, DomainError
 from .model import (
     ProblemSpec,
     _dot,
+    _require,
     evaluate_inner,
     evaluate_model,
     evaluate_outer,
@@ -126,6 +127,22 @@ def check_lambda(ledger: ConstantLedger, lam: float) -> None:
             f"and lambda >= L_hess_g = {ledger.L_hess_g:.6g})")
 
 
+def best_lambda(ledger: ConstantLedger) -> float:
+    """The lambda in ``check_lambda``'s domain that minimises ``gamma_min``.
+
+    With a = Lbar_f^2/2, b = 4 Lbar_f^2 L_hess_g, c = 1/M and
+    d = 2 Lbar_psi^2 L_hess_g, gamma_min = (a lam^2 + b lam) / (c lam - d)
+    falls from the floor d/c to one minimum, the positive root of
+    a c lam^2 - 2 a d lam - b d, and rises after it; the domain also needs
+    lam >= L_hess_g.  It is 0 when L_hess_g = 0; an infinite M leaves none.
+    """
+    if ledger.M == math.inf:
+        raise DomainError(f"lambda: M = {ledger.M} leaves no finite default; set lambda")
+    lf2, lhg = ledger.Lbar_f ** 2, ledger.L_hess_g
+    a, b, c, d = lf2 / 2.0, 4.0 * lf2 * lhg, 1.0 / ledger.M, 2.0 * ledger.Lbar_psi ** 2 * lhg
+    return max((a * d + math.sqrt(a * a * d * d + a * b * c * d)) / (a * c), lhg)
+
+
 def gamma_min(ledger: ConstantLedger, lam: float) -> float:
     """Threshold on the method parameter gamma for the descent inequality.
 
@@ -189,6 +206,8 @@ def lipschitz_W(ledger: ConstantLedger, lam: float):
 def theorem_bound(L_W: float, C_d: float, sigma: float, alpha: float,
                   n_iters: int, W0: float, G_min: float) -> float:
     """Right-hand side of the rate theorem for the fixed-horizon schedule."""
+    _require("count", n_iters=n_iters)
+    _require("positive", alpha=alpha)
     return ((L_W / 2.0) * (C_d ** 2 + sigma ** 2) * alpha ** 2 + W0 - G_min) \
         / (alpha * math.sqrt(n_iters))
 
@@ -321,8 +340,7 @@ def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
     while Q stays away from zero) the offending probes are recorded in
     ``a4_violations`` and M is set to infinity, without raising.
     """
-    if sample_count < 1 or probe_count < 1:
-        raise ConfigurationError("sample_count and probe_count must be positive")
+    _require("count", sample_count=sample_count, probe_count=probe_count)
     if not problem.has_support:
         raise CapabilityError(
             "estimate_ledger needs a support enumeration to estimate M; "

@@ -40,7 +40,7 @@ import numpy as np
 
 from .engine import compute_direction
 from .errors import CapabilityError, ConfigurationError
-from .model import (ProblemSpec, _dot, _is_count, _matvec, _support_F,
+from .model import (_RULES, ProblemSpec, _dot, _matvec, _require, _support_F,
                     conditional_oracle, evaluate_model, evaluate_outer, sample_stack)
 
 
@@ -62,9 +62,7 @@ class _Pass:
                     "Monte Carlo diagnostics require a conditional oracle for F")
             if rng is None:
                 raise ConfigurationError("Monte Carlo mode needs an rng")
-            if not _is_count(n_samples):
-                raise ConfigurationError(
-                    f"n_samples must be a positive integer, got {n_samples!r}")
+            _require("count", n_samples=n_samples)
             xs, self.p_x = sample_stack(problem, n_samples, rng)[0], None
         else:
             raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
@@ -123,12 +121,6 @@ def _float(value):
     return float(value) if value.ndim == 0 else value
 
 
-def _check_weights(c1, c2):
-    for name, value in (("c1", c1), ("c2", c2)):
-        if not 0 < value < np.inf:
-            raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
-
-
 def tracking_error_Q(problem: ProblemSpec, beta, theta, mode="exact",
                      n_samples=10000, rng=None):
     """Mean squared model gap Q = (1/2) E ||F(X,beta) - psi(X,theta)||^2."""
@@ -158,7 +150,7 @@ def Q_and_grad_Q(problem: ProblemSpec, beta, theta, mode="exact",
 def nonoptimality_V(problem: ProblemSpec, beta, theta, c1, c2, mode="exact",
                     n_samples=10000, rng=None) -> float:
     """Non-optimality measure V = c1*Q + c2*||grad G||^2."""
-    _check_weights(c1, c2)
+    _require("positive", c1=c1, c2=c2)
     return _Pass(problem, mode, n_samples, rng, beta, theta).V(c1, c2)
 
 
@@ -169,6 +161,7 @@ def bregman_delta_and_W(problem: ProblemSpec, beta, theta, lam,
     Delta = E[g(F) - g(psi) - grad g(psi)^T (F - psi) + (lam/2)||F - psi||^2]
     is nonnegative whenever lam >= L_hess_g, making W an upper bound on G.
     """
+    _require("positive", lam=lam)
     run = _Pass(problem, mode, n_samples, rng, beta, theta)
     (g_F, _, _), (g_psi, g_psi_grad, _), gap = run.g("F"), run.g("psi"), run.gap
     delta = _float(run.average(g_F - g_psi - (g_psi_grad * gap).sum(axis=-1)
@@ -183,6 +176,7 @@ def expected_direction_Gamma(problem: ProblemSpec, beta, theta, gamma,
     Matches the Monte Carlo mean of ``engine.compute_direction`` at the same
     point (the single-sample direction is conditionally unbiased).
     """
+    _require("positive", gamma=gamma)
     return _Pass(problem, mode, n_samples, rng, beta, theta).Gamma(gamma)
 
 
@@ -194,6 +188,7 @@ def grad_W(problem: ProblemSpec, beta, theta, lam, mode="exact",
                  + lam E[grad F (F - psi)]
     theta block: -E[grad psi hess g(psi) (F - psi)] - lam E[grad psi (F - psi)]
     """
+    _require("positive", lam=lam)
     return _Pass(problem, mode, n_samples, rng, beta, theta).grad_W(lam)
 
 
@@ -205,7 +200,7 @@ def direction_moment_stats(problem: ProblemSpec, beta, theta, gamma,
     plus the variance about the mean (estimating sigma^2).  The n samples
     go through one ``compute_direction`` call.
     """
-    if not (_is_count(n) and n >= 1000):
+    if not (_RULES["count"][0](n) and n >= 1000):
         raise ConfigurationError(
             f"direction_moment_stats needs an integer n >= 1000, got {n!r}")
     d = compute_direction(problem, np.asarray(beta, float),
@@ -225,7 +220,7 @@ def descent_check(problem: ProblemSpec, beta, theta, gamma, lam, c1, c2):
     with passed iff lhs <= rhs + 1e-9; all quantities here are closed-form
     on a finite support, so the tolerance is absolute.
     """
-    _check_weights(c1, c2)
+    _require("positive", gamma=gamma, lam=lam, c1=c1, c2=c2)
     run = _Pass(problem, "exact", None, None, beta, theta)
     (gw_beta, gw_theta), (gam_beta, gam_theta) = run.grad_W(lam), run.Gamma(gamma)
     lhs = _float(_dot(gw_beta, gam_beta) + _dot(gw_theta, gam_theta))

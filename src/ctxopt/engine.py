@@ -32,8 +32,7 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigurationError, EvaluationError
-from .model import (ProblemSpec, _checked_draw, _is_count, _lead, _matvec,
-                    _validated)
+from .model import ProblemSpec, _checked_draw, _lead, _matvec, _require, _validated
 
 Array = np.ndarray
 
@@ -58,14 +57,8 @@ class RunConfig:
     init_theta: Optional[Array] = None
 
     def __post_init__(self):
-        for name in ("gamma", "alpha"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigurationError(
-                    f"{name} must be positive and finite, got {value!r}")
-        if not _is_count(self.n_iters):
-            raise ConfigurationError(
-                f"n_iters must be a positive integer, got {self.n_iters!r}")
+        _require("positive", gamma=self.gamma, alpha=self.alpha)
+        _require("count", n_iters=self.n_iters)
         for name in ("init_beta", "init_theta"):
             value = getattr(self, name)
             if (value is not None
@@ -108,8 +101,7 @@ def compute_direction(problem: ProblemSpec, beta: Array, theta: Array,
                       sample: tuple, gamma: float) -> tuple:
     """Stochastic direction (d_beta, d_theta) at (beta, theta) from ``sample``,
     an (x, y) pair or a stack of pairs with leading batch axes."""
-    if not 0 < gamma < math.inf:
-        raise ConfigurationError(f"gamma must be positive and finite, got {gamma!r}")
+    _require("positive", gamma=gamma)
     x, y, beta, theta = map(np.asarray, (*sample, beta, theta))
     return _direction(problem, beta, theta, x, y, gamma,
                       _lead("compute_direction", problem, x, y, beta, problem.dim_beta),
@@ -129,6 +121,8 @@ def _direction(problem, beta, theta, x, y, gamma, lead, psi_lead):
 
 def stepsizes(schedule: Schedule, n_iters: int, alpha: float) -> Array:
     """tau_0 .. tau_{N-1}: alpha/sqrt(N) each, or alpha/sqrt(k+1)."""
+    _require("count", n_iters=n_iters)
+    _require("positive", alpha=alpha)
     if schedule is Schedule.FIXED_HORIZON:
         return np.full(n_iters, alpha / math.sqrt(n_iters))
     return alpha / np.sqrt(np.arange(1, n_iters + 1))
@@ -137,8 +131,7 @@ def stepsizes(schedule: Schedule, n_iters: int, alpha: float) -> Array:
 def draw_stop_index(schedule: Schedule, n_iters: int, alpha: float,
                     rng: np.random.Generator) -> int:
     """Draw the reporting index S according to the schedule's stopping law."""
-    if n_iters < 1:
-        raise ConfigurationError("n_iters must be >= 1")
+    _require("count", n_iters=n_iters)
     if schedule is Schedule.FIXED_HORIZON:
         return int(rng.integers(n_iters))
     taus = stepsizes(schedule, n_iters, alpha)

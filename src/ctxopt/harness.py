@@ -8,7 +8,8 @@ anything runs; ``ledger.<entry>`` overrides are checked by the ledger's own
 entry rule there too.  ``problem.*`` keys are problem parameters, checked by
 ``problems.by_name``; LG's size is the n of ``problem.name = LG(n)``.
 ``run_experiment`` builds one ``engine.RunConfig`` per task before the
-worker pool (``workers``; 0 means one per core) starts.
+worker pool (``workers``; 0 means one per core, and never more workers than
+tasks) starts; a single task runs in process.
 
 Each (N, replication) pair runs with seed mix(master, N, r) and contributes
 one row to results.csv and its engine wall time to timings.csv; summary.csv
@@ -44,8 +45,8 @@ import numpy as np
 
 from . import constants, diagnostics, engine, problems, seeding
 from .constants import ConstantLedger
-from .errors import CapabilityError, ConfigurationError, DomainError, EvaluationError
-from .model import _dot
+from .errors import CapabilityError, ConfigurationError, EvaluationError
+from .model import _RULES, _dot
 
 RESULT_COLUMNS = ["N", "replication", "seed", "S", "tau_schedule", "alpha",
                   "gamma", "V_at_S", "Q_at_S", "normgradG_at_S", "W_final",
@@ -70,7 +71,7 @@ def _checked(kind, ok, rule):
 
 _FLAGS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
-_positive = _checked(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_positive = _checked(float, *_RULES["positive"])
 _finite_list = _checked(lambda raw: [float(v) for v in raw.split(",")],
                         lambda vs: all(map(math.isfinite, vs)), "must be finite")
 
@@ -196,12 +197,12 @@ def resolve_ledger(problem: problems.BuiltinProblem,
 
 def resolve_coefficients(ledger: ConstantLedger, config: ExperimentConfig):
     """(lam, c1, c2, L_W) from the config, lam and the weights derived where
-    absent; ``constants.lipschitz_W`` rejects a lambda below L_hess_g."""
+    absent: lam is ``constants.best_lambda``, the lambda of the lowest gamma
+    threshold, but at least 1.  ``constants.lipschitz_W`` rejects a lambda
+    below L_hess_g."""
     lam = config.lam
     if lam is None:
-        lam = max(1.05 * constants.lambda_floor(ledger), 1.0)
-        if not math.isfinite(lam):
-            raise DomainError(f"lambda: M = {ledger.M} leaves no finite default; set lambda")
+        lam = max(constants.best_lambda(ledger), 1.0)
     _, _, l_w = constants.lipschitz_W(ledger, lam)
     if config.c1 is not None and config.c2 is not None:
         return lam, config.c1, config.c2, l_w
@@ -317,7 +318,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                               init_theta=config.init_theta),
              r, lam, c1, c2)
             for n in config.sweep for r in range(config.replications)]
-    workers = config.workers or (os.cpu_count() or 1)
+    # A forked pool starts every worker at the first task: start none to idle.
+    workers = min(config.workers or (os.cpu_count() or 1), len(args))
     if workers > 1:
         # The sweep ascends: start the largest N first, so no long row starts last.
         with ProcessPoolExecutor(max_workers=workers) as pool:

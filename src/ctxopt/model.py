@@ -29,7 +29,10 @@ is the one shape check of a draw, there and in ``engine.run``.
 finiteness: ``evaluate_*`` and ``conditional_oracle`` check their inputs and
 pass their outputs to it, and each ``engine`` step passes it all of its own.
 A bare value, a wrong number of outputs or an output that is not numeric
-fails it with a ConfigurationError naming the evaluator.
+fails it with a ConfigurationError naming the evaluator.  Beside it,
+``_require`` is the one argument check: every count and every positive
+scalar that a public function takes meets its rule in ``_RULES``, or a
+ConfigurationError names the argument, once per call and never per step.
 
 Gradient matrices follow the transpose-of-Jacobian convention throughout:
 an evaluator differentiated with respect to a parameter vector of length p
@@ -52,9 +55,21 @@ from .errors import CapabilityError, ConfigurationError, EvaluationError
 Array = np.ndarray
 
 
-def _is_count(value) -> bool:
-    """Whether ``value`` is a positive int or numpy integer, and not True."""
-    return isinstance(value, (int, np.integer)) and value is not True and value >= 1
+# Each argument rule: (holds, the error's text).  True is no count and no scalar.
+_RULES = {
+    "count": (lambda v: isinstance(v, (int, np.integer)) and v is not True and v >= 1,
+              "must be a positive integer"),
+    "positive": (lambda v: isinstance(v, (int, float, np.integer, np.floating))
+                 and v is not True and 0 < v < math.inf, "must be positive and finite"),
+}
+
+
+def _require(rule: str, **values) -> None:
+    """Raise a ConfigurationError naming the first of ``values`` to break the rule."""
+    holds, text = _RULES[rule]
+    for name, value in values.items():
+        if not holds(value):
+            raise ConfigurationError(f"{name} {text}, got {value!r}")
 
 
 @dataclass
@@ -97,9 +112,8 @@ class ProblemSpec:
     _exact: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("dim_x", "dim_y", "dim_beta", "dim_theta", "dim_f"):
-            if not _is_count(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be a positive integer")
+        _require("count", dim_x=self.dim_x, dim_y=self.dim_y, dim_beta=self.dim_beta,
+                 dim_theta=self.dim_theta, dim_f=self.dim_f)
         if self.support is not None:
             groups: dict = {}
             for i, (x, y, p) in enumerate(self.support):
@@ -283,6 +297,7 @@ def _checked_draw(problem: ProblemSpec, lead: tuple, draw) -> tuple:
 
 def sample_stack(problem: ProblemSpec, n: int, rng: np.random.Generator):
     """Draw n (x, y) pairs in one ``sampler(rng, n)`` call, as (n, dim) arrays."""
+    _require("count", n=n)
     try:
         inspect.signature(problem.sampler).bind(rng, n)
     except TypeError:
@@ -310,8 +325,7 @@ def finite_difference_check(problem: ProblemSpec, n_probes: int,
     with step h = 1e-5; returns the worst relative error per evaluator,
     normalized by max(1, ||analytic||).
     """
-    if not _is_count(n_probes):
-        raise ConfigurationError(f"n_probes must be a positive integer, got {n_probes!r}")
+    _require("count", n_probes=n_probes)
     worst = {"inner": 0.0, "model": 0.0, "outer": 0.0}
     h = 1e-5
     for _ in range(n_probes):

@@ -30,7 +30,7 @@ import numpy as np
 from . import seeding
 from .constants import LEDGER_KEYS, ConstantLedger
 from .errors import ConfigurationError
-from .model import ProblemSpec, _dot
+from .model import ProblemSpec, _dot, _require
 
 _BT_P = {0.0: 0.2, 1.0: 0.7}
 
@@ -193,8 +193,7 @@ class _LGOracle:
 
 def make_linear_gaussian(n_x: int, seed: int = 0) -> BuiltinProblem:
     """Continuous-context fixture (LG) with a unit-norm regression vector."""
-    if n_x < 1:
-        raise ConfigurationError("n_x must be >= 1")
+    _require("count", n_x=n_x)
     rng = seeding.substream(seed, seeding.STREAM_LG_VECTOR)
     a = rng.standard_normal(n_x)
     a /= np.linalg.norm(a)

@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import minimize, rosen
+from scipy.optimize import minimize, minimize_scalar, rosen
 
-from ctxopt import constants, diagnostics, model, seeding
+from ctxopt import constants, diagnostics, model, problems, seeding
 from ctxopt.constants import ConstantLedger
 from ctxopt.errors import (
     CapabilityError,
@@ -34,6 +34,41 @@ def test_lambda_floor_worked_example():
 def test_gamma_min_worked_example():
     # lambda=3 on the all-ones ledger: (9/2 + 12) / (3 - 2) = 16.5
     assert constants.gamma_min(ones_ledger(), 3.0) == 16.5
+
+
+@pytest.mark.parametrize("fixture, lam, g_min", [
+    ("BT", 19.888111555889278, 250.16), ("LG(8)", 21.255, 112.94), ("LIN", 0.0, None)])
+def test_best_lambda_minimises_gamma_min(fixture, lam, g_min):
+    ledger = problems.by_name(fixture).ledger
+    best = constants.best_lambda(ledger)
+    assert best == pytest.approx(lam, abs=5e-4)
+    if g_min is not None:
+        assert constants.gamma_min(ledger, best) == pytest.approx(g_min, abs=5e-3)
+        for step in (1e-6, 1e-3, 0.5):
+            assert constants.gamma_min(ledger, best) <= min(
+                constants.gamma_min(ledger, best * (1 - step)),
+                constants.gamma_min(ledger, best * (1 + step)))
+
+
+def test_best_lambda_matches_the_bounded_search(bt):
+    floor = constants.lambda_floor(bt.ledger)
+    search = minimize_scalar(lambda lam: constants.gamma_min(bt.ledger, lam),
+                             bounds=(floor * 1.0001, floor * 50.0), method="bounded",
+                             options={"xatol": 1e-10}).x
+    assert constants.best_lambda(bt.ledger) == 19.888111555889278
+    assert constants.best_lambda(bt.ledger) == pytest.approx(search, rel=1e-9)
+
+
+def test_best_lambda_is_at_least_L_hess_g():
+    # The stationary point is 0.257, below L_hess_g = 2, which check_lambda needs.
+    ledger = ones_ledger(L_hess_g=2.0, M=1e-3)
+    assert constants.best_lambda(ledger) == 2.0
+    assert constants.gamma_min(ledger, 2.0) < constants.gamma_min(ledger, 2.1)
+
+
+def test_best_lambda_needs_a_finite_M():
+    with pytest.raises(DomainError, match=r"^lambda: M = inf leaves no finite default"):
+        constants.best_lambda(ones_ledger(M=math.inf))
 
 
 def test_gamma_min_rejects_lambda_at_floor():

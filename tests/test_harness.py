@@ -225,7 +225,7 @@ def test_lambda_below_the_hessian_bound_is_rejected_before_any_work(
     ("0.1", True), ("0.1", False), ("auto", True)])
 def test_an_infinite_default_lambda_is_rejected_before_any_work(
         tmp_path, monkeypatch, alpha, weights):
-    # ledger.M = inf puts lambda_floor, and so the default lambda, at inf.
+    # ledger.M = inf leaves no finite best_lambda, and so no default lambda.
     def no_work(*args, **kwargs):
         raise AssertionError("work started before lambda was checked")
 
@@ -299,9 +299,11 @@ def test_a_bad_task_fails_before_the_pool_starts(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(constants, "optimal_alpha", lambda *args: math.nan)
+    # Two tasks, since a one-task sweep runs in process and starts no pool.
     config = harness.parse_config(
         SMALL_CONFIG.format(out=tmp_path / "out")
-        .replace("run.alpha = 0.05", "run.alpha = auto") + "workers = 2\n")
+        .replace("run.alpha = 0.05", "run.alpha = auto")
+        .replace("replications = 1", "replications = 2") + "workers = 2\n")
     with pytest.raises(ConfigurationError, match="^alpha must be positive"):
         harness.run_experiment(config)
     assert not (tmp_path / "out").exists()
@@ -378,6 +380,37 @@ workers = {workers}
     for name in ("results.csv", "summary.csv"):
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "pool" / name).read_bytes()
+
+
+@pytest.mark.parametrize("sweep, replications, workers, pool_size", [
+    ("4,8", 2, 0, 4), ("4,8", 2, 3, 3), ("4", 1, 0, None), ("4", 1, 8, None)])
+def test_the_pool_starts_no_more_workers_than_tasks(
+        tmp_path, monkeypatch, sweep, replications, workers, pool_size):
+    # A forked ProcessPoolExecutor starts all max_workers at the first submit.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    text = (SMALL_CONFIG.format(out=tmp_path / "out")
+            .replace("sweep = 1", f"sweep = {sweep}")
+            .replace("replications = 1", f"replications = {replications}"))
+    result = harness.run_experiment(harness.parse_config(text + f"workers = {workers}\n"))
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert len(result["results"].read_text().splitlines()) == 1 + replications * len(
+        sweep.split(","))
 
 
 def test_V_grid_is_the_mean_of_V_over_the_trajectory_grid(tmp_path, bt):

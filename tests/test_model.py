@@ -1,11 +1,15 @@
 """Evaluator contracts: shapes, finiteness, enumeration, gradient checks."""
 
+import ast
 import dataclasses
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctxopt import model, problems, seeding
+from ctxopt import constants, diagnostics, engine, model, problems, seeding
 from ctxopt.errors import CapabilityError, ConfigurationError, EvaluationError
 from ctxopt.model import ProblemSpec
 
@@ -479,3 +483,100 @@ def test_bt_oracle_over_many_stacked_states_matches_per_state_calls(bt):
         rows = [model.conditional_oracle(bt.spec, x, beta) for beta in betas]
         assert F[i].tolist() == [row[0].tolist() for row in rows]
         assert F_grad[i].tolist() == [row[1].tolist() for row in rows]
+
+
+# The argument gate: every entry point below checks an argument by a rule of
+# model._RULES.  Each (entry point, bad value) case names its argument in a
+# ConfigurationError; before the gate each one ran on, returned a value, or
+# failed with a raw or differently worded error.  Where an entry point took
+# some bad values already, only the others are listed.
+_Z0 = (np.array([0.3]), np.array([0.2, 0.1]))
+_FH = engine.Schedule.FIXED_HORIZON
+_BAD = {"count": (0, -1, 2.5, True, "3", math.nan, math.inf),
+        "positive": (0, -1, True, "3", math.nan, math.inf)}
+_TEXT = {"count": "a positive integer", "positive": "positive and finite"}
+_GATED = [  # (entry point, argument, rule, call(spec, value), bad values)
+    ("sample_stack", "n", "count",
+     lambda spec, v: model.sample_stack(spec, v, seeding.substream(1, 2)), None),
+    ("estimate_ledger", "sample_count", "count", lambda spec, v: constants.estimate_ledger(
+        spec, sample_count=v, probe_count=10, rng=seeding.substream(1, 2)), None),
+    ("estimate_ledger", "probe_count", "count", lambda spec, v: constants.estimate_ledger(
+        spec, sample_count=10, probe_count=v, rng=seeding.substream(1, 2)), None),
+    ("stepsizes", "n_iters", "count", lambda spec, v: engine.stepsizes(_FH, v, 0.5), None),
+    ("stepsizes", "alpha", "positive", lambda spec, v: engine.stepsizes(_FH, 8, v), None),
+    ("theorem_bound", "n_iters", "count",
+     lambda spec, v: constants.theorem_bound(2.0, 1.0, 1.0, 1.0, v, 1.0, 0.0), None),
+    ("theorem_bound", "alpha", "positive",
+     lambda spec, v: constants.theorem_bound(2.0, 1.0, 1.0, v, 8, 1.0, 0.0), None),
+    ("draw_stop_index", "n_iters", "count",
+     lambda spec, v: engine.draw_stop_index(_FH, v, 0.5, seeding.substream(1, 2)), None),
+    ("make_linear_gaussian", "n_x", "count",
+     lambda spec, v: problems.make_linear_gaussian(v), None),
+    ("ProblemSpec", "dim_x", "count",
+     lambda spec, v: dataclasses.replace(spec, dim_x=v), (-1, math.nan, math.inf)),
+    ("RunConfig", "gamma", "positive",
+     lambda spec, v: engine.RunConfig(gamma=v, alpha=0.1, n_iters=8), (True, "3")),
+    ("RunConfig", "alpha", "positive",
+     lambda spec, v: engine.RunConfig(gamma=1.0, alpha=v, n_iters=8), (True, "3")),
+    ("compute_direction", "gamma", "positive", lambda spec, v: engine.compute_direction(
+        spec, *_Z0, (np.array([1.0]), np.array([0.0])), v), (True, "3")),
+    ("nonoptimality_V", "c1", "positive",
+     lambda spec, v: diagnostics.nonoptimality_V(spec, *_Z0, v, 1.0), (True, "3")),
+    ("descent_check", "c2", "positive",
+     lambda spec, v: diagnostics.descent_check(spec, *_Z0, 20.0, 3.0, 1.0, v), (True, "3")),
+    ("descent_check", "gamma", "positive",
+     lambda spec, v: diagnostics.descent_check(spec, *_Z0, v, 3.0, 1.0, 1.0), None),
+    ("descent_check", "lam", "positive",
+     lambda spec, v: diagnostics.descent_check(spec, *_Z0, 20.0, v, 1.0, 1.0), None),
+    ("bregman_delta_and_W", "lam", "positive",
+     lambda spec, v: diagnostics.bregman_delta_and_W(spec, *_Z0, v), None),
+    ("grad_W", "lam", "positive", lambda spec, v: diagnostics.grad_W(spec, *_Z0, v), None),
+    ("expected_direction_Gamma", "gamma", "positive",
+     lambda spec, v: diagnostics.expected_direction_Gamma(spec, *_Z0, v), None),
+]
+
+
+@pytest.mark.parametrize("name, rule, call, value", [
+    pytest.param(name, rule, call, value, id=f"{entry}-{name}-{value!r}")
+    for entry, name, rule, call, values in _GATED for value in values or _BAD[rule]])
+def test_a_bad_argument_is_named_by_the_gate(bt, name, rule, call, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be {_TEXT[rule]}, "
+                                                 f"got {re.escape(repr(value))}$"):
+        call(bt.spec, value)
+
+
+def test_the_gate_accepts_python_and_numpy_scalars(bt):
+    # Each pair of calls, with Python and with numpy scalars, gives equal values.
+    i64, f64 = np.int64, np.float64
+    pairs = [
+        (lambda n, a: engine.stepsizes(engine.Schedule.ANYTIME, n, a), (16, 0.5),
+         (i64(16), f64(0.5))),
+        (lambda n, a: constants.theorem_bound(2.0, 1.0, 1.0, a, n, 1.0, 0.0), (8, 2),
+         (i64(8), i64(2))),
+        (lambda n, _: model.sample_stack(bt.spec, n, seeding.substream(1, 2)), (5, None),
+         (i64(5), None)),
+        (lambda g, lam: diagnostics.descent_check(bt.spec, *_Z0, g, lam, 2.24, 0.21875),
+         (20.0, 3), (f64(20.0), i64(3))),
+        (lambda _, lam: diagnostics.bregman_delta_and_W(bt.spec, *_Z0, lam), (None, 3.0),
+         (None, np.float32(3.0))),
+        (lambda g, a: engine.run(bt.spec, engine.RunConfig(g, a, n_iters=8)).betas,
+         (2.0, 0.1), (f64(2.0), f64(0.1))),
+    ]
+    for call, plain, numpy_ in pairs:
+        np.testing.assert_equal(call(*numpy_), call(*plain))
+    assert dataclasses.replace(bt.spec, dim_x=np.int64(1)).dim_x == 1
+
+
+def test_the_argument_rules_are_written_once():
+    # The texts of model._RULES appear nowhere else in the package: a second
+    # copy of either would be a second rule.  Harness converters reuse them.
+    package = Path(model.__file__).parent
+    tree = ast.parse((package / "model.py").read_text())
+    rules = next(node for node in tree.body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "_RULES")
+    inside = [("model.py", lineno) for lineno in range(rules.lineno, rules.end_lineno + 1)]
+    for text in ("must be a positive integer", "must be positive and finite"):
+        found = [(path.name, lineno) for path in sorted(package.glob("*.py"))
+                 for lineno, line in enumerate(path.read_text().splitlines(), 1)
+                 if text in line]
+        assert len(found) == 1 and found[0] in inside, (text, found)

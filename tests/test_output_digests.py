@@ -6,7 +6,9 @@ the diagnostics, the engine or the harness that moves any value, or any
 byte of how it is written, fails here.  BT with ``alpha = auto`` covers the
 z^0 moments and the exact diagnostics (``V_grid`` strides its grid at
 N = 2048); LG(2) covers the Monte Carlo diagnostics and their three 10k
-draws per row.
+draws per row.  BT at gamma = 300 without ``lambda``, ``c1`` or ``c2``
+covers the derived default: lambda from ``constants.best_lambda`` and the
+weights from ``constants.descent_coefficients``.
 """
 
 import hashlib
@@ -37,3 +39,14 @@ def test_sweep_outputs_keep_their_bytes(tmp_path, name):
     for key, expected in (("results", results_sha), ("summary", summary_sha)):
         digest = hashlib.sha256(result[key].read_bytes()).hexdigest()
         assert digest == expected, key
+
+
+def test_a_sweep_with_derived_weights_keeps_its_bytes(tmp_path):
+    result = harness.run_experiment(harness.parse_config(
+        "problem.name = BT\nrun.gamma = 300\nrun.alpha = auto\nsweep = 16,256\n"
+        f"replications = 2\nrun.seed = 5\nworkers = 1\noutput_dir = {tmp_path}\n"))
+    assert result["lam"] == 19.888111555889278
+    for key, expected in (
+            ("results", "967732207ab33098dfeb051e40f8f3afcd6dfef0b9e998d6ddac25758fc8af36"),
+            ("summary", "40d465fe98e3717912848b6ef584d27ca5c041a07ea18ad1502d0585cc0f8546")):
+        assert hashlib.sha256(result[key].read_bytes()).hexdigest() == expected, key
