@@ -21,8 +21,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import constants, diagnostics, harness, problems, seeding
 from .errors import CtxoptError, DomainError
 

@@ -9,10 +9,10 @@ The ledger collects the bound constants of the standing assumptions:
     A4: Lojasiewicz constant M with Q <= M * ||grad_theta Q||^2
 
 From a ledger and a Lyapunov weight lambda the module computes the descent
-threshold gamma_min, the coefficient C, the Young's-inequality interval for
-epsilon, the resulting positive weights (c1, c2) of the non-optimality
-measure V = c1*Q + c2*||grad G||^2, the Lipschitz constant L_W of the
-Lyapunov gradient, and the final rate bound
+threshold gamma_min, the coefficient C, epsilon at the midpoint of the
+Young's-inequality interval, the resulting positive weights (c1, c2) of the
+non-optimality measure V = c1*Q + c2*||grad G||^2, the Lipschitz constant L_W
+of the Lyapunov gradient, and the final rate bound
 
     E[V(z^S)] <= ((L_W/2)(C_d^2 + sigma^2) alpha^2 + W(z^0) - G_min)
                  / (alpha sqrt(N)).
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -105,30 +104,25 @@ class DerivedConstants:
         }
 
 
+def _strict_floor(ledger: ConstantLedger) -> float:
+    """2*M*Lbar_psi^2*L_hess_g, which lambda must exceed; inf where an
+    infinite factor meets a zero one (M = inf, L_hess_g = 0), as then
+    lambda/M - 2*Lbar_psi^2*L_hess_g > 0 holds for no finite lambda."""
+    floor = 2.0 * ledger.M * ledger.Lbar_psi ** 2 * ledger.L_hess_g
+    return math.inf if math.isnan(floor) else floor
+
+
 def lambda_floor(ledger: ConstantLedger) -> float:
     """Lower limit for the Lyapunov weight lambda.
 
     Callers must pick lambda strictly above 2*M*Lbar_psi^2*L_hess_g (and at
     least L_hess_g, which keeps the Bregman gap nonnegative).
     """
-    return max(ledger.L_hess_g,
-               2.0 * ledger.M * ledger.Lbar_psi ** 2 * ledger.L_hess_g)
-
-
-def check_lambda(ledger: ConstantLedger, lam: float) -> None:
-    """Raise DomainError unless lam is finite and strictly above the floor."""
-    if not math.isfinite(lam):
-        raise DomainError(f"lambda={lam} must be finite")
-    strict_floor = 2.0 * ledger.M * ledger.Lbar_psi ** 2 * ledger.L_hess_g
-    if lam <= strict_floor or lam < ledger.L_hess_g:
-        raise DomainError(
-            f"lambda={lam} does not exceed the floor "
-            f"(lambda > 2*M*Lbar_psi^2*L_hess_g = {strict_floor:.6g} "
-            f"and lambda >= L_hess_g = {ledger.L_hess_g:.6g})")
+    return max(ledger.L_hess_g, _strict_floor(ledger))
 
 
 def best_lambda(ledger: ConstantLedger) -> float:
-    """The lambda in ``check_lambda``'s domain that minimises ``gamma_min``.
+    """The lambda in ``gamma_min``'s domain that minimises ``gamma_min``.
 
     With a = Lbar_f^2/2, b = 4 Lbar_f^2 L_hess_g, c = 1/M and
     d = 2 Lbar_psi^2 L_hess_g, gamma_min = (a lam^2 + b lam) / (c lam - d)
@@ -148,42 +142,20 @@ def gamma_min(ledger: ConstantLedger, lam: float) -> float:
 
     Any gamma strictly above the returned value makes
     2*(gamma*(lam/M - 2*Lbar_psi^2*L_hess_g) - 4*lam*Lbar_f^2*L_hess_g)
-    exceed lam^2*Lbar_f^2.  A lambda that ``check_lambda`` rejects raises
-    its DomainError.
+    exceed lam^2*Lbar_f^2.  Raises DomainError unless lam is finite, strictly
+    above 2*M*Lbar_psi^2*L_hess_g and at least L_hess_g.
     """
-    check_lambda(ledger, lam)
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda={lam} must be finite")
+    strict_floor = _strict_floor(ledger)
+    if lam <= strict_floor or lam < ledger.L_hess_g:
+        raise DomainError(
+            f"lambda={lam} does not exceed the floor "
+            f"(lambda > 2*M*Lbar_psi^2*L_hess_g = {strict_floor:.6g} "
+            f"and lambda >= L_hess_g = {ledger.L_hess_g:.6g})")
     denom = lam / ledger.M - 2.0 * ledger.Lbar_psi ** 2 * ledger.L_hess_g
     lf2 = ledger.Lbar_f ** 2
     return (lam ** 2 * lf2 / 2.0 + 4.0 * lam * lf2 * ledger.L_hess_g) / denom
-
-
-def descent_coefficients(ledger: ConstantLedger, lam: float, gamma: float,
-                         epsilon: Optional[float] = None):
-    """Coefficient C and the positive weights (c1, c2) of V.
-
-    If ``epsilon`` is omitted it defaults to the midpoint of the open
-    interval (lam^2*Lbar_f^2/C, 2), which stays clear of both degenerate
-    endpoints.  Returns (cap_C, epsilon, c1, c2).
-    """
-    g_min = gamma_min(ledger, lam)
-    if not math.isfinite(gamma):
-        raise DomainError(f"gamma={gamma} must be finite")
-    if gamma <= g_min:
-        raise DomainError(
-            f"gamma={gamma} violates the strict descent threshold 2*(gamma*(lambda/M"
-            f" - 2*Lbar_psi^2*L_hess_g) - 4*lambda*Lbar_f^2*L_hess_g) > "
-            f"lambda^2*Lbar_f^2 (requires gamma > {g_min:.6g})")
-    denom = lam / ledger.M - 2.0 * ledger.Lbar_psi ** 2 * ledger.L_hess_g
-    lf2 = ledger.Lbar_f ** 2
-    cap_C = gamma * denom - 4.0 * lam * lf2 * ledger.L_hess_g
-    lo = lam ** 2 * lf2 / cap_C
-    if epsilon is None:
-        epsilon = (lo + 2.0) / 2.0
-    if not lo < epsilon < 2.0:
-        raise DomainError(f"epsilon={epsilon} outside the open interval ({lo}, 2)")
-    c1 = cap_C - lam ** 2 * lf2 / epsilon
-    c2 = 1.0 - epsilon / 2.0
-    return cap_C, epsilon, c1, c2
 
 
 def lipschitz_W(ledger: ConstantLedger, lam: float):
@@ -214,18 +186,47 @@ def theorem_bound(L_W: float, C_d: float, sigma: float, alpha: float,
 
 def optimal_alpha(L_W: float, C_d: float, sigma: float, W0: float,
                   G_min: float) -> float:
-    """Stepsize scale minimizing the rate bound over alpha."""
-    return math.sqrt(2.0 * (W0 - G_min) / (L_W * (C_d ** 2 + sigma ** 2)))
+    """Stepsize scale minimizing the rate bound over alpha; a DomainError
+    unless it is positive and finite."""
+    spread, moment = W0 - G_min, C_d ** 2 + sigma ** 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # float64 arithmetic gives inf or nan where Python floats raise
+        alpha = float(np.sqrt(np.float64(2.0) * spread / (L_W * moment)))
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha: the bound's minimiser is {alpha} at L_W = {L_W:.6g}, "
+                          f"C_d^2 + sigma^2 = {moment:.6g} and W0 - G_min = {spread:.6g}")
+    return alpha
 
 
 def derive(ledger: ConstantLedger, lam: float, gamma: float) -> DerivedConstants:
     """The DerivedConstants of (ledger, lambda, gamma), or the one compliance
-    verdict: check_lambda's DomainError, else descent_coefficients' on gamma."""
+    verdict: gamma_min's DomainError on lambda, else one on gamma.
+
+    C is gamma*(lam/M - 2*Lbar_psi^2*L_hess_g) - 4*lam*Lbar_f^2*L_hess_g, and
+    epsilon the midpoint of Young's open interval (lam^2*Lbar_f^2/C, 2),
+    clear of both degenerate endpoints; then c1 = C - lam^2*Lbar_f^2/epsilon
+    and c2 = 1 - epsilon/2.
+    """
     g_min = gamma_min(ledger, lam)
-    cap_C, epsilon, c1, c2 = descent_coefficients(ledger, lam, gamma)
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma={gamma} must be finite")
+    if gamma <= g_min:
+        raise DomainError(
+            f"gamma={gamma} violates the strict descent threshold 2*(gamma*(lambda/M"
+            f" - 2*Lbar_psi^2*L_hess_g) - 4*lambda*Lbar_f^2*L_hess_g) > "
+            f"lambda^2*Lbar_f^2 (requires gamma > {g_min:.6g})")
+    denom = lam / ledger.M - 2.0 * ledger.Lbar_psi ** 2 * ledger.L_hess_g
+    lf2 = ledger.Lbar_f ** 2
+    cap_C = gamma * denom - 4.0 * lam * lf2 * ledger.L_hess_g
+    lo = lam ** 2 * lf2 / cap_C
+    epsilon = (lo + 2.0) / 2.0
+    if not lo < epsilon < 2.0:          # gamma within rounding of gamma_min
+        raise DomainError(f"epsilon={epsilon} outside the open interval ({lo}, 2)")
     lwb, lwt, lw = lipschitz_W(ledger, lam)
     return DerivedConstants(lam=lam, gamma=gamma, gamma_min=g_min,
-                            epsilon=epsilon, cap_C=cap_C, c1=c1, c2=c2,
+                            epsilon=epsilon, cap_C=cap_C,
+                            c1=cap_C - lam ** 2 * lf2 / epsilon,
+                            c2=1.0 - epsilon / 2.0,
                             L_W_beta=lwb, L_W_theta=lwt, L_W=lw)
 
 

@@ -206,8 +206,8 @@ def resolve_coefficients(ledger: ConstantLedger, config: ExperimentConfig):
     _, _, l_w = constants.lipschitz_W(ledger, lam)
     if config.c1 is not None and config.c2 is not None:
         return lam, config.c1, config.c2, l_w
-    _, _, c1, c2 = constants.descent_coefficients(ledger, lam, config.gamma)
-    return lam, c1, c2, l_w
+    derived = constants.derive(ledger, lam, config.gamma)
+    return lam, derived.c1, derived.c2, l_w
 
 
 def measure_z0_quantities(problem: problems.BuiltinProblem,

@@ -2,9 +2,11 @@
 
 import collections
 import dataclasses
+import hashlib
 import inspect
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,12 @@ def ones_ledger(**overrides):
     values = {key: 1.0 for key in constants.LEDGER_KEYS}
     values.update(overrides)
     return ConstantLedger(**values)
+
+
+def descent_weights(ledger, lam, gamma):
+    """(cap_C, epsilon, c1, c2) of ``constants.derive``."""
+    derived = constants.derive(ledger, lam, gamma)
+    return derived.cap_C, derived.epsilon, derived.c1, derived.c2
 
 
 def test_lambda_floor_worked_example():
@@ -60,7 +68,7 @@ def test_best_lambda_matches_the_bounded_search(bt):
 
 
 def test_best_lambda_is_at_least_L_hess_g():
-    # The stationary point is 0.257, below L_hess_g = 2, which check_lambda needs.
+    # The stationary point is 0.257, below L_hess_g = 2, which gamma_min needs.
     ledger = ones_ledger(L_hess_g=2.0, M=1e-3)
     assert constants.best_lambda(ledger) == 2.0
     assert constants.gamma_min(ledger, 2.0) < constants.gamma_min(ledger, 2.1)
@@ -76,8 +84,18 @@ def test_gamma_min_rejects_lambda_at_floor():
         constants.gamma_min(ones_ledger(), 2.0)
 
 
+def test_an_infinite_M_admits_no_lambda_even_when_L_hess_g_is_zero():
+    # 2*M*Lbar_psi^2*L_hess_g is inf*0 = NaN here, and lambda/M - 0 is 0.
+    ledger = ones_ledger(M=math.inf, L_hess_g=0.0)
+    assert constants.lambda_floor(ledger) == math.inf
+    with pytest.raises(DomainError, match=r"^lambda=1\.0 does not exceed the floor "
+                       r"\(lambda > 2\*M\*Lbar_psi\^2\*L_hess_g = inf and "
+                       r"lambda >= L_hess_g = 0\)$"):
+        constants.gamma_min(ledger, 1.0)
+
+
 def test_descent_coefficients_worked_example():
-    cap_C, eps, c1, c2 = constants.descent_coefficients(ones_ledger(), 3.0, 20.0)
+    cap_C, eps, c1, c2 = descent_weights(ones_ledger(), 3.0, 20.0)
     assert cap_C == 8.0
     assert eps == 1.5625
     assert c1 == 2.24
@@ -87,18 +105,19 @@ def test_descent_coefficients_worked_example():
 def test_descent_coefficients_boundary():
     with pytest.raises(DomainError, match=r"^gamma=16.5 violates the strict "
                        r"descent threshold .*\(requires gamma > 16.5\)$"):
-        constants.descent_coefficients(ones_ledger(), 3.0, 16.5)
+        descent_weights(ones_ledger(), 3.0, 16.5)
     # just above the threshold is accepted and gives tiny positive weights
-    cap_C, _, c1, c2 = constants.descent_coefficients(ones_ledger(), 3.0,
-                                                      16.5 + 1e-6)
+    cap_C, _, c1, c2 = descent_weights(ones_ledger(), 3.0, 16.5 + 1e-6)
     assert cap_C > 0 and c1 > 0 and c2 > 0
 
 
-def test_epsilon_interval_enforced():
-    with pytest.raises(DomainError):
-        constants.descent_coefficients(ones_ledger(), 3.0, 20.0, epsilon=2.0)
-    with pytest.raises(DomainError):
-        constants.descent_coefficients(ones_ledger(), 3.0, 20.0, epsilon=1.125)
+def test_derive_rejects_a_gamma_whose_C_rounds_to_the_threshold():
+    # gamma is one ulp above gamma_min = 10.67, but C rounds to
+    # lam^2*Lbar_f^2/2, which leaves epsilon no room below 2 (c2 would be 0).
+    gamma = math.nextafter(constants.gamma_min(ones_ledger(), 8.0), math.inf)
+    with pytest.raises(DomainError, match=r"^epsilon=2\.0 outside the open "
+                       r"interval \(2\.0, 2\)$"):
+        constants.derive(ones_ledger(), 8.0, gamma)
 
 
 def test_lipschitz_W_worked_example():
@@ -127,6 +146,17 @@ def test_optimal_alpha_minimizes_the_bound():
     for scale in (0.5, 0.9, 1.1, 2.0):
         assert best <= constants.theorem_bound(*args, alpha * scale, 1000,
                                                1.5, 0.1)
+
+
+@pytest.mark.parametrize("args", [
+    (math.inf, 2.0, 3.0, 1.5, 0.1),         # L_W = inf: alpha = 0
+    (2.0, 0.0, 0.0, 1.5, 0.1),              # no direction moment: alpha = inf
+    (2.0, 2.0, 3.0, 0.1, 1.5),              # W0 below G_min
+    (2.0, 2.0, 3.0, math.nan, 0.1)])
+def test_optimal_alpha_rejects_a_non_positive_or_infinite_alpha(args):
+    with pytest.raises(DomainError, match=r"^alpha: .* L_W = .*, C_d\^2 \+ "
+                       r"sigma\^2 = .* and W0 - G_min = "):
+        constants.optimal_alpha(*args)
 
 
 def test_derive_bundles_everything():
@@ -254,13 +284,13 @@ def test_estimate_ledger_names_a_sampler_of_the_wrong_shape(bt):
 
 
 def test_check_lambda_accepts_only_lambda_above_the_floor():
-    constants.check_lambda(ones_ledger(), 2.5)
+    constants.gamma_min(ones_ledger(), 2.5)
     for lam in (2.0, 1.0):
         with pytest.raises(DomainError, match="does not exceed the floor"):
-            constants.check_lambda(ones_ledger(), lam)
+            constants.gamma_min(ones_ledger(), lam)
     # L_hess_g = 2 and M tiny: the strict floor is met, lambda >= L_hess_g not
     with pytest.raises(DomainError, match="lambda >= L_hess_g = 2"):
-        constants.check_lambda(ones_ledger(L_hess_g=2.0, M=1e-3), 1.5)
+        constants.gamma_min(ones_ledger(L_hess_g=2.0, M=1e-3), 1.5)
 
 
 def test_estimate_ledger_validates_counts(bt):
@@ -283,7 +313,7 @@ def test_young_inequality_property(a, b, eps):
 def test_compliant_pairs_give_positive_weights(lam, scale):
     ledger = ones_ledger()
     gamma = scale * constants.gamma_min(ledger, lam)
-    cap_C, eps, c1, c2 = constants.descent_coefficients(ledger, lam, gamma)
+    cap_C, eps, c1, c2 = descent_weights(ledger, lam, gamma)
     assert cap_C > 0 and 0 < eps < 2 and c1 > 0 and 0 < c2 < 1
     # c1 decomposes as C minus the Young remainder
     assert c1 == pytest.approx(cap_C - lam ** 2 / eps, rel=1e-12)
@@ -417,3 +447,32 @@ def test_nelder_mead_port_matches_scipy_bit_for_bit(bt, monkeypatch):
 def test_derive_judges_lambda_with_check_lambda_first(ledger, lam):
     with pytest.raises(DomainError, match="does not exceed the floor"):
         constants.derive(ledger, lam, 1e6)
+
+
+# The float.hex of each field of derive, or the error's type and text, on
+# the shipped ledgers over lambdas on both sides of each floor (BT's
+# best_lambda among them) and gammas on both sides of each threshold.
+DERIVE_GRID_SHA256 = "acacd4c60556ec0bb347c7a6c3ef8845717f35209379eeb7eff6b1775a5a2843"
+
+
+def test_derive_keeps_its_bits_on_the_shipped_ledgers():
+    def case(ledger, lam, gamma):
+        try:
+            derived = constants.derive(ledger, lam, gamma)
+        except DomainError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return " ".join(float(v).hex() for v in derived.as_dict().values())
+
+    lines = [case(problems.by_name(name).ledger, lam, gamma)
+             for name in ("BT", "LG(8)", "LIN")
+             for lam in (0.5, 3.0, 8.3, 19.888111555889278, 50.0, math.inf)
+             for gamma in (20.0, 300.0, 1e4, math.nan)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DERIVE_GRID_SHA256
+
+
+@pytest.mark.parametrize("verdict", ["does not exceed the floor",
+                                     "violates the strict descent threshold"])
+def test_each_compliance_verdict_is_written_once(verdict):
+    package = Path(constants.__file__).parent
+    assert sum(path.read_text().count(verdict)
+               for path in package.glob("*.py")) == 1

@@ -242,6 +242,36 @@ def test_an_infinite_default_lambda_is_rejected_before_any_work(
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_rejects_every_lambda_when_M_is_infinite(tmp_path, capsys):
+    # On LIN L_hess_g = 0, so the floor 2*M*Lbar_psi^2*L_hess_g is inf*0.
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(
+        SMALL_CONFIG.format(out=tmp_path / "out")
+        .replace("problem.name = BT", "problem.name = LIN")
+        .replace("run.alpha = 0.05", "run.alpha = 0.1")
+        .replace("c1 = 2.24\nc2 = 0.21875\n", "ledger.M = inf\n"))
+    assert cli.main(["run", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: lambda=1.0 does not exceed the floor")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_auto_alpha_that_is_not_positive_fails_before_the_sweep(
+        tmp_path, monkeypatch):
+    # L_g = inf makes L_W infinite, and the bound's minimiser alpha zero.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started with an auto alpha of zero")
+
+    monkeypatch.setattr(engine, "run", no_work)
+    text = (SMALL_CONFIG.format(out=tmp_path / "out")
+            .replace("run.alpha = 0.05", "run.alpha = auto")
+            + "ledger.L_g = inf\n")
+    with pytest.raises(DomainError, match=r"^alpha: .*L_W = inf, "
+                       r"C_d\^2 \+ sigma\^2 = .* and W0 - G_min = "):
+        harness.run_experiment(harness.parse_config(text))
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("output_dir", ["file", "file/out"])
 def test_an_output_dir_that_cannot_be_a_directory_fails_before_any_work(
         tmp_path, monkeypatch, output_dir):
@@ -553,10 +583,10 @@ def test_cli_check_gamma_boundary(capsys):
     out = capsys.readouterr().out
     assert status == 1
     assert "gamma" in out and "NON-COMPLIANT" in out
-    # the verdict is descent_coefficients' own inequality
+    # the verdict is derive's own inequality
     ledger = constants.ConstantLedger(**dict.fromkeys(constants.LEDGER_KEYS, 1.0))
     with pytest.raises(DomainError) as verdict:
-        constants.descent_coefficients(ledger, 3.0, 16.5)
+        constants.derive(ledger, 3.0, 16.5)
     assert out.endswith(f"lambda_floor     2\nNON-COMPLIANT: {verdict.value}\n")
 
 

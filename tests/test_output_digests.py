@@ -8,7 +8,7 @@ z^0 moments and the exact diagnostics (``V_grid`` strides its grid at
 N = 2048); LG(2) covers the Monte Carlo diagnostics and their three 10k
 draws per row.  BT at gamma = 300 without ``lambda``, ``c1`` or ``c2``
 covers the derived default: lambda from ``constants.best_lambda`` and the
-weights from ``constants.descent_coefficients``.
+weights from ``constants.derive``.
 """
 
 import hashlib
