@@ -337,9 +337,10 @@ def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
     (A4), so the batch contract of ``ctxopt.model`` applies to the
     evaluators, for stacked states too.
 
-    If the ratio for M is unbounded over the probes (denominator collapsing
-    while Q stays away from zero) the offending probes are recorded in
-    ``a4_violations`` and M is set to infinity, without raising.
+    If the ratio for M is unbounded over the probes, or over the points
+    that the Nelder-Mead polish of the best probe evaluates (denominator
+    collapsing while Q stays away from zero), the offending points are
+    recorded in ``a4_violations`` and M is set to infinity, without raising.
     """
     _require("count", sample_count=sample_count, probe_count=probe_count)
     if not problem.has_support:
@@ -385,19 +386,28 @@ def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
     ratios = np.divide(q, denom, out=np.zeros_like(q), where=~flat)
     best = int(np.argmax(ratios))           # the first probe of largest ratio
     M = float(ratios[best])
+    if M > 0.0 and not a4_violations:
+        # Polish the best probe so the estimate reaches the actual
+        # supremum instead of stopping just below it.  Each distinct point
+        # it evaluates is a probe under the same rule; a collapsed simplex
+        # evaluates one point many times.
+        recorded = set()
+
+        def neg_ratio(point):
+            q, denom = ratio(point)
+            if denom >= 1e-14:
+                return -(q / float(denom))
+            if q > 1e-10 and point.tobytes() not in recorded:
+                recorded.add(point.tobytes())
+                a4_violations.append((point.copy(), float(q), float(denom)))
+            return 0.0
+
+        M = max(M, -float(_nelder_mead(neg_ratio, points[best], 500,
+                                       xatol=1e-12, fatol=1e-14)))
     if a4_violations:
         M = math.inf
     elif M <= 0.0:
         M = 1.0
-    else:
-        # Polish the best probe so the estimate reaches the actual
-        # supremum instead of stopping just below it.
-        def neg_ratio(point):
-            q, denom = ratio(point)
-            return -(q / float(denom)) if denom >= 1e-14 else 0.0
-
-        M = max(M, -float(_nelder_mead(neg_ratio, points[best], 500,
-                                       xatol=1e-12, fatol=1e-14)))
 
     tag = f"estimated(n={sample_count})"
     provenance = {key: tag for key in LEDGER_KEYS}

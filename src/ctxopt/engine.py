@@ -38,7 +38,8 @@ Array = np.ndarray
 
 
 class Schedule(enum.Enum):
-    """Stepsize schedule / stopping-law pairing."""
+    """Stepsize schedule / stopping-law pairing; a schedule argument is a
+    member or its name."""
 
     FIXED_HORIZON = "FixedHorizon"   # tau_k = alpha / sqrt(N), S uniform
     ANYTIME = "Anytime"              # tau_k = alpha / sqrt(k+1), P[S=k] ~ tau_k
@@ -59,10 +60,10 @@ class RunConfig:
     def __post_init__(self):
         _require("positive", gamma=self.gamma, alpha=self.alpha)
         _require("count", n_iters=self.n_iters)
+        self.schedule = _schedule(self.schedule)
         for name in ("init_beta", "init_theta"):
             value = getattr(self, name)
-            if (value is not None
-                    and not np.isfinite(np.asarray(value, dtype=float)).all()):
+            if value is not None and not np.isfinite(_vector(name, value)).all():
                 raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
@@ -82,14 +83,32 @@ class RunRecord:
     stop_index: int
 
 
+def _schedule(value) -> Schedule:
+    """``Schedule(value)``: a member or its name, else a ConfigurationError."""
+    try:
+        return Schedule(value)
+    except ValueError:
+        raise ConfigurationError(f"schedule: {value!r} is not one of "
+                                 f"{[member.value for member in Schedule]}") from None
+
+
+def _vector(name: str, value) -> Array:
+    """``value`` as a float array, or a ConfigurationError naming ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be a float vector: {exc}") from None
+
+
 def initial_state(problem: ProblemSpec, init_beta=None, init_theta=None,
                   prefix: str = "") -> tuple:
-    """z^0 = (beta, theta), zeros where absent; a vector of the wrong shape
-    raises a ConfigurationError naming ``prefix + "init_beta"`` (or theta)."""
+    """z^0 = (beta, theta), zeros where absent; a vector that is not numeric
+    or of the wrong shape raises a ConfigurationError naming
+    ``prefix + "init_beta"`` (or theta)."""
     state = []
     for name, value, dim in (("init_beta", init_beta, problem.dim_beta),
                              ("init_theta", init_theta, problem.dim_theta)):
-        vector = np.zeros(dim) if value is None else np.asarray(value, dtype=float)
+        vector = np.zeros(dim) if value is None else _vector(prefix + name, value)
         if vector.shape != (dim,):
             raise ConfigurationError(
                 f"{prefix}{name}: shape {vector.shape}, not ({dim},)")
@@ -123,7 +142,7 @@ def stepsizes(schedule: Schedule, n_iters: int, alpha: float) -> Array:
     """tau_0 .. tau_{N-1}: alpha/sqrt(N) each, or alpha/sqrt(k+1)."""
     _require("count", n_iters=n_iters)
     _require("positive", alpha=alpha)
-    if schedule is Schedule.FIXED_HORIZON:
+    if _schedule(schedule) is Schedule.FIXED_HORIZON:
         return np.full(n_iters, alpha / math.sqrt(n_iters))
     return alpha / np.sqrt(np.arange(1, n_iters + 1))
 
@@ -132,7 +151,7 @@ def draw_stop_index(schedule: Schedule, n_iters: int, alpha: float,
                     rng: np.random.Generator) -> int:
     """Draw the reporting index S according to the schedule's stopping law."""
     _require("count", n_iters=n_iters)
-    if schedule is Schedule.FIXED_HORIZON:
+    if _schedule(schedule) is Schedule.FIXED_HORIZON:
         return int(rng.integers(n_iters))
     taus = stepsizes(schedule, n_iters, alpha)
     return int(rng.choice(n_iters, p=taus / taus.sum()))

@@ -1,12 +1,14 @@
 """Experiment harness: config parsing, replication sweeps, persistence.
 
 Configs are flat key=value text with dotted section keys, each set once
-(README.md shows every key).  ``_KEYS`` declares each plain key once: its
-ExperimentConfig field and the converter that checks its value and range,
-so ``parse_config`` rejects a bad value with an error naming the key before
-anything runs; ``ledger.<entry>`` overrides are checked by the ledger's own
-entry rule there too.  ``problem.*`` keys are problem parameters, checked by
-``problems.by_name``; LG's size is the n of ``problem.name = LG(n)``.
+(README.md shows every key).  Each plain key is declared once, on its
+ExperimentConfig field, with the converter that checks its value and range;
+a field without a default is a required key.  ``_KEYS`` maps each key to
+its field, so ``parse_config`` rejects a bad value with an error naming the
+key before anything runs; ``ledger.<entry>`` overrides are checked by the
+ledger's own entry rule there too.  ``problem.*`` keys are problem
+parameters, checked by ``problems.by_name``; LG's size is the n of
+``problem.name = LG(n)``.
 ``run_experiment`` builds one ``engine.RunConfig`` per task before the
 worker pool (``workers``; 0 means one per core, and never more workers than
 tasks) starts; a single task runs in process.
@@ -37,7 +39,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -75,77 +77,63 @@ _positive = _checked(float, *_RULES["positive"])
 _finite_list = _checked(lambda raw: [float(v) for v in raw.split(",")],
                         lambda vs: all(map(math.isfinite, vs)), "must be finite")
 
-# Every plain config key: (ExperimentConfig field, converter, required).  The
-# converter raises ValueError on a malformed or out-of-range value.  Keys
-# under problem.* are an open prefix of problem parameters (checked by
-# problems.by_name).
-_KEYS = {
-    "problem.name": ("problem_name", str, True),
-    "run.gamma": ("gamma", _positive, True),
-    "sweep": ("sweep", _checked(
-        lambda raw: [int(n) for n in raw.split(",")],
-        lambda ns: ns[0] >= 1 and all(a < b for a, b in zip(ns, ns[1:])),
-        "must be strictly increasing from >= 1"), True),
-    "run.alpha": ("alpha", lambda raw: None if raw.lower() == "auto"
-                  else _positive(raw), False),
-    "run.schedule": ("schedule", engine.Schedule, False),
-    "run.seed": ("seed", int, False),
-    "run.init_beta": ("init_beta", _finite_list, False),
-    "run.init_theta": ("init_theta", _finite_list, False),
-    "replications": ("replications", _checked(int, lambda n: n >= 1, "must be >= 1"),
-                     False),
-    "output_dir": ("output_dir", _checked(str, bool, "must be non-empty"), False),
-    "lambda": ("lam", _positive, False),
-    "c1": ("c1", _positive, False),
-    "c2": ("c2", _positive, False),
-    "ledger.estimate": ("estimate_ledger", _checked(
-        lambda raw: _FLAGS.get(raw.lower()), lambda flag: flag is not None,
-        f"must be one of {sorted(_FLAGS)}"), False),
-    "workers": ("workers", _checked(int, lambda n: n >= 0, "must be >= 0"), False),
-}
-# ledger.<entry>: an override of one ledger entry, checked by the entry rule.
-_OVERRIDES = {f"ledger.{key}": _checked(float, ok, rule)
-              for key, (ok, rule) in constants.ENTRY_RULES.items()}
+
+def _key(key: str, convert, **default):
+    """The ExperimentConfig field that config ``key`` sets to ``convert(raw)``;
+    ``convert`` raises ValueError on a malformed or out-of-range value.  A
+    field without a default is a required key."""
+    return field(metadata={"key": key, "convert": convert}, **default)
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment description: the fields of ``_KEYS`` with their
-    defaults, the prefix keys, and the config text."""
+    """Parsed experiment description: one field per plain config key, the
+    prefix keys, and the config text.  Keys under problem.* are an open
+    prefix of problem parameters (checked by problems.by_name)."""
 
-    problem_name: Optional[str] = None
-    gamma: Optional[float] = None
-    sweep: list = field(default_factory=list)
-    alpha: Optional[float] = None           # None means "auto"
-    schedule: engine.Schedule = engine.Schedule.FIXED_HORIZON
-    seed: int = 0
-    init_beta: Optional[list] = None
-    init_theta: Optional[list] = None
-    replications: int = 1
-    output_dir: str = "out"
-    lam: Optional[float] = None
-    c1: Optional[float] = None
-    c2: Optional[float] = None
-    estimate_ledger: bool = False
-    workers: int = 0
+    problem_name: str = _key("problem.name", str)
+    gamma: float = _key("run.gamma", _positive)
+    sweep: list = _key("sweep", _checked(
+        lambda raw: [int(n) for n in raw.split(",")],
+        lambda ns: ns[0] >= 1 and all(a < b for a, b in zip(ns, ns[1:])),
+        "must be strictly increasing from >= 1"))
+    alpha: Optional[float] = _key(      # None means "auto"
+        "run.alpha", lambda raw: None if raw.lower() == "auto" else _positive(raw),
+        default=None)
+    schedule: engine.Schedule = _key("run.schedule", engine.Schedule,
+                                     default=engine.Schedule.FIXED_HORIZON)
+    seed: int = _key("run.seed", int, default=0)
+    init_beta: Optional[list] = _key("run.init_beta", _finite_list, default=None)
+    init_theta: Optional[list] = _key("run.init_theta", _finite_list, default=None)
+    replications: int = _key("replications", _checked(int, lambda n: n >= 1,
+                                                      "must be >= 1"), default=1)
+    output_dir: str = _key("output_dir", _checked(str, bool, "must be non-empty"),
+                           default="out")
+    lam: Optional[float] = _key("lambda", _positive, default=None)
+    c1: Optional[float] = _key("c1", _positive, default=None)
+    c2: Optional[float] = _key("c2", _positive, default=None)
+    estimate_ledger: bool = _key("ledger.estimate", _checked(
+        lambda raw: _FLAGS.get(raw.lower()), lambda flag: flag is not None,
+        f"must be one of {sorted(_FLAGS)}"), default=False)
+    workers: int = _key("workers", _checked(int, lambda n: n >= 0, "must be >= 0"),
+                        default=0)
     problem_params: dict = field(default_factory=dict)
     ledger_overrides: dict = field(default_factory=dict)
     raw_text: str = ""
 
 
-def _convert(key: str, raw: str, kind):
-    """``kind(raw)``, or a ConfigurationError that names the key."""
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{key}: {exc}") from None
+_KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig) if f.metadata}
+# Each key's converter: its field's, or for ledger.<entry>, an override of one
+# ledger entry, that entry's rule.
+_CONVERTERS = {**{key: f.metadata["convert"] for key, f in _KEYS.items()},
+               **{f"ledger.{key}": _checked(float, ok, rule)
+                  for key, (ok, rule) in constants.ENTRY_RULES.items()}}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value config format, converting and range-checking
     each value as its line is read."""
-    config = ExperimentConfig(raw_text=text)
-    seen, unknown = set(), []
+    values, params, seen, unknown = {}, {}, set(), []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -156,21 +144,25 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in seen:
             raise ConfigurationError(f"{key}: set again on config line {lineno}")
         seen.add(key)
-        if key in _KEYS:
-            name, kind, _ = _KEYS[key]
-            setattr(config, name, _convert(key, raw, kind))
-        elif key in _OVERRIDES:
-            config.ledger_overrides[key[len("ledger."):]] = _convert(
-                key, raw, _OVERRIDES[key])
+        if key in _CONVERTERS:
+            try:
+                values[key] = _CONVERTERS[key](raw)
+            except ValueError as exc:
+                raise ConfigurationError(f"{key}: {exc}") from None
         elif key.startswith("problem."):
-            config.problem_params[key[len("problem."):]] = raw
+            params[key[len("problem."):]] = raw
         else:
             unknown.append(key)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    for key, (_, _, required) in _KEYS.items():
-        if required and key not in seen:
+    for key, f in _KEYS.items():
+        if f.default is MISSING and key not in values:
             raise ConfigurationError(f"config missing {key}")
+    config = ExperimentConfig(
+        **{f.name: values[key] for key, f in _KEYS.items() if key in values},
+        ledger_overrides={key[len("ledger."):]: value for key, value in values.items()
+                          if key not in _KEYS},
+        problem_params=params, raw_text=text)
     if (config.c1 is None) != (config.c2 is None):
         raise ConfigurationError(
             f"{'c2' if config.c2 is None else 'c1'}: missing; c1 and c2 are "

@@ -8,7 +8,8 @@ Three fixtures ship:
   enumeration and an analytic conditional oracle, so every diagnostic runs
   in exact mode.
 * LG  -- linear-Gaussian: continuous context, linear regression residual,
-  pseudo-Huber outer.  Conditional oracle only (Monte Carlo diagnostics).
+  pseudo-Huber outer.  Conditional oracle only (Monte Carlo diagnostics);
+  G_min = 0.
 * LIN -- BT's distributions and inner function with a linear outer, used for
   the plain-SGD reduction test.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -166,29 +168,20 @@ def _lg_model(x, theta):
     return value, _rows(x, value)
 
 
-class _LGSampler:
-    """Joint sampler for the linear-Gaussian problem (picklable)."""
-
-    def __init__(self, a):
-        self.a = a
-
-    def __call__(self, rng, n=None):
-        if n is None:
-            x = rng.standard_normal(len(self.a))
-            return x, np.array([self.a @ x + rng.standard_normal()])
-        z = rng.standard_normal((n, len(self.a) + 1))
-        x = z[:, :-1]
-        # Stacked row dots give the bits of the one-draw a @ x; a gemv does not.
-        return x, (x[:, None, :] @ self.a[:, None])[:, 0] + z[:, -1:]
+def _lg_sampler(a, rng, n=None):
+    """Joint sampler of the linear-Gaussian problem; ``partial`` binds ``a``."""
+    if n is None:
+        x = rng.standard_normal(len(a))
+        return x, np.array([a @ x + rng.standard_normal()])
+    z = rng.standard_normal((n, len(a) + 1))
+    x = z[:, :-1]
+    # Stacked row dots give the bits of the one-draw a @ x; a gemv does not.
+    return x, (x[:, None, :] @ a[:, None])[:, 0] + z[:, -1:]
 
 
-class _LGOracle:
-    def __init__(self, a):
-        self.a = a
-
-    def __call__(self, x, beta):
-        value = _dot(x, self.a - beta)[..., None]
-        return value, _rows(-x, value)
+def _lg_oracle(a, x, beta):
+    value = _dot(x, a - beta)[..., None]
+    return value, _rows(-x, value)
 
 
 def make_linear_gaussian(n_x: int, seed: int = 0) -> BuiltinProblem:
@@ -200,12 +193,13 @@ def make_linear_gaussian(n_x: int, seed: int = 0) -> BuiltinProblem:
     spec = ProblemSpec(
         dim_x=n_x, dim_y=1, dim_beta=n_x, dim_theta=n_x, dim_f=1,
         inner=_lg_inner, outer=_pseudo_huber_outer, model=_lg_model,
-        sampler=_LGSampler(a), conditional_oracle=_LGOracle(a),
+        sampler=partial(_lg_sampler, a), conditional_oracle=partial(_lg_oracle, a),
     )
     # ||X|| has E||X||^4 = n(n+2); residual variance over the beta box
     # [-1, 1]^n is at most (1 + sqrt(n))^2 + 1 with Gaussian fourth moment
     # 3 v^2, so C_f and C_psi are box-relative (beta, theta in [-1, 1]^n).
-    # Q = ||a - beta - theta||^2 / 2 gives M = 1/2 exactly.
+    # Q = ||a - beta - theta||^2 / 2 gives M = 1/2 exactly.  G(a) = 0 and
+    # g >= 0, so G_min = 0 exactly.
     v = (1.0 + math.sqrt(n_x)) ** 2 + 1.0
     moment4 = (n_x * (n_x + 2.0)) ** 0.25
     ledger = ConstantLedger(
@@ -216,7 +210,7 @@ def make_linear_gaussian(n_x: int, seed: int = 0) -> BuiltinProblem:
         provenance=dict.fromkeys(LEDGER_KEYS, "analytic"),
     )
     problem = BuiltinProblem(
-        name=f"LG({n_x})", spec=spec, ledger=ledger,
+        name=f"LG({n_x})", spec=spec, ledger=ledger, g_min=0.0,
         beta_box=(-1.0, 1.0), theta_box=(-1.0, 1.0),
     )
     problem.a = a

@@ -378,6 +378,29 @@ def test_zero_theta_gradient_gives_infinite_M_with_the_probe_loop_violations(bt)
     assert [(p.tolist(), q, d) for p, q, d in ledger.a4_violations] == expected
 
 
+def _constant_model(x, theta):
+    lead = np.broadcast_shapes(x.shape[:-1], theta.shape[:-1])
+    return (np.broadcast_to(theta[..., :1], lead + (1,)).copy(),
+            np.ones(lead + (1, 1)))
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_a_misspecified_model_is_an_a4_violation_of_the_polish(bt, seed):
+    # psi = theta_0 cannot fit both contexts: Q > 0 where grad_theta Q = 0,
+    # so no finite M exists.  No random probe lands there (the probe loop
+    # alone gave M = 8.6e10 at seed 3); the polish walks onto such points.
+    spec = dataclasses.replace(bt.spec, model=_constant_model, dim_theta=1)
+    ledger = constants.estimate_ledger(spec, 2000, 2000, seeding.substream(seed, 17),
+                                       beta_box=bt.beta_box, theta_box=bt.theta_box)
+    assert ledger.M == math.inf
+    assert ledger.a4_violations
+    assert ledger.provenance["M"] == f"a4-violation({len(ledger.a4_violations)} probes)"
+    for point, q, denom in ledger.a4_violations:
+        assert point.shape == (2,) and denom < 1e-14 and q > 1e-10
+    assert len({point.tobytes() for point, _, _ in ledger.a4_violations}) == \
+        len(ledger.a4_violations)
+
+
 NELDER_MEAD = constants._nelder_mead
 # The func calls of the port, in source order.
 NELDER_MEAD_STEPS = ("simplex", "reflection", "expansion",

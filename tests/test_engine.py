@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,59 @@ def test_run_config_rejects_non_finite_values(field, value):
     kwargs[field] = value
     with pytest.raises(ConfigurationError, match=f"^{field} must be"):
         RunConfig(**kwargs)
+
+
+def test_a_schedule_name_runs_that_schedule(bt):
+    # "FixedHorizon" steps alpha/sqrt(N), as the member does, not Anytime's
+    # alpha/sqrt(k+1), and gives the member's record bit for bit.
+    for schedule in Schedule:
+        by_member = engine.run(bt.spec, RunConfig(gamma=1.0, alpha=0.1, n_iters=8,
+                                                  schedule=schedule, seed=5))
+        config = RunConfig(gamma=1.0, alpha=0.1, n_iters=8, schedule=schedule.value,
+                           seed=5)
+        assert config.schedule is schedule
+        by_name = engine.run(bt.spec, config)
+        for got, want in ((by_name.betas, by_member.betas),
+                          (by_name.thetas, by_member.thetas),
+                          (by_name.taus, by_member.taus)):
+            assert got.tobytes() == want.tobytes()
+        assert by_name.stop_index == by_member.stop_index
+        assert engine.stepsizes(schedule.value, 8, 0.1).tobytes() == \
+            by_member.taus.tobytes()
+        assert engine.draw_stop_index(schedule.value, 8, 0.1, seeding.substream(5, 4)) \
+            == engine.draw_stop_index(schedule, 8, 0.1, seeding.substream(5, 4))
+    fixed = RunConfig(gamma=1.0, alpha=0.1, n_iters=8, schedule="FixedHorizon")
+    assert engine.run(bt.spec, fixed).taus.tolist() == [0.1 / math.sqrt(8)] * 8
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RunConfig(gamma=1.0, alpha=0.1, n_iters=8, schedule="Daily"),
+    lambda: RunConfig(gamma=1.0, alpha=0.1, n_iters=8, schedule="fixedhorizon"),
+    lambda: engine.stepsizes(42, 3, 1.0),
+    lambda: engine.draw_stop_index(None, 3, 1.0, seeding.substream(1, 1)),
+], ids=["unknown name", "lower case", "stepsizes", "draw_stop_index"])
+def test_an_unknown_schedule_is_named(call):
+    with pytest.raises(ConfigurationError, match="^schedule: .* is not one of "
+                       r"\['FixedHorizon', 'Anytime'\]$"):
+        call()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("init_beta", "abc"), ("init_beta", {"a": 1}), ("init_theta", [[1], [2, 3]])],
+    ids=["string", "dict", "ragged"])
+def test_a_non_numeric_initial_vector_is_named(bt, field, value):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be a float vector: "):
+        engine.run(bt.spec, RunConfig(gamma=1.0, alpha=0.1, n_iters=8, **{field: value}))
+
+
+@pytest.mark.parametrize("prefix", ["", "run."])
+def test_initial_state_names_a_non_numeric_vector(bt, prefix):
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(prefix)}init_beta must be a float vector: "):
+        engine.initial_state(bt.spec, "x", prefix=prefix)
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(prefix)}init_theta must be a float vector: "):
+        engine.initial_state(bt.spec, None, [[1], [2, 3]], prefix=prefix)
 
 
 def test_misshapen_draw_fails_before_any_evaluation(bt):

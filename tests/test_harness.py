@@ -1,6 +1,7 @@
 """Config parsing, sweep persistence, determinism, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -348,6 +349,20 @@ def test_readme_config_block_names_every_key():
     assert set(harness._KEYS) <= keys
     assert examples and all(key.startswith(("problem.", "ledger."))
                             for key in examples)
+
+
+def test_each_plain_key_is_declared_on_its_field():
+    # Every field but the prefix keys and the text declares its config key,
+    # _KEYS holds exactly those keys, and a key is required when its field
+    # has no default.
+    own = [f for f in dataclasses.fields(harness.ExperimentConfig)
+           if f.name not in ("problem_params", "ledger_overrides", "raw_text")]
+    assert all("key" in f.metadata and "convert" in f.metadata for f in own)
+    assert harness._KEYS == {f.metadata["key"]: f for f in own}
+    assert [key for key, f in harness._KEYS.items()
+            if f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING] == \
+        ["problem.name", "run.gamma", "sweep"]
 
 
 def test_smallest_run_writes_single_row(tmp_path, bt):
@@ -763,6 +778,7 @@ def test_diverging_run_prints_no_overflow_warnings(tmp_path):
 
 def test_z0_quantities_fail_before_drawing_without_g_min(tmp_path):
     lg8 = problems.by_name("LG(8)")
+    lg8.g_min = None
     calls = []
 
     def counting_sampler(rng):
@@ -776,6 +792,29 @@ def test_z0_quantities_fail_before_drawing_without_g_min(tmp_path):
     with pytest.raises(CapabilityError, match="no known G_min"):
         harness.measure_z0_quantities(lg8, config, lam=1.0)
     assert calls == []
+
+
+def test_lg_runs_with_alpha_auto(tmp_path):
+    # LG ships G_min = 0, so alpha = auto measures the z^0 quantities.
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text("problem.name = LG(2)\nrun.gamma = 20\nrun.alpha = auto\n"
+                           f"sweep = 4,8\nworkers = 1\noutput_dir = {tmp_path / 'out'}\n")
+    assert cli.main(["run", str(config_path)]) == 0
+    with open(tmp_path / "out" / "manifest.jsonl") as fh:
+        derived = json.loads(fh.readline())["derived"]
+    assert derived["G_min"] == 0.0 and derived["alpha"] > 0.0
+
+
+def test_a_schedule_name_runs_a_row_as_its_member(bt):
+    # A RunConfig schedule given by name writes the member's row.
+    rows = [harness._run_one(bt.spec, engine.RunConfig(
+                gamma=2.0, alpha=0.05, n_iters=8, schedule=schedule, seed=3),
+                0, 1.0, 2.24, 0.21875)
+            for schedule in (engine.Schedule.FIXED_HORIZON, "FixedHorizon")]
+    for row in rows:
+        del row["wall_ms"]
+    assert rows[0]["tau_schedule"] == "FixedHorizon"
+    assert repr(rows[0]) == repr(rows[1])
 
 
 # ------------------------------------------------------------ malformed configs

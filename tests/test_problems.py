@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -126,6 +127,23 @@ def test_lg_stationary_at_realizable_optimum(lg):
     rng = seeding.substream(6, 3)
     g, _ = diagnostics.grad_G(lg.spec, lg.a, mode="mc", n_samples=500, rng=rng)
     assert np.allclose(g, 0.0, atol=1e-15)
+
+
+def test_lg_ships_G_min_zero(lg):
+    # G(a) = 0 and g >= 0
+    g, _ = diagnostics.value_G(lg.spec, lg.a, mode="mc", n_samples=500,
+                               rng=seeding.substream(6, 4))
+    assert lg.g_min == 0.0 and g == 0.0
+
+
+def test_lg_evaluators_survive_pickling(lg):
+    # A worker pool pickles the spec; its sampler and oracle keep their bits.
+    spec = pickle.loads(pickle.dumps(lg.spec))
+    draws = [model.sample_stack(s, 50, seeding.substream(7, 1)) for s in (lg.spec, spec)]
+    assert [v.tobytes() for v in draws[0]] == [v.tobytes() for v in draws[1]]
+    x, beta = draws[0][0], np.full(2, 0.3)
+    assert [v.tobytes() for v in lg.spec.conditional_oracle(x, beta)] == \
+        [v.tobytes() for v in spec.conditional_oracle(x, beta)]
 
 
 def test_lg_requires_positive_dimension():
