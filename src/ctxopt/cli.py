@@ -5,9 +5,10 @@ Subcommands:
 * ``run <config>``: execute a replication sweep from a config file (its
   ``workers`` key sizes the pool); exit 1 after writing every file if a
   replication diverged.
-* ``check <problem> --gamma G --lambda L``: print the ledger, the lambda
-  floor, and ``constants.derive``'s table (exit 0), or the violated
-  inequality that ``derive`` names (exit 1).
+* ``check <problem> --gamma G --lambda L [--unit-ledger | --estimate
+  [--seed S]]``: print the ledger (shipped, all-ones, or estimated from seed
+  S, default 0), the lambda floor, and ``constants.derive``'s table (exit 0),
+  or the violated inequality that ``derive`` names (exit 1).
 * ``rate <summary.csv>``: fit the log-log rate line; exit 0 iff the slope
   lies in [-0.65, -0.35], 2 when fewer than 4 N have a finite mean.
 * ``gradcheck <problem>``: finite-difference consistency of all evaluators.
@@ -48,7 +49,7 @@ def _cmd_check(args) -> int:
         ledger = constants.ConstantLedger(
             **dict.fromkeys(constants.LEDGER_KEYS, 1.0))
     elif args.estimate:
-        ledger = harness.estimated_ledger(problem, args.seed)
+        ledger = harness.estimated_ledger(problem, args.seed or 0)
     else:
         ledger = problem.ledger
 
@@ -118,11 +119,13 @@ def main(argv=None) -> int:
     p_check.add_argument("problem")
     p_check.add_argument("--gamma", type=float, required=True)
     p_check.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_check.add_argument("--unit-ledger", action="store_true",
-                         help="use an all-ones ledger stand-in")
-    p_check.add_argument("--estimate", action="store_true",
-                         help="re-estimate the ledger numerically")
-    p_check.add_argument("--seed", type=int, default=0)
+    source = p_check.add_mutually_exclusive_group()
+    source.add_argument("--unit-ledger", action="store_true",
+                        help="use an all-ones ledger stand-in")
+    source.add_argument("--estimate", action="store_true",
+                        help="re-estimate the ledger numerically")
+    p_check.add_argument("--seed", type=int,
+                         help="the estimate's seed (default 0); only with --estimate")
     p_check.set_defaults(func=_cmd_check)
 
     p_rate = sub.add_parser("rate", help="fit the empirical convergence rate")
@@ -136,6 +139,8 @@ def main(argv=None) -> int:
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     args = parser.parse_args(argv)
+    if args.command == "check" and args.seed is not None and not args.estimate:
+        p_check.error("argument --seed: only with --estimate")
     try:
         return args.func(args)
     except (CtxoptError, OSError) as exc:

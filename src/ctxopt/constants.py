@@ -72,6 +72,7 @@ class ConstantLedger:
     a4_violations: list = field(default_factory=list)
 
     def __post_init__(self):
+        _require("real", **self.as_dict())
         for key, (ok, rule) in ENTRY_RULES.items():
             if not ok(getattr(self, key)):
                 raise ConfigurationError(f"ledger entry {key}={getattr(self, key)} {rule}")
@@ -145,6 +146,7 @@ def gamma_min(ledger: ConstantLedger, lam: float) -> float:
     exceed lam^2*Lbar_f^2.  Raises DomainError unless lam is finite, strictly
     above 2*M*Lbar_psi^2*L_hess_g and at least L_hess_g.
     """
+    _require("real", lam=lam)
     if not math.isfinite(lam):
         raise DomainError(f"lambda={lam} must be finite")
     strict_floor = _strict_floor(ledger)
@@ -162,6 +164,7 @@ def lipschitz_W(ledger: ConstantLedger, lam: float):
     """Lipschitz constants of the Lyapunov gradient: (L_W_beta, L_W_theta, L_W).
 
     Only for lambda >= L_hess_g, where W = G + Delta^lambda bounds G above."""
+    _require("real", lam=lam)
     if not lam >= ledger.L_hess_g:      # NaN fails too
         raise DomainError(f"lambda: {lam} is below L_hess_g = {ledger.L_hess_g:.6g}")
     lg, lhg = ledger.L_g, ledger.L_hess_g
@@ -208,6 +211,7 @@ def derive(ledger: ConstantLedger, lam: float, gamma: float) -> DerivedConstants
     and c2 = 1 - epsilon/2.
     """
     g_min = gamma_min(ledger, lam)
+    _require("real", gamma=gamma)
     if not math.isfinite(gamma):
         raise DomainError(f"gamma={gamma} must be finite")
     if gamma <= g_min:
@@ -343,6 +347,7 @@ def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
     recorded in ``a4_violations`` and M is set to infinity, without raising.
     """
     _require("count", sample_count=sample_count, probe_count=probe_count)
+    _require("generator", rng=rng)
     if not problem.has_support:
         raise CapabilityError(
             "estimate_ledger needs a support enumeration to estimate M; "

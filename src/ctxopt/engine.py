@@ -60,6 +60,7 @@ class RunConfig:
     def __post_init__(self):
         _require("positive", gamma=self.gamma, alpha=self.alpha)
         _require("count", n_iters=self.n_iters)
+        _require("seed", seed=self.seed)
         self.schedule = _schedule(self.schedule)
         for name in ("init_beta", "init_theta"):
             value = getattr(self, name)

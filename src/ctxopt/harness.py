@@ -14,11 +14,11 @@ worker pool (``workers``; 0 means one per core, and never more workers than
 tasks) starts; a single task runs in process.
 
 Each (N, replication) pair runs with seed mix(master, N, r) and contributes
-one row to results.csv and its engine wall time to timings.csv; summary.csv
-holds the per-N mean and standard error of V at the random stopping index;
-a JSONL manifest records the config hash, ledger, derived constants, and
-versions.  results.csv and summary.csv are byte-identical across reruns and
-worker counts.  An exact-mode row also holds ``V_grid``, the mean of V over
+one row to results.csv; summary.csv holds the per-N mean and standard error
+of V at the random stopping index; a JSONL manifest records the config hash,
+ledger, derived constants, versions and engine wall times (``engine_ms``).
+results.csv and summary.csv are byte-identical across reruns and worker
+counts.  An exact-mode row also holds ``V_grid``, the mean of V over
 z^k for k = 0, s, 2s, ... < N with s = max(1, N // 1024), weighted by tau_k
 under Anytime, so that it is E[V(z^S)] up to the grid under either stopping
 law; summary.csv has its per-N mean_V_grid.
@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import constants, diagnostics, engine, problems, seeding
+from . import __version__, constants, diagnostics, engine, problems, seeding
 from .constants import ConstantLedger
 from .errors import CapabilityError, ConfigurationError, EvaluationError
 from .model import _RULES, _dot
@@ -53,7 +53,6 @@ from .model import _RULES, _dot
 RESULT_COLUMNS = ["N", "replication", "seed", "S", "tau_schedule", "alpha",
                   "gamma", "V_at_S", "Q_at_S", "normgradG_at_S", "W_final",
                   "samples_used", "status", "V_grid"]
-TIMING_COLUMNS = ["N", "replication", "wall_ms"]
 SUMMARY_COLUMNS = ["N", "mean_V", "stderr_V", "replications", "excluded", "mean_V_grid"]
 
 _V_MC_SAMPLES = 10000
@@ -280,7 +279,7 @@ def _stopped_values(spec, record, run_config, lam, c1, c2) -> dict:
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run the sweep; write results, summary, timings and manifest files.
+    """Run the sweep; write the results, summary and manifest files.
 
     Returns a dict with the output paths, the per-N summary rows, the
     resolved (ledger, lam, c1, c2, alpha), and the number of diverged rows.
@@ -322,7 +321,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-    _write_csv(out / "timings.csv", TIMING_COLUMNS, rows)
 
     summary = []
     for n in config.sweep:
@@ -347,15 +345,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "ledger": ledger.as_dict(),
         "ledger_provenance": ledger.provenance,
         "derived": derived,
-        "versions": {"ctxopt": "0.1.0", "numpy": np.__version__},
+        "versions": {"ctxopt": __version__, "numpy": np.__version__},
+        "engine_ms": [[row["N"], row["replication"], row["wall_ms"]] for row in rows],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     with open(out / "manifest.jsonl", "w") as fh:
         fh.write(json.dumps(manifest, sort_keys=True) + "\n")
 
     return {"results": out / "results.csv", "summary": out / "summary.csv",
-            "timings": out / "timings.csv", "manifest": out / "manifest.jsonl",
-            "summary_rows": summary,
+            "manifest": out / "manifest.jsonl", "summary_rows": summary,
             "diverged": sum(row["excluded"] for row in summary),
             "ledger": ledger, "lam": lam, "c1": c1, "c2": c2, "alpha": alpha,
             "moments": (c_d_sq, sigma_sq, w0, g_min)}

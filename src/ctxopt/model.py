@@ -30,9 +30,10 @@ finiteness: ``evaluate_*`` and ``conditional_oracle`` check their inputs and
 pass their outputs to it, and each ``engine`` step passes it all of its own.
 A bare value, a wrong number of outputs or an output that is not numeric
 fails it with a ConfigurationError naming the evaluator.  Beside it,
-``_require`` is the one argument check: every count and every positive
-scalar that a public function takes meets its rule in ``_RULES``, or a
-ConfigurationError names the argument, once per call and never per step.
+``_require`` is the one argument check: every count, positive or real
+scalar, seed and random generator that a public function takes meets its
+rule in ``_RULES``, or a ConfigurationError names the argument, once per
+call and never per step.
 
 Gradient matrices follow the transpose-of-Jacobian convention throughout:
 an evaluator differentiated with respect to a parameter vector of length p
@@ -55,12 +56,18 @@ from .errors import CapabilityError, ConfigurationError, EvaluationError
 Array = np.ndarray
 
 
-# Each argument rule: (holds, the error's text).  True is no count and no scalar.
+# Each argument rule: (holds, the error's text).  A bool is no count, scalar or seed.
 _RULES = {
     "count": (lambda v: isinstance(v, (int, np.integer)) and v is not True and v >= 1,
               "must be a positive integer"),
     "positive": (lambda v: isinstance(v, (int, float, np.integer, np.floating))
                  and v is not True and 0 < v < math.inf, "must be positive and finite"),
+    "real": (lambda v: isinstance(v, (int, float, np.integer, np.floating))
+             and not isinstance(v, bool), "must be a real number"),
+    "seed": (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
+             "must be an integer"),
+    "generator": (lambda v: isinstance(v, np.random.Generator),
+                  "must be a numpy.random.Generator"),
 }
 
 
@@ -298,6 +305,7 @@ def _checked_draw(problem: ProblemSpec, lead: tuple, draw) -> tuple:
 def sample_stack(problem: ProblemSpec, n: int, rng: np.random.Generator):
     """Draw n (x, y) pairs in one ``sampler(rng, n)`` call, as (n, dim) arrays."""
     _require("count", n=n)
+    _require("generator", rng=rng)
     try:
         inspect.signature(problem.sampler).bind(rng, n)
     except TypeError:

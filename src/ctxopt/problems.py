@@ -187,6 +187,7 @@ def _lg_oracle(a, x, beta):
 def make_linear_gaussian(n_x: int, seed: int = 0) -> BuiltinProblem:
     """Continuous-context fixture (LG) with a unit-norm regression vector."""
     _require("count", n_x=n_x)
+    _require("seed", seed=seed)
     rng = seeding.substream(seed, seeding.STREAM_LG_VECTOR)
     a = rng.standard_normal(n_x)
     a /= np.linalg.norm(a)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ctxopt
 from ctxopt import cli, constants, diagnostics, engine, harness, problems, seeding
 from ctxopt.errors import (CapabilityError, ConfigurationError, CtxoptError,
                            DomainError)
@@ -518,17 +519,17 @@ def test_V_grid_is_empty_in_monte_carlo_mode(tmp_path):
     assert srow["mean_V_grid"] == "nan"
 
 
-def test_timings_csv_holds_the_wall_times(tmp_path):
+def test_the_manifest_holds_the_engine_times(tmp_path):
     config = harness.parse_config(
         "problem.name=BT\nrun.gamma=2\nrun.alpha=0.05\nrun.seed=3\n"
         f"sweep=2,4\nreplications=2\nlambda=1\nc1=1\nc2=1\noutput_dir={tmp_path}\n")
     result = harness.run_experiment(config)
-    with open(result["timings"], newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == ["N", "replication", "wall_ms"]
-    assert [(int(r["N"]), int(r["replication"])) for r in rows] == \
-        [(2, 0), (2, 1), (4, 0), (4, 1)]
-    assert all(float(r["wall_ms"]) >= 0.0 for r in rows)
+    manifest = json.loads(result["manifest"].read_text())
+    assert "timings" not in result
+    assert manifest["versions"]["ctxopt"] == ctxopt.__version__
+    rows = manifest["engine_ms"]
+    assert [(n, r) for n, r, _ in rows] == [(2, 0), (2, 1), (4, 0), (4, 1)]
+    assert all(wall_ms >= 0.0 for _, _, wall_ms in rows)
 
 
 def test_problem_is_built_once_per_sweep(tmp_path, monkeypatch):
@@ -633,6 +634,19 @@ def test_cli_check_estimate_is_the_harness_estimate(bt_estimated_ledger,
         assert f"ledger {key:<13} {value:.6g}\n" in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--unit-ledger", "--estimate"],
+     "argument --estimate: not allowed with argument --unit-ledger"),
+    (["--seed", "3"], "argument --seed: only with --estimate")],
+    ids=["unit-ledger-with-estimate", "seed-without-estimate"])
+def test_cli_check_refuses_a_flag_it_would_ignore(capsys, flags, message):
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["check", "BT", "--gamma", "20", "--lambda", "3", *flags])
+    assert usage.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 @pytest.mark.parametrize("problem, probes", [("BT", "0"), ("LG", "-3")])
 def test_cli_gradcheck_rejects_a_probe_count_below_one(capsys, problem, probes):
     status = cli.main(["gradcheck", problem, "--probes", probes])
@@ -730,8 +744,8 @@ def test_diverged_replications_are_recorded_not_fatal(tmp_path, capsys):
     assert cli.main(["run", str(config_path)]) == 1
     assert "3 replications diverged" in capsys.readouterr().err
     out = tmp_path / "out"
-    for name in ("results.csv", "summary.csv", "timings.csv", "manifest.jsonl"):
-        assert (out / name).exists()
+    assert sorted(path.name for path in out.iterdir()) == \
+        ["manifest.jsonl", "results.csv", "summary.csv"]
     with open(out / "results.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["status"] for row in rows] == ["ok"] * 5 + [

@@ -492,9 +492,15 @@ def test_bt_oracle_over_many_stacked_states_matches_per_state_calls(bt):
 # some bad values already, only the others are listed.
 _Z0 = (np.array([0.3]), np.array([0.2, 0.1]))
 _FH = engine.Schedule.FIXED_HORIZON
+_UNIT = constants.ConstantLedger(**dict.fromkeys(constants.LEDGER_KEYS, 1.0))
 _BAD = {"count": (0, -1, 2.5, True, "3", math.nan, math.inf),
-        "positive": (0, -1, True, "3", math.nan, math.inf)}
-_TEXT = {"count": "a positive integer", "positive": "positive and finite"}
+        "positive": (0, -1, True, "3", math.nan, math.inf),
+        "real": ("3", None, True, [1.0]),
+        "seed": (1.5, True, False, "a", None, math.nan),
+        "generator": (None, 0, "rng")}
+_TEXT = {"count": "a positive integer", "positive": "positive and finite",
+         "real": "a real number", "seed": "an integer",
+         "generator": r"a numpy\.random\.Generator"}
 _GATED = [  # (entry point, argument, rule, call(spec, value), bad values)
     ("sample_stack", "n", "count",
      lambda spec, v: model.sample_stack(spec, v, seeding.substream(1, 2)), None),
@@ -533,6 +539,23 @@ _GATED = [  # (entry point, argument, rule, call(spec, value), bad values)
     ("grad_W", "lam", "positive", lambda spec, v: diagnostics.grad_W(spec, *_Z0, v), None),
     ("expected_direction_Gamma", "gamma", "positive",
      lambda spec, v: diagnostics.expected_direction_Gamma(spec, *_Z0, v), None),
+    ("RunConfig", "seed", "seed",
+     lambda spec, v: engine.RunConfig(gamma=1.0, alpha=0.1, n_iters=8, seed=v), None),
+    ("make_linear_gaussian", "seed", "seed",
+     lambda spec, v: problems.make_linear_gaussian(2, seed=v), None),
+    ("sample_stack", "rng", "generator", lambda spec, v: model.sample_stack(spec, 3, v), None),
+    ("direction_moment_stats", "rng", "generator",
+     lambda spec, v: diagnostics.direction_moment_stats(spec, *_Z0, 20.0, 1000, v), None),
+    ("estimate_ledger", "rng", "generator", lambda spec, v: constants.estimate_ledger(
+        spec, sample_count=10, probe_count=10, rng=v), None),
+    ("finite_difference_check", "rng", "generator",
+     lambda spec, v: model.finite_difference_check(spec, 2, v), None),
+    ("ConstantLedger", "L_g", "real",
+     lambda spec, v: dataclasses.replace(_UNIT, L_g=v), None),
+    ("ConstantLedger", "M", "real", lambda spec, v: dataclasses.replace(_UNIT, M=v), None),
+    ("gamma_min", "lam", "real", lambda spec, v: constants.gamma_min(_UNIT, v), None),
+    ("lipschitz_W", "lam", "real", lambda spec, v: constants.lipschitz_W(_UNIT, v), None),
+    ("derive", "gamma", "real", lambda spec, v: constants.derive(_UNIT, 20.0, v), None),
 ]
 
 
@@ -565,6 +588,24 @@ def test_the_gate_accepts_python_and_numpy_scalars(bt):
     for call, plain, numpy_ in pairs:
         np.testing.assert_equal(call(*numpy_), call(*plain))
     assert dataclasses.replace(bt.spec, dim_x=np.int64(1)).dim_x == 1
+
+
+def test_an_integer_seed_of_any_type_runs_that_seed(bt):
+    # A numpy integer seed gives the Python integer's record and LG vector bit for bit.
+    records = [engine.run(bt.spec, engine.RunConfig(2.0, 0.1, n_iters=16, seed=seed))
+               for seed in (7, np.int64(7))]
+    for name in ("betas", "thetas", "taus"):
+        assert getattr(records[0], name).tobytes() == getattr(records[1], name).tobytes()
+    assert records[0].stop_index == records[1].stop_index
+    assert problems.make_linear_gaussian(2, seed=np.int64(2)).a.tobytes() == \
+        problems.make_linear_gaussian(2, seed=2).a.tobytes()
+
+
+def test_a_legacy_random_state_is_refused(bt):
+    # BT's sampler would draw from a RandomState; the signatures name a Generator.
+    with pytest.raises(ConfigurationError,
+                       match=r"^rng must be a numpy\.random\.Generator, got RandomState"):
+        model.sample_stack(bt.spec, 3, np.random.RandomState(0))
 
 
 def test_the_argument_rules_are_written_once():
