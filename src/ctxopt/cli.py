@@ -5,15 +5,15 @@ Subcommands:
 * ``run <config>``: execute a replication sweep from a config file (its
   ``workers`` key sizes the pool); exit 1 after writing every file if a
   replication diverged.
-* ``check <problem> --gamma G --lambda L [--unit-ledger | --estimate
-  [--seed S]]``: print the ledger (shipped, all-ones, or estimated from seed
-  S, default 0), the lambda floor, and ``constants.derive``'s table (exit 0),
-  or the violated inequality that ``derive`` names (exit 1).
+* ``check <config>``: judge the constants that ``run`` would run the same
+  config with: print its resolved ledger, the lambda floor, and
+  ``constants.derive``'s table at its gamma and lambda (exit 0), or the
+  violated inequality that ``derive`` names (exit 1).
 * ``rate <summary.csv>``: fit the log-log rate line; exit 0 iff the slope
   lies in [-0.65, -0.35], 2 when fewer than 4 N have a finite mean.
 * ``gradcheck <problem>``: finite-difference consistency of all evaluators.
 
-A package error or an unreadable input file prints ``error: ...``, exit 1.
+A package error or an unreadable or non-UTF-8 input file prints ``error: ...``, exit 1.
 """
 
 from __future__ import annotations
@@ -28,10 +28,13 @@ from .errors import CtxoptError, DomainError
 SLOPE_BAND = (-0.65, -0.35)
 
 
+def _read_config(path) -> harness.ExperimentConfig:
+    with open(path) as fh:
+        return harness.parse_config(fh.read())
+
+
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        config = harness.parse_config(fh.read())
-    result = harness.run_experiment(config)
+    result = harness.run_experiment(_read_config(args.config))
     print(f"wrote {result['results']}")
     print(f"wrote {result['summary']}")
     print(f"alpha={result['alpha']:.6g} lambda={result['lam']:.6g} "
@@ -44,21 +47,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    problem = problems.by_name(args.problem)
-    if args.unit_ledger:
-        ledger = constants.ConstantLedger(
-            **dict.fromkeys(constants.LEDGER_KEYS, 1.0))
-    elif args.estimate:
-        ledger = harness.estimated_ledger(problem, args.seed or 0)
-    else:
-        ledger = problem.ledger
+    config = _read_config(args.config)
+    problem = problems.by_name(config.problem_name, **config.problem_params)
+    ledger = harness.resolve_ledger(problem, config)
 
     print(f"problem          {problem.name}")
     for key, value in ledger.as_dict().items():
         print(f"ledger {key:<13} {value:.6g}")
     print(f"lambda_floor     {constants.lambda_floor(ledger):.6g}")
     try:
-        derived = constants.derive(ledger, args.lam, args.gamma)
+        derived = constants.derive(ledger, harness.resolve_lambda(ledger, config),
+                                   config.gamma)
     except DomainError as exc:
         print(f"NON-COMPLIANT: {exc}")
         return 1
@@ -116,16 +115,7 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="derived-constant compliance report")
-    p_check.add_argument("problem")
-    p_check.add_argument("--gamma", type=float, required=True)
-    p_check.add_argument("--lambda", dest="lam", type=float, required=True)
-    source = p_check.add_mutually_exclusive_group()
-    source.add_argument("--unit-ledger", action="store_true",
-                        help="use an all-ones ledger stand-in")
-    source.add_argument("--estimate", action="store_true",
-                        help="re-estimate the ledger numerically")
-    p_check.add_argument("--seed", type=int,
-                         help="the estimate's seed (default 0); only with --estimate")
+    p_check.add_argument("config")
     p_check.set_defaults(func=_cmd_check)
 
     p_rate = sub.add_parser("rate", help="fit the empirical convergence rate")
@@ -139,11 +129,9 @@ def main(argv=None) -> int:
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     args = parser.parse_args(argv)
-    if args.command == "check" and args.seed is not None and not args.estimate:
-        p_check.error("argument --seed: only with --estimate")
     try:
         return args.func(args)
-    except (CtxoptError, OSError) as exc:
+    except (CtxoptError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -231,12 +231,15 @@ def descent_check(problem: ProblemSpec, beta, theta, gamma, lam, c1, c2):
 def rate_fit(records):
     """Least-squares fit of log(mean V) against log N.
 
-    ``records`` is a collection of (N, mean_V) pairs.  Nonpositive and
+    ``records`` is a collection of (N, mean_V) pairs, N >= 1.  Nonpositive and
     non-finite means (every replication of that N diverged) are excluded
     with a warning.  Returns (slope, intercept, r_squared); a slope near
     -1/2 reproduces the theoretical rate.
     """
     records = list(records)
+    for n, _ in records:
+        if not n >= 1:
+            raise ConfigurationError(f"rate_fit needs every N >= 1, got N = {n}")
     kept = [(n, v) for n, v in records if 0 < v < np.inf]
     dropped = len(records) - len(kept)
     if dropped:

@@ -186,14 +186,17 @@ def resolve_ledger(problem: problems.BuiltinProblem,
         **ledger.provenance, **dict.fromkeys(config.ledger_overrides, "override")})
 
 
+def resolve_lambda(ledger: ConstantLedger, config: ExperimentConfig) -> float:
+    """The config's lambda, else ``constants.best_lambda``, the lambda of the
+    lowest gamma threshold, but at least 1."""
+    return config.lam if config.lam is not None else max(constants.best_lambda(ledger), 1.0)
+
+
 def resolve_coefficients(ledger: ConstantLedger, config: ExperimentConfig):
-    """(lam, c1, c2, L_W) from the config, lam and the weights derived where
-    absent: lam is ``constants.best_lambda``, the lambda of the lowest gamma
-    threshold, but at least 1.  ``constants.lipschitz_W`` rejects a lambda
+    """(lam, c1, c2, L_W) from the config, lam (``resolve_lambda``) and the
+    weights derived where absent.  ``constants.lipschitz_W`` rejects a lambda
     below L_hess_g."""
-    lam = config.lam
-    if lam is None:
-        lam = max(constants.best_lambda(ledger), 1.0)
+    lam = resolve_lambda(ledger, config)
     _, _, l_w = constants.lipschitz_W(ledger, lam)
     if config.c1 is not None and config.c2 is not None:
         return lam, config.c1, config.c2, l_w

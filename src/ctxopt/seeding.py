@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import _require
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Every substream label (the first label after the seed).  STREAM_DIAGNOSTICS
@@ -46,5 +48,8 @@ def mix(*parts: int) -> int:
 
 
 def substream(*parts: int) -> np.random.Generator:
-    """A fresh PCG64 generator keyed by (master seed, stream labels)."""
+    """A fresh PCG64 generator keyed by (master seed, stream labels), each an
+    integer: ``mix`` would truncate a float to another seed's stream."""
+    _require("seed", seed=parts[0],
+             **{f"label {i}": label for i, label in enumerate(parts[1:], 1)})
     return np.random.Generator(np.random.PCG64(mix(*parts)))

@@ -332,6 +332,14 @@ def test_rate_fit_excludes_nonpositive_with_warning():
         diagnostics.rate_fit([(100, 1.0), (100, 2.0)])
 
 
+@pytest.mark.parametrize("records, n", [
+    ([(0, 1.0), (1, 2.0), (2, 3.0)], 0), ([(4, 1.0), (-4, 2.0), (16, 0.5)], -4)])
+def test_rate_fit_refuses_an_n_below_one(records, n):
+    with pytest.raises(ConfigurationError,
+                       match=f"^rate_fit needs every N >= 1, got N = {n}$"):
+        diagnostics.rate_fit(records)
+
+
 def test_nonoptimality_V_frozen(bt):
     v = diagnostics.nonoptimality_V(bt.spec, *Z0, c1=2.24, c2=0.21875)
     assert v == pytest.approx(2.24 * Q0 + 0.21875 * DG0 ** 2, abs=1e-14)

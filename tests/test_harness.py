@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -308,6 +309,20 @@ def test_cli_input_file_errors_name_the_file(tmp_path, capsys, argv, content,
     assert re.search(message, err)
 
 
+@pytest.mark.parametrize("command, content", [
+    ("run", b"\x7fELF\x02\x01\x01\x00\xd0\x00\x00\x00"),
+    ("check", b"problem.name = BT\nrun.gamma = \xd0\n"),
+    ("rate", b"N,mean_V\n4,\xff\xfe\n")], ids=["run", "check", "rate"])
+def test_cli_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command,
+                                                       content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert cli.main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "codec can't decode" in captured.err
+
+
 @pytest.mark.parametrize("alpha", ["auto", "0.05"])
 def test_a_sweep_computes_L_W_once(tmp_path, monkeypatch, alpha):
     calls = []
@@ -584,18 +599,28 @@ def test_read_summary_round_trip(tmp_path):
     assert rows[0][1] == pytest.approx(result["summary_rows"][0]["mean_V"])
 
 
-def test_cli_check_worked_example(capsys):
-    status = cli.main(["check", "BT", "--unit-ledger", "--lambda", "3",
-                       "--gamma", "20"])
+# The all-ones ledger stand-in: one override per entry.
+UNIT_LEDGER = "".join(f"ledger.{key} = 1\n" for key in constants.LEDGER_KEYS)
+
+
+def _check_config(tmp_path, problem, gamma, lam=None, extra=""):
+    """A config for ``ctxopt check``: the keys a run requires, and ``extra``."""
+    path = tmp_path / "check.cfg"
+    path.write_text(f"problem.name = {problem}\nrun.gamma = {gamma}\nsweep = 1\n"
+                    + ("" if lam is None else f"lambda = {lam}\n") + extra)
+    return str(path)
+
+
+def test_cli_check_worked_example(tmp_path, capsys):
+    status = cli.main(["check", _check_config(tmp_path, "BT", 20, 3, UNIT_LEDGER)])
     out = capsys.readouterr().out
     assert status == 0
     assert "COMPLIANT" in out
     assert "cap_C" in out and "8" in out
 
 
-def test_cli_check_gamma_boundary(capsys):
-    status = cli.main(["check", "BT", "--unit-ledger", "--lambda", "3",
-                       "--gamma", "16.5"])
+def test_cli_check_gamma_boundary(tmp_path, capsys):
+    status = cli.main(["check", _check_config(tmp_path, "BT", 16.5, 3, UNIT_LEDGER)])
     out = capsys.readouterr().out
     assert status == 1
     assert "gamma" in out and "NON-COMPLIANT" in out
@@ -606,45 +631,99 @@ def test_cli_check_gamma_boundary(capsys):
     assert out.endswith(f"lambda_floor     2\nNON-COMPLIANT: {verdict.value}\n")
 
 
-def test_cli_check_lambda_floor(capsys):
-    status = cli.main(["check", "BT", "--unit-ledger", "--lambda", "1",
-                       "--gamma", "20"])
+def test_cli_check_lambda_floor(tmp_path, capsys):
+    status = cli.main(["check", _check_config(tmp_path, "BT", 20, 1, UNIT_LEDGER)])
     out = capsys.readouterr().out
     assert status == 1
     assert "floor" in out
 
 
-@pytest.mark.parametrize("gamma, lam, verdict", [
+@pytest.mark.parametrize("gamma, lam, bad", [
     ("inf", "20", "gamma=inf"), ("300", "nan", "lambda=nan"),
     ("300", "inf", "lambda=inf"), ("nan", "20", "gamma=nan")])
-def test_cli_check_names_a_non_finite_input(capsys, gamma, lam, verdict):
-    status = cli.main(["check", "BT", "--gamma", gamma, "--lambda", lam])
-    assert status == 1
-    assert capsys.readouterr().out.endswith(
-        f"NON-COMPLIANT: {verdict} must be finite\n")
+def test_cli_check_names_a_non_finite_input(tmp_path, capsys, gamma, lam, bad):
+    # The config refuses a non-finite gamma or lambda by its key as it is
+    # read; derive's own finiteness verdicts are pinned in test_constants.
+    status = cli.main(["check", _check_config(tmp_path, "BT", gamma, lam)])
+    name, value = bad.split("=")
+    key = {"gamma": "run.gamma", "lambda": "lambda"}[name]
+    captured = capsys.readouterr()
+    assert status == 1 and captured.out == ""
+    assert captured.err == f"error: {key}: must be positive and finite, got {value!r}\n"
 
 
 def test_cli_check_estimate_is_the_harness_estimate(bt_estimated_ledger,
-                                                   capsys):
-    status = cli.main(["check", "BT", "--estimate", "--seed", "20260823",
-                       "--lambda", "1", "--gamma", "20"])
+                                                   tmp_path, capsys):
+    status = cli.main(["check", _check_config(
+        tmp_path, "BT", 20, 1, "ledger.estimate = true\nrun.seed = 20260823\n")])
     out = capsys.readouterr().out
     assert status == 1 and "floor" in out
     for key, value in bt_estimated_ledger.as_dict().items():
         assert f"ledger {key:<13} {value:.6g}\n" in out
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--unit-ledger", "--estimate"],
-     "argument --estimate: not allowed with argument --unit-ledger"),
-    (["--seed", "3"], "argument --seed: only with --estimate")],
-    ids=["unit-ledger-with-estimate", "seed-without-estimate"])
-def test_cli_check_refuses_a_flag_it_would_ignore(capsys, flags, message):
+# sha256 of stdout and the exit code of each config, as the former flag
+# invocations (in the comments) printed them.
+CHECK_DIGESTS = [
+    (("BT", 300, 20, ""), 0,  # check BT --gamma 300 --lambda 20
+     "b464c8ff65fab82b93a0578e8e9c5764a93fb50858ec3358a64226591f8bd579"),
+    (("BT", 20, 3, UNIT_LEDGER), 0,  # --unit-ledger
+     "67046b99c8a6b4df5f97b305797a5d1f68183376000fc694096ea2e7a256036c"),
+    (("BT", 16.5, 3, UNIT_LEDGER), 1,
+     "c26b55a94b9c16efef3dccebc19240fcbf3aac47cccd27de06ad9525eb9fb319"),
+    (("BT", 20, 1, UNIT_LEDGER), 1,
+     "381d4c8ee0098387ad351a2a02cdd0ad12a4911bf7c78d8153b2e11c06d4c5c1"),
+    (("LIN", 300, 20, ""), 0,
+     "af284c17c436d0c2b61d83b1ac56e4e20b4382d44baa0514409b779796621fc2"),
+    (("LG(8)", 300, 25, ""), 0,
+     "d34cc6861122ad09b087640a35ecb5344f9b2bb2445028144bbacdca9374c454"),
+    (("BT", 300, 20, "ledger.estimate = true\nrun.seed = 20260823\n"), 0,
+     # --estimate --seed 20260823
+     "bac8f08671c5c6fcbaeab3136ad3deb74145045e7fac0695c189714b1de0fe9b"),
+]
+
+
+@pytest.mark.parametrize("config, status, digest", CHECK_DIGESTS,
+                         ids=["BT", "unit-20-3", "unit-16.5-3", "unit-20-1",
+                              "LIN", "LG(8)", "estimate"])
+def test_cli_check_keeps_the_flag_reports(tmp_path, capsys, config, status, digest):
+    assert cli.main(["check", _check_config(tmp_path, *config)]) == status
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_check_reaches_the_run_verdict(tmp_path, capsys):
+    # A ledger.M override reaches check's ledger, and check names the
+    # inequality that stops ctxopt run on the same config.
+    path = _check_config(tmp_path, "BT", 300, 20, "ledger.M = 5\nrun.alpha = 0.05\n"
+                         f"output_dir = {tmp_path / 'out'}\n")
+    assert cli.main(["check", path]) == 1
+    out = capsys.readouterr().out
+    assert "ledger M             5\n" in out
+    label, verdict = out.splitlines()[-1].split(": ", 1)
+    assert label == "NON-COMPLIANT" and verdict.endswith("(requires gamma > 1336.96)")
+    assert cli.main(["run", path]) == 1
+    assert capsys.readouterr().err == f"error: {verdict}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_check_derives_the_run_lambda(tmp_path, capsys):
+    path = _check_config(tmp_path, "BT", 300)
+    assert cli.main(["check", path]) == 0
+    config = harness.parse_config(Path(path).read_text())
+    lam = harness.resolve_coefficients(problems.by_name("BT").ledger, config)[0]
+    assert f"{lam:.6g}" == "19.8881"
+    assert "derived lambda       19.8881\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", [["--gamma", "300"], ["--lambda", "20"],
+                                  ["--unit-ledger"], ["--estimate"], ["--seed", "3"]],
+                         ids=lambda flag: flag[0])
+def test_cli_check_takes_no_flag(tmp_path, capsys, flag):
     with pytest.raises(SystemExit) as usage:
-        cli.main(["check", "BT", "--gamma", "20", "--lambda", "3", *flags])
+        cli.main(["check", _check_config(tmp_path, "BT", 300, 20), *flag])
     assert usage.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and message in captured.err
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 @pytest.mark.parametrize("problem, probes", [("BT", "0"), ("LG", "-3")])
@@ -697,10 +776,20 @@ def test_cli_rate_counts_only_n_with_a_finite_mean(tmp_path, capsys):
     assert "got 3 with a finite mean_V" in capsys.readouterr().out
 
 
+def test_cli_rate_refuses_an_n_below_one(tmp_path, capfd):
+    # LAPACK writes its complaints to the process's own stdout: capfd sees them.
+    summary = tmp_path / "summary.csv"
+    _write_summary(summary, [(0, 1.0), (1, 0.5), (2, 0.25), (4, 0.125)])
+    assert cli.main(["rate", str(summary)]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rate_fit needs every N >= 1, got N = 0\n"
+
+
 @pytest.mark.parametrize("flag", ["--alpha", "--n-iters"])
-def test_cli_check_prints_no_unit_moment_bound(flag, capsys):
+def test_cli_check_prints_no_unit_moment_bound(flag, tmp_path, capsys):
     with pytest.raises(SystemExit):
-        cli.main(["check", "BT", "--lambda", "20", "--gamma", "300", flag, "4"])
+        cli.main(["check", _check_config(tmp_path, "BT", 300, 20), flag, "4"])
     assert "unrecognized arguments" in capsys.readouterr().err
 
 

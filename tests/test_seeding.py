@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from ctxopt import seeding
+from ctxopt import harness, problems, seeding
+from ctxopt.errors import ConfigurationError
 
 
 def test_splitmix64_reference_vector():
@@ -40,3 +42,26 @@ def test_stream_ids_distinct():
         "STREAM_TRAJECTORY": 1, "STREAM_STOPPING": 2, "STREAM_DIAGNOSTICS": 3,
         "STREAM_MOMENTS": 7, "STREAM_V_EVAL": 8, "STREAM_LEDGER": 17,
         "STREAM_GRADCHECK": 23, "STREAM_LG_VECTOR": 101}
+
+
+@pytest.mark.parametrize("parts, message", [
+    ((1.5, 3), "seed must be an integer, got 1.5"),
+    ((1, 3.0), "label 1 must be an integer, got 3.0"),
+    ((True, 3), "seed must be an integer, got True")])
+def test_substream_refuses_a_seed_or_label_that_is_not_an_integer(parts, message):
+    # mix would truncate 1.5 to 1 and draw seed 1's stream
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        seeding.substream(*parts)
+
+
+def test_the_ledger_estimate_refuses_a_fractional_seed():
+    with pytest.raises(ConfigurationError, match="^seed must be an integer, got 1.5$"):
+        harness.estimated_ledger(problems.by_name("BT"), 1.5)
+
+
+def test_substream_draws_a_numpy_integer_seed_stream():
+    expected = seeding.substream(3, seeding.STREAM_LEDGER).random(4)
+    for seed in (np.int64(3), np.uint32(3), np.int8(3)):
+        assert np.array_equal(
+            seeding.substream(seed, np.int16(seeding.STREAM_LEDGER)).random(4),
+            expected)
