@@ -10,27 +10,31 @@ Subcommands:
   ``constants.derive``'s table at its gamma and lambda (exit 0), or the
   violated inequality that ``derive`` names (exit 1).
 * ``rate <summary.csv>``: fit the log-log rate line; exit 0 iff the slope
-  lies in [-0.65, -0.35], 2 when fewer than 4 N have a finite mean.
+  lies in [-0.65, -0.35], 2 when fewer than 4 N have a mean that the fit
+  keeps (finite and above 0).
 * ``gradcheck <problem>``: finite-difference consistency of all evaluators.
 
-A package error or an unreadable or non-UTF-8 input file prints ``error: ...``, exit 1.
+A package error, an unreadable input file, or one that is not UTF-8 (named
+by its path) prints ``error: ...``, exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import constants, diagnostics, harness, problems, seeding
-from .errors import CtxoptError, DomainError
+from .errors import ConfigurationError, CtxoptError, DomainError
 
 SLOPE_BAND = (-0.65, -0.35)
 
 
 def _read_config(path) -> harness.ExperimentConfig:
-    with open(path) as fh:
-        return harness.parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return harness.parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def _cmd_run(args) -> int:
@@ -69,10 +73,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_rate(args) -> int:
     rows = harness.read_summary(args.summary)
-    distinct = len({n for n, v in rows if math.isfinite(v)})
+    distinct = len({n for n, _ in diagnostics._fit_points(rows)})
     if distinct < 4:
         print(f"insufficient data: need >= 4 distinct N values, got "
-              f"{distinct} with a finite mean_V")
+              f"{distinct} with a finite mean_V > 0")
         return 2
     slope, intercept, r_squared = diagnostics.rate_fit(rows)
     print(f"slope     {slope:.6g}")
@@ -131,7 +135,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CtxoptError, OSError, UnicodeDecodeError) as exc:
+    except (CtxoptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

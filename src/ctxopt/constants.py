@@ -372,43 +372,38 @@ def estimate_ledger(problem: ProblemSpec, sample_count: int, probe_count: int,
     Lbar_psi, Lbar_grad_psi, C_psi = _envelope_moments(
         thetas, lambda theta: evaluate_model(problem, xs, theta))
 
-    # A4: ratio maximization with exact Q and grad_theta Q.  Row k of the
-    # probe draw is the beta probe then the theta probe, in the order of
-    # one draw per probe.
-    def ratio(points):
+    # A4: ratio maximization with exact Q and grad_theta Q.  The one rule,
+    # for a stack of (beta, theta) points or one point: the ratio is 0
+    # where grad_theta Q is flat, and a flat point with Q away from zero is
+    # recorded once (a collapsed simplex evaluates one point many times).
+    a4_violations, recorded = [], set()
+
+    def score(points):
         q, _, gq_theta = Q_and_grad_Q(problem, points[..., :problem.dim_beta],
                                       points[..., problem.dim_beta:])
-        return q, _dot(gq_theta, gq_theta)
+        q, denom = np.reshape(q, -1), np.reshape(_dot(gq_theta, gq_theta), -1)
+        flat = denom < 1e-14
+        for k in np.flatnonzero(flat & (q > 1e-10)):
+            point = points.reshape(-1, points.shape[-1])[k]
+            if point.tobytes() not in recorded:
+                recorded.add(point.tobytes())
+                a4_violations.append((point.copy(), float(q[k]), float(denom[k])))
+        return np.divide(q, denom, out=np.zeros_like(q), where=~flat)
 
+    # Row k of the probe draw is the beta probe then the theta probe, in
+    # the order of one draw per probe.
     lows, highs = (np.repeat([beta_box[i], theta_box[i]],
                              [problem.dim_beta, problem.dim_theta])
                    for i in (0, 1))
     points = rng.uniform(lows, highs, (probe_count, len(lows)))
-    q, denom = ratio(points)
-    flat = denom < 1e-14
-    a4_violations = [(points[k].copy(), float(q[k]), float(denom[k]))
-                     for k in np.flatnonzero(flat & (q > 1e-10))]
-    ratios = np.divide(q, denom, out=np.zeros_like(q), where=~flat)
+    ratios = score(points)
     best = int(np.argmax(ratios))           # the first probe of largest ratio
     M = float(ratios[best])
     if M > 0.0 and not a4_violations:
         # Polish the best probe so the estimate reaches the actual
-        # supremum instead of stopping just below it.  Each distinct point
-        # it evaluates is a probe under the same rule; a collapsed simplex
-        # evaluates one point many times.
-        recorded = set()
-
-        def neg_ratio(point):
-            q, denom = ratio(point)
-            if denom >= 1e-14:
-                return -(q / float(denom))
-            if q > 1e-10 and point.tobytes() not in recorded:
-                recorded.add(point.tobytes())
-                a4_violations.append((point.copy(), float(q), float(denom)))
-            return 0.0
-
-        M = max(M, -float(_nelder_mead(neg_ratio, points[best], 500,
-                                       xatol=1e-12, fatol=1e-14)))
+        # supremum instead of stopping just below it.
+        M = max(M, -float(_nelder_mead(lambda p: -score(p)[0], points[best],
+                                       500, xatol=1e-12, fatol=1e-14)))
     if a4_violations:
         M = math.inf
     elif M <= 0.0:

@@ -228,6 +228,11 @@ def descent_check(problem: ProblemSpec, beta, theta, gamma, lam, c1, c2):
     return lhs, rhs, lhs <= rhs + 1e-9
 
 
+def _fit_points(records):
+    """The (N, mean_V) pairs that ``rate_fit`` keeps: 0 < mean_V < inf."""
+    return [(n, v) for n, v in records if 0 < v < np.inf]
+
+
 def rate_fit(records):
     """Least-squares fit of log(mean V) against log N.
 
@@ -240,7 +245,7 @@ def rate_fit(records):
     for n, _ in records:
         if not n >= 1:
             raise ConfigurationError(f"rate_fit needs every N >= 1, got N = {n}")
-    kept = [(n, v) for n, v in records if 0 < v < np.inf]
+    kept = _fit_points(records)
     dropped = len(records) - len(kept)
     if dropped:
         warnings.warn(f"rate_fit excluded {dropped} nonpositive or non-finite "

@@ -379,8 +379,11 @@ def _run_one_star(args):
 
 def read_summary(path) -> list:
     """Load summary.csv rows as (N, mean_V) pairs, naming a bad column."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            rows = list(csv.DictReader(fh))
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
     columns = []
     for name, kind in (("N", int), ("mean_V", float)):
         try:

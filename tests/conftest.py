@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from ctxopt import constants, diagnostics, problems, seeding
+from ctxopt import constants, diagnostics, harness, problems
 
 MASTER_SEED = 20260823
 
@@ -31,10 +31,7 @@ def lg():
 
 @pytest.fixture(scope="session")
 def bt_estimated_ledger(bt):
-    rng = seeding.substream(MASTER_SEED, 17)
-    return constants.estimate_ledger(
-        bt.spec, sample_count=10000, probe_count=10000, rng=rng,
-        beta_box=bt.beta_box, theta_box=bt.theta_box)
+    return harness.estimated_ledger(bt, MASTER_SEED)
 
 
 def minimize_scalar_G(problem, lo=0.0, hi=1.0, tol=1e-12):

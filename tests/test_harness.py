@@ -319,7 +319,7 @@ def test_cli_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command
     path.write_bytes(content)
     assert cli.main([command, str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.out == "" and captured.err.startswith(f"error: {path}: ")
     assert "codec can't decode" in captured.err
 
 
@@ -357,14 +357,17 @@ def test_a_bad_task_fails_before_the_pool_starts(tmp_path, monkeypatch):
 
 
 def test_readme_config_block_names_every_key():
-    # Every key of the table, and problem.* and ledger.* keys as examples.
+    # The block is a config that parse_config takes, so it names no key twice
+    # and no unknown key.  It names exactly the keys of the table, plus
+    # problem.* and ledger.<entry> keys as examples.
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = harness.parse_config(block)
     keys = {line.split("=", 1)[0].strip() for line in block.splitlines()}
-    examples = keys - set(harness._KEYS)
-    assert set(harness._KEYS) <= keys
-    assert examples and all(key.startswith(("problem.", "ledger."))
-                            for key in examples)
+    assert config.problem_params and config.ledger_overrides
+    assert keys == (set(harness._KEYS)
+                    | {f"problem.{name}" for name in config.problem_params}
+                    | {f"ledger.{entry}" for entry in config.ledger_overrides})
 
 
 def test_each_plain_key_is_declared_on_its_field():
@@ -774,6 +777,16 @@ def test_cli_rate_counts_only_n_with_a_finite_mean(tmp_path, capsys):
                               (4096, math.nan), (16384, 0.03125)])
     assert cli.main(["rate", str(diverged)]) == 2
     assert "got 3 with a finite mean_V" in capsys.readouterr().out
+
+
+def test_cli_rate_counts_only_n_that_the_fit_keeps(tmp_path, capsys):
+    # A mean of 0 is finite, but the log-log fit drops it: three N remain.
+    summary = tmp_path / "summary.csv"
+    _write_summary(summary, [(1024, 1.0), (4096, 0.5), (16384, 0.25), (65536, 0.0)])
+    assert cli.main(["rate", str(summary)]) == 2
+    captured = capsys.readouterr()
+    assert "got 3 with a finite mean_V > 0" in captured.out
+    assert captured.err == ""
 
 
 def test_cli_rate_refuses_an_n_below_one(tmp_path, capfd):
