@@ -11,9 +11,12 @@ Subcommands:
   violated inequality that ``derive`` names (exit 1).
 * ``rate <summary.csv>``: fit the log-log rate line; exit 0 iff the slope
   lies in [-0.65, -0.35], 2 when fewer than 4 N have a mean that the fit
-  keeps (finite and above 0).
-* ``gradcheck <problem>``: finite-difference consistency of all evaluators.
+  keeps (finite and above 0).  A line counts the rows the fit leaves out.
+* ``gradcheck <config>``: finite-difference consistency of all evaluators
+  of the config's problem at 100 probes, seeded by ``run.seed``.
 
+``check`` and ``gradcheck`` start where ``run`` starts (``harness.resolve``),
+so each rejects a config that ``run`` rejects there with the same error.
 A package error, an unreadable input file, or one that is not UTF-8 (named
 by its path) prints ``error: ...``, exit 1.
 """
@@ -23,8 +26,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import constants, diagnostics, harness, problems, seeding
+from . import constants, diagnostics, harness, seeding
 from .errors import ConfigurationError, CtxoptError, DomainError
+from .model import finite_difference_check, oracle_consistency_check
 
 SLOPE_BAND = (-0.65, -0.35)
 
@@ -52,16 +56,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     config = _read_config(args.config)
-    problem = problems.by_name(config.problem_name, **config.problem_params)
-    ledger = harness.resolve_ledger(problem, config)
+    problem, _, ledger, lam = harness.resolve(config)
 
     print(f"problem          {problem.name}")
     for key, value in ledger.as_dict().items():
         print(f"ledger {key:<13} {value:.6g}")
     print(f"lambda_floor     {constants.lambda_floor(ledger):.6g}")
     try:
-        derived = constants.derive(ledger, harness.resolve_lambda(ledger, config),
-                                   config.gamma)
+        derived = constants.derive(ledger, lam, config.gamma)
     except DomainError as exc:
         print(f"NON-COMPLIANT: {exc}")
         return 1
@@ -73,12 +75,16 @@ def _cmd_check(args) -> int:
 
 def _cmd_rate(args) -> int:
     rows = harness.read_summary(args.summary)
-    distinct = len({n for n, _ in diagnostics._fit_points(rows)})
+    kept = diagnostics._fit_points(rows)
+    distinct = len({n for n, _ in kept})
     if distinct < 4:
         print(f"insufficient data: need >= 4 distinct N values, got "
               f"{distinct} with a finite mean_V > 0")
         return 2
-    slope, intercept, r_squared = diagnostics.rate_fit(rows)
+    if len(kept) < len(rows):
+        print(f"excluded  {len(rows) - len(kept)} of {len(rows)} rows "
+              f"(no finite mean_V > 0)")
+    slope, intercept, r_squared = diagnostics.rate_fit(kept)
     print(f"slope     {slope:.6g}")
     print(f"intercept {intercept:.6g}")
     print(f"r_squared {r_squared:.6g}")
@@ -91,16 +97,14 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .model import finite_difference_check, oracle_consistency_check
-
-    problem = problems.by_name(args.problem)
-    rng = seeding.substream(args.seed, seeding.STREAM_GRADCHECK)
+    config = _read_config(args.config)
+    problem = harness.resolve(config)[0]
+    rng = seeding.substream(config.seed, seeding.STREAM_GRADCHECK)
     # (label, error, tolerance) of each check, printed in order
     checks = [(f"{name:<6} max relative error", err, 1e-5) for name, err in
-              finite_difference_check(problem.spec, args.probes, rng).items()]
+              finite_difference_check(problem.spec, 100, rng).items()]
     if problem.spec.has_support and problem.spec.has_oracle:
-        betas = [rng.uniform(problem.beta_box[0], problem.beta_box[1],
-                             problem.spec.dim_beta) for _ in range(20)]
+        betas = rng.uniform(*problem.beta_box, (20, problem.spec.dim_beta))
         checks.append(("oracle max abs error     ",
                        oracle_consistency_check(problem.spec, betas), 1e-10))
     for label, err, tol in checks:
@@ -127,9 +131,7 @@ def main(argv=None) -> int:
     p_rate.set_defaults(func=_cmd_rate)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference evaluator check")
-    p_grad.add_argument("problem")
-    p_grad.add_argument("--probes", type=int, default=100)
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("config")
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     args = parser.parse_args(argv)

@@ -229,7 +229,11 @@ def descent_check(problem: ProblemSpec, beta, theta, gamma, lam, c1, c2):
 
 
 def _fit_points(records):
-    """The (N, mean_V) pairs that ``rate_fit`` keeps: 0 < mean_V < inf."""
+    """The (N, mean_V) pairs that ``rate_fit`` keeps: 0 < mean_V < inf.
+    Every N must be >= 1."""
+    for n, _ in records:
+        if not n >= 1:
+            raise ConfigurationError(f"rate_fit needs every N >= 1, got N = {n}")
     return [(n, v) for n, v in records if 0 < v < np.inf]
 
 
@@ -242,9 +246,6 @@ def rate_fit(records):
     -1/2 reproduces the theoretical rate.
     """
     records = list(records)
-    for n, _ in records:
-        if not n >= 1:
-            raise ConfigurationError(f"rate_fit needs every N >= 1, got N = {n}")
     kept = _fit_points(records)
     dropped = len(records) - len(kept)
     if dropped:

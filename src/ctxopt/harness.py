@@ -8,7 +8,8 @@ its field, so ``parse_config`` rejects a bad value with an error naming the
 key before anything runs; ``ledger.<entry>`` overrides are checked by the
 ledger's own entry rule there too.  ``problem.*`` keys are problem
 parameters, checked by ``problems.by_name``; LG's size is the n of
-``problem.name = LG(n)``.
+``problem.name = LG(n)``.  ``resolve`` turns a config into the problem, z^0,
+ledger and lambda that ``run``, ``check`` and ``gradcheck`` all start from.
 ``run_experiment`` builds one ``engine.RunConfig`` per task before the
 worker pool (``workers``; 0 means one per core, and never more workers than
 tasks) starts; a single task runs in process.
@@ -177,48 +178,35 @@ def estimated_ledger(problem: problems.BuiltinProblem, seed: int) -> ConstantLed
         beta_box=problem.beta_box, theta_box=problem.theta_box)
 
 
-def resolve_ledger(problem: problems.BuiltinProblem,
-                   config: ExperimentConfig) -> ConstantLedger:
-    """Shipped or re-estimated ledger with the config's overrides applied."""
+def resolve(config: ExperimentConfig):
+    """(problem, z^0, ledger, lam) of a run, each checked before the next's work:
+    the ``problem.*`` problem; z^0 from ``run.init_*``; the shipped or estimated
+    ledger with its overrides; the config's lambda, else ``constants.best_lambda``
+    (the lambda of the lowest gamma threshold), but at least 1."""
+    problem = problems.by_name(config.problem_name, **config.problem_params)
+    z0 = engine.initial_state(problem.spec, config.init_beta, config.init_theta,
+                              "run.")
     ledger = (estimated_ledger(problem, config.seed) if config.estimate_ledger
               else problem.ledger)
-    return replace(ledger, **config.ledger_overrides, provenance={
+    ledger = replace(ledger, **config.ledger_overrides, provenance={
         **ledger.provenance, **dict.fromkeys(config.ledger_overrides, "override")})
-
-
-def resolve_lambda(ledger: ConstantLedger, config: ExperimentConfig) -> float:
-    """The config's lambda, else ``constants.best_lambda``, the lambda of the
-    lowest gamma threshold, but at least 1."""
-    return config.lam if config.lam is not None else max(constants.best_lambda(ledger), 1.0)
-
-
-def resolve_coefficients(ledger: ConstantLedger, config: ExperimentConfig):
-    """(lam, c1, c2, L_W) from the config, lam (``resolve_lambda``) and the
-    weights derived where absent.  ``constants.lipschitz_W`` rejects a lambda
-    below L_hess_g."""
-    lam = resolve_lambda(ledger, config)
-    _, _, l_w = constants.lipschitz_W(ledger, lam)
-    if config.c1 is not None and config.c2 is not None:
-        return lam, config.c1, config.c2, l_w
-    derived = constants.derive(ledger, lam, config.gamma)
-    return lam, derived.c1, derived.c2, l_w
+    lam = config.lam if config.lam is not None else max(constants.best_lambda(ledger), 1.0)
+    return problem, z0, ledger, lam
 
 
 def measure_z0_quantities(problem: problems.BuiltinProblem,
-                          config: ExperimentConfig, lam: float):
+                          config: ExperimentConfig, z0: tuple, lam: float):
     """Direction moments, W(z^0), and G_min needed for alpha tuning and bounds."""
     if problem.g_min is None:
         raise CapabilityError(
             f"problem {problem.name} has no known G_min; supply run.alpha explicitly")
     spec = problem.spec
-    beta0, theta0 = engine.initial_state(spec, config.init_beta,
-                                         config.init_theta, "run.")
     rng = seeding.substream(config.seed, seeding.STREAM_MOMENTS)
     c_d_sq, sigma_sq = diagnostics.direction_moment_stats(
-        spec, beta0, theta0, config.gamma, _MOMENT_SAMPLES, rng)
+        spec, *z0, config.gamma, _MOMENT_SAMPLES, rng)
     mode = "exact" if spec.has_support else "mc"
     _, w0 = diagnostics.bregman_delta_and_W(
-        spec, beta0, theta0, lam, mode=mode, n_samples=_V_MC_SAMPLES,
+        spec, *z0, lam, mode=mode, n_samples=_V_MC_SAMPLES,
         rng=seeding.substream(config.seed, seeding.STREAM_MOMENTS, 1))
     return c_d_sq, sigma_sq, w0, problem.g_min
 
@@ -291,16 +279,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
     nearest = next(path for path in (out, *out.parents) if path.exists())
     if not nearest.is_dir():
         raise ConfigurationError(f"output_dir: {nearest} is not a directory")
-    problem = problems.by_name(config.problem_name, **config.problem_params)
-    engine.initial_state(problem.spec, config.init_beta, config.init_theta,
-                         "run.")
-    ledger = resolve_ledger(problem, config)
-    lam, c1, c2, l_w = resolve_coefficients(ledger, config)
+    problem, z0, ledger, lam = resolve(config)
+    _, _, l_w = constants.lipschitz_W(ledger, lam)   # rejects lam < L_hess_g
+    # the config's c1 and c2 (given together), else the derived ones
+    weights = config if config.c1 is not None else constants.derive(ledger, lam, config.gamma)
+    c1, c2 = weights.c1, weights.c2
 
     c_d_sq = sigma_sq = w0 = g_min = None
     alpha = config.alpha
     if alpha is None:
-        c_d_sq, sigma_sq, w0, g_min = measure_z0_quantities(problem, config, lam)
+        c_d_sq, sigma_sq, w0, g_min = measure_z0_quantities(problem, config, z0, lam)
         alpha = constants.optimal_alpha(l_w, np.sqrt(c_d_sq), np.sqrt(sigma_sq),
                                         w0, g_min)
 

@@ -188,22 +188,44 @@ def test_a_misshapen_init_vector_names_the_key_before_any_work(
         raise AssertionError("work started before the init vectors were checked")
 
     monkeypatch.setattr(constants, "estimate_ledger", no_work)
-    monkeypatch.setattr(harness, "resolve_ledger", no_work)
+    monkeypatch.setattr(harness, "estimated_ledger", no_work)
+    monkeypatch.setattr(harness, "measure_z0_quantities", no_work)
     config = harness.parse_config(
         SMALL_CONFIG.format(out=tmp_path / "out").replace("run.alpha = 0.05", "")
-        + f"run.alpha = {alpha}\nrun.init_beta = 0.1,0.2\n")
+        + f"run.alpha = {alpha}\nrun.init_beta = 0.1,0.2\nledger.estimate = true\n")
     with pytest.raises(ConfigurationError,
                        match=r"^run\.init_beta: shape \(2,\), not \(1,\)$"):
         harness.run_experiment(config)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("extra", [
+    "run.init_beta = 1,2\n", "run.init_theta = 1,2,3\n", "problem.colour = blue\n",
+    "problem.seed = x\n", "ledger.M = inf\n"],
+    ids=["init_beta", "init_theta", "problem.colour", "problem.seed", "M-inf"])
+def test_check_and_gradcheck_reject_what_run_rejects_before_any_work(
+        tmp_path, capsys, extra):
+    text = SMALL_CONFIG.format(out=tmp_path / "out") + extra
+    if extra.startswith("problem.seed"):
+        text = text.replace("problem.name = BT", "problem.name = LG(2)")
+    if extra.startswith("ledger.M"):
+        text = text.replace("lambda = 1\n", "")
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    assert cli.main(["run", str(path)]) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("error: ") and error.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    for command in ("check", "gradcheck"):
+        assert cli.main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", error)
+
+
 def test_z0_quantities_name_a_misshapen_init_vector(tmp_path):
-    bt = problems.by_name("BT")
     config = harness.parse_config(
         SMALL_CONFIG.format(out=tmp_path) + "run.init_theta = 1,2,3\n")
     with pytest.raises(ConfigurationError, match=r"^run\.init_theta: shape"):
-        harness.measure_z0_quantities(bt, config, lam=3.0)
+        harness.resolve(config)
 
 
 @pytest.mark.parametrize("estimate", ["false", "true"])
@@ -550,6 +572,16 @@ def test_the_manifest_holds_the_engine_times(tmp_path):
     assert all(wall_ms >= 0.0 for _, _, wall_ms in rows)
 
 
+# setuptools marks its reading of [tool.setuptools] as beta with a warning
+@pytest.mark.filterwarnings("ignore")
+def test_the_package_version_is_declared_once():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    project = read_configuration(Path(__file__).parents[1] / "pyproject.toml")["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == ctxopt.__version__
+
+
 def test_problem_is_built_once_per_sweep(tmp_path, monkeypatch):
     built = []
     build = problems.by_name
@@ -713,7 +745,7 @@ def test_cli_check_derives_the_run_lambda(tmp_path, capsys):
     path = _check_config(tmp_path, "BT", 300)
     assert cli.main(["check", path]) == 0
     config = harness.parse_config(Path(path).read_text())
-    lam = harness.resolve_coefficients(problems.by_name("BT").ledger, config)[0]
+    lam = harness.resolve(config)[3]
     assert f"{lam:.6g}" == "19.8881"
     assert "derived lambda       19.8881\n" in capsys.readouterr().out
 
@@ -727,15 +759,6 @@ def test_cli_check_takes_no_flag(tmp_path, capsys, flag):
     assert usage.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments" in captured.err
-
-
-@pytest.mark.parametrize("problem, probes", [("BT", "0"), ("LG", "-3")])
-def test_cli_gradcheck_rejects_a_probe_count_below_one(capsys, problem, probes):
-    status = cli.main(["gradcheck", problem, "--probes", probes])
-    captured = capsys.readouterr()
-    assert status == 1 and captured.out == ""
-    assert captured.err == (f"error: n_probes must be a positive integer, "
-                            f"got {probes}\n")
 
 
 def _write_summary(path, rows):
@@ -789,6 +812,20 @@ def test_cli_rate_counts_only_n_that_the_fit_keeps(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_cli_rate_reports_the_rows_that_the_fit_leaves_out(tmp_path, capsys):
+    # Four N are kept, so the fit runs; the fifth, with a mean of 0, is left
+    # out on one line of the report, and stderr stays empty.
+    summary = tmp_path / "summary.csv"
+    _write_summary(summary, [(1024, 0.25), (4096, 0.125), (16384, 0.0625),
+                             (65536, 0.03125), (262144, 0.0)])
+    assert cli.main(["rate", str(summary)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == ("excluded  1 of 5 rows (no finite mean_V > 0)\n"
+                            "slope     -0.5\nintercept 2.07944\nr_squared 1\n"
+                            "slope within [-0.65, -0.35]\n")
+
+
 def test_cli_rate_refuses_an_n_below_one(tmp_path, capfd):
     # LAPACK writes its complaints to the process's own stdout: capfd sees them.
     summary = tmp_path / "summary.csv"
@@ -812,10 +849,52 @@ def test_cli_run_has_no_workers_flag(capsys):
     assert "--workers" not in capsys.readouterr().out
 
 
-def test_cli_gradcheck(capsys):
-    assert cli.main(["gradcheck", "BT", "--probes", "20"]) == 0
+def test_cli_gradcheck(tmp_path, capsys):
+    assert cli.main(["gradcheck", _check_config(tmp_path, "BT", 20)]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
+
+
+# sha256 of stdout of the former ``gradcheck <problem> [--seed 5]``
+GRADCHECK_DIGESTS = [
+    ("BT", "", "ebee7fd0aac4d5714bcf2c57590dbcd09e868fc6fcf4a4ab402088bf60f6da84"),
+    ("LIN", "", "4a2f38cb814f0082c2b251ed196d06b02ef6b36a3407971f5a601a8b4cc6ae86"),
+    ("LG(2)", "", "0d2fe834ec945c506abceea2c10d01a288a14b42be0ae2f3447136c6b570cf44"),
+    ("BT", "run.seed = 5\n",
+     "9fd0e6100f00977292bee5e93f88590ed33654822cea235e1286bfb6d301d1d5"),
+    ("LG(2)", "run.seed = 5\n",
+     "078fc6fc41fe8689c2d76025e9e12789ff6ca88c30872423cc2e264843b03a9c"),
+]
+
+
+@pytest.mark.parametrize("problem, extra, digest", GRADCHECK_DIGESTS,
+                         ids=["BT", "LIN", "LG(2)", "BT-seed-5", "LG(2)-seed-5"])
+def test_cli_gradcheck_keeps_the_problem_reports(tmp_path, capsys, problem, extra,
+                                                 digest):
+    assert cli.main(["gradcheck", _check_config(tmp_path, problem, 20, extra=extra)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_gradcheck_checks_the_configured_problem(tmp_path, capsys, monkeypatch):
+    built, checked = [], []
+    build, check = problems.by_name, cli.finite_difference_check
+
+    def by_name(name, **params):
+        built.append(build(name, **params))
+        return built[-1]
+
+    def finite_difference_check(spec, n_probes, rng):
+        checked.append(spec)
+        return check(spec, n_probes, rng)
+
+    monkeypatch.setattr(harness.problems, "by_name", by_name)
+    monkeypatch.setattr(cli, "finite_difference_check", finite_difference_check)
+    path = _check_config(tmp_path, "LG(3)", 20, extra="problem.seed = 5\n")
+    assert cli.main(["gradcheck", path]) == 0
+    assert "ok" in capsys.readouterr().out
+    assert len(built) == len(checked) == 1 and checked[0] is built[0].spec
+    assert np.array_equal(built[0].a, problems.make_linear_gaussian(3, 5).a)
+    assert not np.array_equal(built[0].a, problems.make_linear_gaussian(3).a)
 
 
 def test_cli_run_smoke(tmp_path, capsys):
@@ -906,7 +985,8 @@ def test_z0_quantities_fail_before_drawing_without_g_min(tmp_path):
         "problem.name = LG(8)\nrun.gamma = 1\nsweep = 4\n"
         f"output_dir = {tmp_path}\n")
     with pytest.raises(CapabilityError, match="no known G_min"):
-        harness.measure_z0_quantities(lg8, config, lam=1.0)
+        harness.measure_z0_quantities(lg8, config, engine.initial_state(lg8.spec),
+                                      lam=1.0)
     assert calls == []
 
 
