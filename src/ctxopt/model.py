@@ -28,6 +28,9 @@ is the one shape check of a draw, there and in ``engine.run``.
 ``_validated`` is the one check of evaluator outputs, for shape and for
 finiteness: ``evaluate_*`` and ``conditional_oracle`` check their inputs and
 pass their outputs to it, and each ``engine`` step passes it all of its own.
+Its fast finiteness test sums the entries of an output of at most ``_SMALL``
+entries and takes ``np.vdot`` of a larger one; a non-finite total sends the
+call to its per-output pass, which makes every verdict.
 A bare value, a wrong number of outputs or an output that is not numeric
 fails it with a ConfigurationError naming the evaluator.  Beside it,
 ``_require`` is the one argument check: every count, positive or real
@@ -115,12 +118,17 @@ class ProblemSpec:
     # The support table: the distinct contexts xs and their p_x; then, used
     # only inside ``model``, every atom's x and y stacked in context order,
     # each atom's p(y|x), and each context's number of atoms.  All of its
-    # arrays are read-only.
+    # arrays are read-only.  ``_shapes`` holds each evaluator's per-sample
+    # output shapes, from the dims that ``_OUTPUTS`` names.
     _exact: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _shapes: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require("count", dim_x=self.dim_x, dim_y=self.dim_y, dim_beta=self.dim_beta,
                  dim_theta=self.dim_theta, dim_f=self.dim_f)
+        self._shapes = {evaluator: [tuple(getattr(self, "dim_" + dim) for dim in dims.split())
+                                    for _, _, dims in outputs]
+                        for evaluator, outputs in _OUTPUTS.items()}
         if self.support is not None:
             groups: dict = {}
             for i, (x, y, p) in enumerate(self.support):
@@ -160,23 +168,20 @@ class ProblemSpec:
         return self.conditional_oracle is not None
 
 
-# Each evaluator's outputs in order: (name in a shape error, in a non-finite one)
+# Each evaluator's outputs in order: (name in a shape error, in a non-finite
+# one, the dims of its per-sample shape)
 _OUTPUTS = {
-    "inner": (("f_value", "inner"), ("f_grad_beta", "inner gradient")),
-    "model": (("psi_value", "model"), ("psi_grad_theta", "model gradient")),
-    "outer": (("g_value", "outer value"), ("g_grad", "outer gradient"),
-              ("g_hess", "outer hessian")),
-    "conditional oracle": (("F_value", "conditional oracle"),
-                           ("F_grad_beta", "conditional oracle gradient")),
+    "inner": (("f_value", "inner", "f"), ("f_grad_beta", "inner gradient", "beta f")),
+    "model": (("psi_value", "model", "f"), ("psi_grad_theta", "model gradient", "theta f")),
+    "outer": (("g_value", "outer value", ""), ("g_grad", "outer gradient", "f"),
+              ("g_hess", "outer hessian", "f f")),
+    "conditional oracle": (("F_value", "conditional oracle", "f"),
+                           ("F_grad_beta", "conditional oracle gradient", "beta f")),
 }
-
-
-def _output_shapes(problem: ProblemSpec, evaluator: str, lead: tuple) -> list:
-    f = problem.dim_f
-    if evaluator == "outer":
-        return [lead, lead + (f,), lead + (f, f)]
-    width = problem.dim_theta if evaluator == "model" else problem.dim_beta
-    return [lead + (f,), lead + (width, f)]
+# Up to this many entries, the sum of an output's entries as Python floats
+# is a cheaper finiteness test than ``np.vdot`` (measured: 0.5 against 0.7 us
+# at 16 entries, even at about 26).
+_SMALL = 16
 
 
 def _validated(problem: ProblemSpec, *calls) -> tuple:
@@ -187,18 +192,23 @@ def _validated(problem: ProblemSpec, *calls) -> tuple:
     names, and what the evaluator returned.  One shape comparison and one
     finiteness test cover all outputs; only if either fails is each call
     checked, shapes before finiteness, to name the first bad output.  The
-    finiteness test is on the sum of squares, which is non-finite whenever
-    an entry is NaN or +-inf; a finite output whose sum overflows passes.
+    finiteness test adds up one sum per output, which is non-finite whenever
+    an entry is NaN or +-inf: the sum of its entries as Python floats for an
+    output of at most ``_SMALL`` entries, else its sum of squares by
+    ``np.vdot``.  It only decides whether the per-output pass runs, and that
+    pass makes every verdict, so a finite output whose sum overflows passes.
     """
     values, actual, shapes, total = [], [], [], 0.0
     try:
         for evaluator, lead, _, outputs in calls:
-            shapes += _output_shapes(problem, evaluator, lead)
+            table = problem._shapes[evaluator]
+            shapes += [lead + shape for shape in table] if lead else table
             for value in outputs:
                 value = np.asarray(value, dtype=float)
                 values.append(value)
                 actual.append(value.shape)
-                total += np.vdot(value, value)
+                total += (sum(value.ravel().tolist()) if value.size <= _SMALL
+                          else np.vdot(value, value))
     except (TypeError, ValueError):     # a bare value, or an output not numeric
         shapes = None
     if actual == shapes and math.isfinite(total):
@@ -212,8 +222,9 @@ def _validated(problem: ProblemSpec, *calls) -> tuple:
             raise ConfigurationError(f"{evaluator} returned {len(outputs)} outputs, "
                                      f"expected {count}")
         own = []
-        for (name, label), value, shape in zip(_OUTPUTS[evaluator], outputs,
-                                               _output_shapes(problem, evaluator, lead)):
+        for (name, label, _), value, shape in zip(_OUTPUTS[evaluator], outputs,
+                                                  problem._shapes[evaluator]):
+            shape = lead + shape
             try:
                 value = np.asarray(value, dtype=float)
             except (TypeError, ValueError) as exc:
@@ -296,9 +307,13 @@ def _checked_draw(problem: ProblemSpec, lead: tuple, draw) -> tuple:
     """A sampler's ``(x, y)``, whose shapes must be ``lead + (dim,)``."""
     x, y = draw
     expected = (lead + (problem.dim_x,), lead + (problem.dim_y,))
-    if (np.shape(x), np.shape(y)) != expected:
-        raise ConfigurationError(f"sampler drew x of shape {np.shape(x)} and y of shape "
-                                 f"{np.shape(y)}, expected {expected[0]} and {expected[1]}")
+    try:
+        shapes = (x.shape, y.shape)
+    except AttributeError:      # a draw that is not an array, such as a list
+        shapes = (np.shape(x), np.shape(y))
+    if shapes != expected:
+        raise ConfigurationError(f"sampler drew x of shape {shapes[0]} and y of shape "
+                                 f"{shapes[1]}, expected {expected[0]} and {expected[1]}")
     return x, y
 
 

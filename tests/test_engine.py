@@ -275,6 +275,43 @@ def test_misshapen_draw_fails_before_any_evaluation(bt):
     assert calls == []
 
 
+def test_a_list_draw_runs_as_the_array_draw(bt):
+    # A draw of Python lists has no .shape: the draw check falls back to
+    # np.shape, and the rows it fills hold the same floats.
+    def sampler(rng):
+        x, y = bt.spec.sampler(rng)
+        return x.tolist(), y.tolist()
+
+    cfg = RunConfig(gamma=2.0, alpha=0.2, n_iters=64, seed=123)
+    a = engine.run(bt.spec, cfg)
+    b = engine.run(dataclasses.replace(bt.spec, sampler=sampler), cfg)
+    assert a.betas.tobytes() == b.betas.tobytes()
+    assert a.thetas.tobytes() == b.thetas.tobytes()
+    assert a.stop_index == b.stop_index
+
+
+def test_a_bare_float_draw_fails_before_any_evaluation(bt):
+    calls = []
+
+    def sampler(rng):
+        x, y = bt.spec.sampler(rng)
+        return float(x[0]), y
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapped
+
+    spec = dataclasses.replace(
+        bt.spec, sampler=sampler, inner=counting(bt.spec.inner),
+        model=counting(bt.spec.model), outer=counting(bt.spec.outer))
+    with pytest.raises(ConfigurationError, match=r"^sampler drew x of shape \(\) and y "
+                       r"of shape \(1,\), expected \(1,\) and \(1,\)$"):
+        engine.run(spec, RunConfig(gamma=1.0, alpha=0.1, n_iters=8, seed=2))
+    assert calls == []
+
+
 def test_a_wrong_number_of_step_outputs_names_the_evaluator(bt):
     def inner(x, y, beta):
         return (*bt.spec.inner(x, y, beta), None)

@@ -177,7 +177,7 @@ def test_missing_capabilities_raise(bt):
 # numpy warns about the overflowing sum; the check itself must not raise.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_finite_output_whose_sum_overflows_passes(bt):
-    # The cheap test sums the squares of the entries; a finite array whose
+    # The cheap test sums the entries of a small output; a finite array whose
     # sum overflows must still pass through the entrywise check.
     def huge_grad(x, y, beta):
         return np.array([1.0]), np.array([[1e308], [1e308]])
@@ -186,6 +186,48 @@ def test_finite_output_whose_sum_overflows_passes(bt):
     _, grad = model.evaluate_inner(wide, np.array([0.0]), np.array([0.0]),
                                    np.array([0.0, 0.0]))
     assert grad.ravel().tolist() == [1e308, 1e308]
+
+
+def test_a_large_finite_output_whose_squares_overflow_passes(bt):
+    # Above the cut-off the cheap test is the sum of squares by np.vdot,
+    # which overflows on entries near 1e200; the entrywise check passes them.
+    n = 2 * model._SMALL
+    huge = np.linspace(1e200, 2e200, n).reshape(n, 1, 1)
+    assert huge.size > model._SMALL and not math.isfinite(np.vdot(huge, huge))
+    spec = dataclasses.replace(
+        bt.spec, inner=lambda x, y, beta: (np.ones((n, 1)), huge.copy()))
+    _, grad = model.evaluate_inner(spec, np.zeros((n, 1)), np.zeros((n, 1)),
+                                   np.array([0.0]))
+    assert grad.tobytes() == huge.tobytes()
+
+
+def test_a_small_output_whose_entries_sum_to_nan_is_named(bt):
+    # inf + -inf is NaN: the cheap test of a small output sends it to the
+    # entrywise check, which names it.
+    assert math.isnan(sum([math.inf, -math.inf]))
+    wide = dataclasses.replace(bt.spec, dim_beta=2, inner=lambda x, y, beta: (
+        np.array([1.0]), np.array([[np.inf], [-np.inf]])))
+    with pytest.raises(EvaluationError, match=r"^inner gradient produced a non-finite "
+                       r"output array\(\[\[ inf\],\n +\[-inf\]\]\) at input "):
+        model.evaluate_inner(wide, np.array([0.0]), np.array([0.0]), np.array([0.0, 0.0]))
+
+
+def test_nan_in_one_row_of_a_large_stack_names_the_inner_gradient(bt):
+    # A stack of more rows than the cut-off takes the np.vdot test.
+    n = 2 * model._SMALL
+
+    def poisoned(x, y, beta):
+        value, grad = bt.spec.inner(x, y, beta)
+        grad = grad.copy()
+        grad[5] = np.nan
+        return value, grad
+
+    xs = np.zeros((n, 1))
+    with pytest.raises(EvaluationError, match="^inner gradient produced a non-finite "
+                       "output ") as exc:
+        model.evaluate_inner(dataclasses.replace(bt.spec, inner=poisoned), xs, xs,
+                             np.array([0.25]))
+    assert exc.value.offending_input[2].tolist() == [0.25]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
