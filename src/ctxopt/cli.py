@@ -9,14 +9,21 @@ Subcommands:
   config with: print its resolved ledger, the lambda floor, and
   ``constants.derive``'s table at its gamma and lambda (exit 0), or the
   violated inequality that ``derive`` names (exit 1).
-* ``rate <summary.csv>``: fit the log-log rate line; exit 0 iff the slope
-  lies in [-0.65, -0.35], 2 when fewer than 4 N have a mean that the fit
-  keeps (finite and above 0).  A line counts the rows the fit leaves out.
+* ``rate <summary.csv>``: fit the log-log rate line of ``mean_V_grid``, the
+  criterion-1 estimand, when every row whose ``mean_V`` the fit keeps has a
+  finite one above 0, else of ``mean_V`` (Monte Carlo rows, or a summary
+  without the column); a line names the fitted column.  Exit 0 iff the slope
+  lies in [-0.65, -0.35], 2 when fewer than 4 N have a value of that column
+  that the fit keeps (finite and above 0).  A line counts the rows the fit
+  leaves out.
 * ``gradcheck <config>``: finite-difference consistency of all evaluators
   of the config's problem at 100 probes, seeded by ``run.seed``.
 
 ``check`` and ``gradcheck`` start where ``run`` starts (``harness.resolve``),
 so each rejects a config that ``run`` rejects there with the same error.
+So ``gradcheck`` on a config with ``ledger.estimate = true`` runs the ledger
+estimate it does not read: an estimate with ``M = inf`` and no ``lambda`` is
+such a rejection.
 A package error, an unreadable input file, or one that is not UTF-8 (named
 by its path) prints ``error: ...``, exit 1.
 """
@@ -24,6 +31,7 @@ by its path) prints ``error: ...``, exit 1.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import constants, diagnostics, harness, seeding
@@ -74,16 +82,23 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    rows = harness.read_summary(args.summary)
+    column, rows = "mean_V", harness.read_summary(args.summary)
     kept = diagnostics._fit_points(rows)
+    grid = harness.read_summary(args.summary, "mean_V_grid")
+    # criterion 1's estimand, where each row whose mean_V the fit keeps has one
+    if kept and grid and all(0 < g < math.inf for (_, v), (_, g) in zip(rows, grid)
+                             if 0 < v < math.inf):
+        column, rows = "mean_V_grid", grid
+        kept = diagnostics._fit_points(rows)
     distinct = len({n for n, _ in kept})
     if distinct < 4:
         print(f"insufficient data: need >= 4 distinct N values, got "
-              f"{distinct} with a finite mean_V > 0")
+              f"{distinct} with a finite {column} > 0")
         return 2
     if len(kept) < len(rows):
         print(f"excluded  {len(rows) - len(kept)} of {len(rows)} rows "
-              f"(no finite mean_V > 0)")
+              f"(no finite {column} > 0)")
+    print(f"fitted    {column}")
     slope, intercept, r_squared = diagnostics.rate_fit(kept)
     print(f"slope     {slope:.6g}")
     print(f"intercept {intercept:.6g}")

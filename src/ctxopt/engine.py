@@ -13,8 +13,10 @@ pulling the model parameters theta toward the observed inner values:
 step, one ``sampler(rng)`` call each, and step k uses pair k.
 ``_direction`` is the one place the direction is formed, from one call each
 of inner, model and outer: ``model._validated`` checks the outputs of inner
-and model before outer runs, then outer's.  The loop adds tau_k times it to
-checked inputs; ``compute_direction`` checks its inputs and calls it.
+and model before outer runs, then outer's.  It returns the descent gradient
+-d_beta with d_theta: the loop subtracts tau_k times it from beta and adds
+tau_k times d_theta to theta, on checked inputs; ``compute_direction`` checks
+its inputs and returns the gradient negated.
 
 The reported iterate is drawn at a random stopping index: uniform over
 {0..N-1} for the fixed-horizon schedule tau_k = alpha/sqrt(N), proportional
@@ -123,19 +125,20 @@ def compute_direction(problem: ProblemSpec, beta: Array, theta: Array,
     an (x, y) pair or a stack of pairs with leading batch axes."""
     _require("positive", gamma=gamma)
     x, y, beta, theta = map(np.asarray, (*sample, beta, theta))
-    return _direction(problem, beta, theta, x, y, gamma,
-                      _lead("compute_direction", problem, x, y, beta, problem.dim_beta),
-                      _lead("compute_direction", problem, x, None, theta, problem.dim_theta))
+    lead = _lead("compute_direction", problem, x, y, beta, problem.dim_beta)
+    psi_lead = _lead("compute_direction", problem, x, None, theta, problem.dim_theta)
+    descent, d_theta = _direction(problem, beta, theta, x, y, gamma, lead, psi_lead)
+    return -descent, d_theta
 
 
 def _direction(problem, beta, theta, x, y, gamma, lead, psi_lead):
-    # inner's outputs lead with ``lead``, the model's and outer's with ``psi_lead``
+    # -> (-d_beta, d_theta); inner's outputs lead with ``lead``, the rest ``psi_lead``
     f_value, f_grad, psi_value, psi_grad = _validated(
         problem, ("inner", lead, (x, y, beta), problem.inner(x, y, beta)),
         ("model", psi_lead, (x, theta), problem.model(x, theta)))
     _, g_grad, _ = _validated(
         problem, ("outer", psi_lead, psi_value, problem.outer(psi_value)))
-    return (-_matvec(f_grad, g_grad),
+    return (_matvec(f_grad, g_grad),
             gamma * _matvec(psi_grad, f_value - psi_value))
 
 
@@ -176,16 +179,15 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunRecord:
     taus = stepsizes(config.schedule, n, config.alpha)
     betas[0], thetas[0] = beta, theta
 
-    for k, tau in enumerate(taus.tolist()):
+    for k, (tau, x, y) in enumerate(zip(taus.tolist(), xs, ys)):
         try:
-            d_beta, d_theta = _direction(
-                problem, beta, theta, xs[k], ys[k], config.gamma, (), ())
+            descent, d_theta = _direction(problem, beta, theta, x, y, config.gamma, (), ())
         except EvaluationError as exc:
             raise EvaluationError(
                 f"evaluation failed at iteration {k}: {exc}",
                 offending_input=exc.offending_input, iteration=k,
             ) from exc
-        beta = betas[k + 1] = beta + tau * d_beta
+        beta = betas[k + 1] = beta - tau * descent
         theta = thetas[k + 1] = theta + tau * d_theta
 
     rng_stop = seeding.substream(config.seed, seeding.STREAM_STOPPING)

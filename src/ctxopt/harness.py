@@ -365,18 +365,21 @@ def _run_one_star(args):
     return _run_one(*args)
 
 
-def read_summary(path) -> list:
-    """Load summary.csv rows as (N, mean_V) pairs, naming a bad column."""
+def read_summary(path, column="mean_V") -> Optional[list]:
+    """Load summary.csv's N and ``column`` as (N, value) pairs, naming a bad
+    column; the ``mean_V_grid`` column is optional, and None when absent."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             rows = list(csv.DictReader(fh))
         except UnicodeDecodeError as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
     columns = []
-    for name, kind in (("N", int), ("mean_V", float)):
+    for name, kind in (("N", int), (column, float)):
         try:
             columns.append([kind(row[name]) for row in rows])
         except KeyError:
+            if name == "mean_V_grid":
+                return None
             raise ConfigurationError(f"{path}: no {name} column") from None
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"{path}: column {name}: {exc}") from None

@@ -28,9 +28,9 @@ is the one shape check of a draw, there and in ``engine.run``.
 ``_validated`` is the one check of evaluator outputs, for shape and for
 finiteness: ``evaluate_*`` and ``conditional_oracle`` check their inputs and
 pass their outputs to it, and each ``engine`` step passes it all of its own.
-Its fast finiteness test sums the entries of an output of at most ``_SMALL``
-entries and takes ``np.vdot`` of a larger one; a non-finite total sends the
-call to its per-output pass, which makes every verdict.
+Its fast finiteness test is one sum over the entries of every output of at
+most ``_SMALL`` entries and ``np.vdot`` of each larger one; a non-finite total
+sends the call to its per-output pass, which makes every verdict.
 A bare value, a wrong number of outputs or an output that is not numeric
 fails it with a ConfigurationError naming the evaluator.  Beside it,
 ``_require`` is the one argument check: every count, positive or real
@@ -192,13 +192,13 @@ def _validated(problem: ProblemSpec, *calls) -> tuple:
     names, and what the evaluator returned.  One shape comparison and one
     finiteness test cover all outputs; only if either fails is each call
     checked, shapes before finiteness, to name the first bad output.  The
-    finiteness test adds up one sum per output, which is non-finite whenever
-    an entry is NaN or +-inf: the sum of its entries as Python floats for an
-    output of at most ``_SMALL`` entries, else its sum of squares by
-    ``np.vdot``.  It only decides whether the per-output pass runs, and that
-    pass makes every verdict, so a finite output whose sum overflows passes.
+    finiteness test is one sum, non-finite whenever an entry is NaN or +-inf,
+    over the entries as Python floats of every output of at most ``_SMALL``
+    entries and the sum of squares by ``np.vdot`` of each larger one.  It only
+    decides whether the per-output pass runs, and that pass makes every
+    verdict, so finite outputs whose sum overflows pass.
     """
-    values, actual, shapes, total = [], [], [], 0.0
+    values, actual, shapes, terms = [], [], [], []
     try:
         for evaluator, lead, _, outputs in calls:
             table = problem._shapes[evaluator]
@@ -207,11 +207,11 @@ def _validated(problem: ProblemSpec, *calls) -> tuple:
                 value = np.asarray(value, dtype=float)
                 values.append(value)
                 actual.append(value.shape)
-                total += (sum(value.ravel().tolist()) if value.size <= _SMALL
-                          else np.vdot(value, value))
+                terms += (value.ravel().tolist() if value.size <= _SMALL
+                          else [np.vdot(value, value)])
     except (TypeError, ValueError):     # a bare value, or an output not numeric
         shapes = None
-    if actual == shapes and math.isfinite(total):
+    if actual == shapes and math.isfinite(sum(terms)):
         return tuple(values)
     for evaluator, lead, inputs, outputs in calls:
         count = len(_OUTPUTS[evaluator])

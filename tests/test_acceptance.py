@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ctxopt import constants, diagnostics, engine, harness, model, seeding
+from ctxopt import cli, constants, diagnostics, engine, harness, model, seeding
 from ctxopt.engine import RunConfig, Schedule
 
 from conftest import MASTER_SEED
@@ -64,6 +64,12 @@ def test_criterion_1_rate_reproduction(sweep):
           f"{'PASS' if ok else 'FAIL'}")
     assert SLOPE_BAND[0] <= slope <= SLOPE_BAND[1]
     assert r2 >= 0.9
+
+
+def test_cli_rate_fits_the_sweep_summary(sweep, capsys):
+    # ``ctxopt rate`` on the recipe's own summary fits criterion 1's estimand.
+    assert cli.main(["rate", str(sweep["summary"])]) == 0
+    assert "fitted    mean_V_grid\n" in capsys.readouterr().out
 
 
 def test_criterion_2_theorem_bound_validity(sweep):

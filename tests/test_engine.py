@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ctxopt import diagnostics, engine, model, seeding
+from ctxopt import diagnostics, engine, model, problems, seeding
 from ctxopt.engine import RunConfig, Schedule
 from ctxopt.errors import ConfigurationError, EvaluationError
 
@@ -29,24 +29,31 @@ def test_direction_requires_positive_gamma(bt):
                                  (np.array([0.0]), np.array([0.0])), 0.0)
 
 
-def test_step_arithmetic(bt):
+@pytest.mark.parametrize("z0", ["zero", "nonzero"])
+@pytest.mark.parametrize("schedule", list(Schedule), ids=lambda s: s.value)
+@pytest.mark.parametrize("name", ["BT", "LIN", "LG(8)"])
+def test_step_arithmetic(name, schedule, z0):
     # Step k of a run is z^{k+1} = z^k + tau_k d(z^k; x_k, y_k), with sample k
-    # of the trajectory substream.
-    cfg = RunConfig(gamma=2.0, alpha=0.3, n_iters=6, seed=4,
-                    schedule=Schedule.ANYTIME, init_beta=[0.2],
-                    init_theta=[0.1, -0.3])
-    rec = engine.run(bt.spec, cfg)
-    xs, ys = model.sample_stack(
-        bt.spec, 6, seeding.substream(4, seeding.STREAM_TRAJECTORY))
-    assert rec.betas[0].tolist() == [0.2]
-    assert rec.thetas[0].tolist() == [0.1, -0.3]
-    for k in range(6):
+    # of the trajectory substream, to the bit: the run subtracts tau_k times
+    # the descent gradient, and compute_direction returns it negated.  From a
+    # zero z^0, BT's first directions hold signed zeros.
+    spec, n = problems.by_name(name).spec, 64
+    init = {} if z0 == "zero" else {
+        "init_beta": np.resize([0.2], spec.dim_beta),
+        "init_theta": np.resize([0.1, -0.3], spec.dim_theta)}
+    rec = engine.run(spec, RunConfig(gamma=2.0, alpha=0.3, n_iters=n, seed=4,
+                                     schedule=schedule, **init))
+    xs, ys = model.sample_stack(spec, n, seeding.substream(4, seeding.STREAM_TRAJECTORY))
+    beta0, theta0 = engine.initial_state(spec, **init)
+    assert rec.betas[0].tobytes() == beta0.tobytes()
+    assert rec.thetas[0].tobytes() == theta0.tobytes()
+    for k in range(n):
         d_beta, d_theta = engine.compute_direction(
-            bt.spec, rec.betas[k], rec.thetas[k], (xs[k], ys[k]), 2.0)
-        assert rec.betas[k + 1].tolist() == \
-            (rec.betas[k] + rec.taus[k] * d_beta).tolist()
-        assert rec.thetas[k + 1].tolist() == \
-            (rec.thetas[k] + rec.taus[k] * d_theta).tolist()
+            spec, rec.betas[k], rec.thetas[k], (xs[k], ys[k]), 2.0)
+        assert rec.betas[k + 1].tobytes() == \
+            (rec.betas[k] + rec.taus[k] * d_beta).tobytes()
+        assert rec.thetas[k + 1].tobytes() == \
+            (rec.thetas[k] + rec.taus[k] * d_theta).tobytes()
 
 
 def test_stepsize_schedules():

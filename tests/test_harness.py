@@ -822,8 +822,48 @@ def test_cli_rate_reports_the_rows_that_the_fit_leaves_out(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == ("excluded  1 of 5 rows (no finite mean_V > 0)\n"
+                            "fitted    mean_V\n"
                             "slope     -0.5\nintercept 2.07944\nr_squared 1\n"
                             "slope within [-0.65, -0.35]\n")
+
+
+def _write_grid_summary(path, rows):
+    with open(path, "w") as fh:
+        fh.write("N,mean_V,stderr_V,replications,excluded,mean_V_grid\n")
+        for n, v, grid in rows:
+            fh.write(f"{n},{float(v)!r},0.0,30,0,{float(grid)!r}\n")
+
+
+def test_cli_rate_fits_mean_V_grid_where_every_kept_row_has_one(tmp_path, capsys):
+    # mean_V, one heavy-tailed V(z^S) draw per replication, is off the law;
+    # mean_V_grid is on it, and is the column fitted.  The row whose every
+    # replication diverged has neither, and is left out of both.
+    summary = tmp_path / "summary.csv"
+    _write_grid_summary(summary, [(1024, 0.5, 0.25), (4096, 0.5, 0.125),
+                                  (16384, 0.01, 0.0625), (65536, 0.5, 0.03125),
+                                  (262144, math.nan, math.nan)])
+    assert harness.read_summary(summary, "mean_V_grid")[0] == (1024, 0.25)
+    assert cli.main(["rate", str(summary)]) == 0
+    assert capsys.readouterr().out == (
+        "excluded  1 of 5 rows (no finite mean_V_grid > 0)\n"
+        "fitted    mean_V_grid\n"
+        "slope     -0.5\nintercept 2.07944\nr_squared 1\n"
+        "slope within [-0.65, -0.35]\n")
+
+
+@pytest.mark.parametrize("grid", [math.nan, 0.0], ids=["monte-carlo", "zero"])
+def test_cli_rate_fits_mean_V_unless_every_kept_row_has_a_grid_mean(tmp_path,
+                                                                     capsys, grid):
+    # A Monte Carlo row has no grid mean (NaN); one row without a finite
+    # mean_V_grid > 0 is enough to fit mean_V, as a summary without the column is.
+    summary = tmp_path / "summary.csv"
+    _write_grid_summary(summary, [(1024, 0.25, 1.0), (4096, 0.125, 1.0),
+                                  (16384, 0.0625, 1.0), (65536, 0.03125, grid)])
+    assert cli.main(["rate", str(summary)]) == 0
+    assert capsys.readouterr().out.startswith("fitted    mean_V\nslope     -0.5\n")
+    plain = tmp_path / "plain.csv"
+    _write_summary(plain, [(1024, 0.25), (4096, 0.125)])
+    assert harness.read_summary(plain, "mean_V_grid") is None
 
 
 def test_cli_rate_refuses_an_n_below_one(tmp_path, capfd):

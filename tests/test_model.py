@@ -212,6 +212,33 @@ def test_a_small_output_whose_entries_sum_to_nan_is_named(bt):
         model.evaluate_inner(wide, np.array([0.0]), np.array([0.0]), np.array([0.0, 0.0]))
 
 
+def test_inf_and_minus_inf_in_two_outputs_of_one_gate_call_name_the_first(bt):
+    # The inner gradient's inf and the model value's -inf meet in one sum of
+    # the step's gate call: NaN sends it to the per-output pass, which names
+    # the first offending output.
+    spec = dataclasses.replace(
+        bt.spec, inner=lambda x, y, beta: (np.array([1.0]), np.array([[np.inf]])),
+        model=lambda x, theta: (np.array([-np.inf]), np.ones((2, 1))))
+    with pytest.raises(EvaluationError, match=re.escape(
+            "inner gradient produced a non-finite output array([[inf]]) at input "
+            "(array([0.]), array([1.]), array([0.]))") + "$"):
+        engine.compute_direction(spec, np.array([0.0]), np.array([0.0, 0.0]),
+                                 (np.array([0.0]), np.array([1.0])), 2.0)
+
+
+# numpy warns about the overflowing sum; the check itself must not raise.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_two_small_outputs_whose_entries_sum_past_the_largest_float_pass(bt):
+    # Each output sums to 1e308; their one sum overflows, and the per-output
+    # pass lets both through with their bits.
+    spec = dataclasses.replace(
+        bt.spec, inner=lambda x, y, beta: (np.array([1e308]), np.array([[1e308]])))
+    outputs = model.evaluate_inner(spec, np.array([0.0]), np.array([0.0]),
+                                   np.array([0.0]))
+    assert [output.tobytes() for output in outputs] == \
+        [np.array([1e308]).tobytes(), np.array([[1e308]]).tobytes()]
+
+
 def test_nan_in_one_row_of_a_large_stack_names_the_inner_gradient(bt):
     # A stack of more rows than the cut-off takes the np.vdot test.
     n = 2 * model._SMALL
