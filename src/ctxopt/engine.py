@@ -34,7 +34,8 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigurationError, EvaluationError
-from .model import ProblemSpec, _checked_draw, _lead, _matvec, _require, _validated
+from .model import (ProblemSpec, _checked_draw, _lead, _matvec, _require, _validated,
+                    _vector)
 
 Array = np.ndarray
 
@@ -93,14 +94,6 @@ def _schedule(value) -> Schedule:
     except ValueError:
         raise ConfigurationError(f"schedule: {value!r} is not one of "
                                  f"{[member.value for member in Schedule]}") from None
-
-
-def _vector(name: str, value) -> Array:
-    """``value`` as a float array, or a ConfigurationError naming ``name``."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{name} must be a float vector: {exc}") from None
 
 
 def initial_state(problem: ProblemSpec, init_beta=None, init_theta=None,

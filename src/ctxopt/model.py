@@ -24,7 +24,8 @@ evaluator that handles one sample or one state at a time fails their output
 shape checks with a ConfigurationError.  ``sampler(rng, n)`` draws n pairs
 as (n, dim) arrays, equal bit for bit to n one-draw ``sampler(rng)`` calls;
 ``sample_stack`` makes every bulk draw one such call, and ``_checked_draw``
-is the one shape check of a draw, there and in ``engine.run``.
+is the one check of a draw, there and in ``engine.run``: an (x, y) pair of
+the expected shapes.
 ``_validated`` is the one check of evaluator outputs, for shape and for
 finiteness: ``evaluate_*`` and ``conditional_oracle`` check their inputs and
 pass their outputs to it, and each ``engine`` step passes it all of its own.
@@ -131,14 +132,23 @@ class ProblemSpec:
                         for evaluator, outputs in _OUTPUTS.items()}
         if self.support is not None:
             groups: dict = {}
-            for i, (x, y, p) in enumerate(self.support):
-                x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            for i, atom in enumerate(self.support):
+                try:
+                    x, y, p = atom
+                except (TypeError, ValueError):
+                    raise ConfigurationError(
+                        f"support atom {i}: {_described(atom)}, "
+                        "expected an (x, y, probability) triple") from None
+                x, y = _vector(f"support atom {i}: x", x), _vector(f"support atom {i}: y", y)
                 for name, value, dim in (("x", x, self.dim_x), ("y", y, self.dim_y)):
                     if value.shape != (dim,):
                         raise ConfigurationError(f"support atom {i}: {name} of shape "
                                                  f"{value.shape}, expected {(dim,)}")
-                # written so that a NaN probability fails too
-                if not 0 <= p < math.inf:
+                try:        # written so that a NaN probability fails too
+                    valid = 0 <= p < math.inf
+                except (TypeError, ValueError):     # a probability that is not a number
+                    valid = False
+                if not valid:
                     raise ConfigurationError(
                         f"support atom {i}: probability {p!r}, expected finite and >= 0")
                 group = groups.setdefault(x.tobytes(), [x, 0.0, []])
@@ -303,9 +313,29 @@ def evaluate_model(problem: ProblemSpec, x: Array, theta: Array):
     return _validated(problem, ("model", lead, (x, theta), problem.model(x, theta)))
 
 
+def _vector(name: str, value) -> Array:
+    """``value`` as a float array, or a ConfigurationError naming ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be a float vector: {exc}") from None
+
+
+def _described(value) -> str:
+    """What a caller gave in place of a tuple: its type and length, or its repr."""
+    try:
+        return f"{type(value).__name__} of length {len(value)}"
+    except TypeError:       # no length: None, a number
+        return repr(value)
+
+
 def _checked_draw(problem: ProblemSpec, lead: tuple, draw) -> tuple:
     """A sampler's ``(x, y)``, whose shapes must be ``lead + (dim,)``."""
-    x, y = draw
+    try:
+        x, y = draw
+    except (TypeError, ValueError):     # not a pair: None, a float, a triple
+        raise ConfigurationError(f"sampler returned {_described(draw)}, "
+                                 "expected an (x, y) pair") from None
     expected = (lead + (problem.dim_x,), lead + (problem.dim_y,))
     try:
         shapes = (x.shape, y.shape)

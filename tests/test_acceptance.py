@@ -14,6 +14,9 @@ evenly spaced grid of trajectory states, which is the conditional
 expectation of V(z^S) over the uniform stopping draw (up to grid
 discretization) and removes the heavy-tailed noise a single S draw per
 replication would add; the estimand is unchanged.
+
+Criteria 2 and 4 are also checked with no sampling error, on the exact law
+of BT's short fixed-horizon trajectories (``exact_law``).
 """
 
 import math
@@ -83,6 +86,64 @@ def test_criterion_2_theorem_bound_validity(sweep):
         ok = ok and mean_v <= bound
         assert mean_v <= bound, f"N={n}: mean V {mean_v} exceeds bound {bound}"
     print(f"criterion 2 (bound validity): -> {'PASS' if ok else 'FAIL'}")
+
+
+def support_columns(spec):
+    """The support's x, y and probability columns, as arrays."""
+    return tuple(np.array(column) for column in zip(*spec.support))
+
+
+def exact_law(spec, z0, gamma, taus):
+    """Every state of a trajectory from ``z0`` by ``taus`` over the support's
+    atoms, level by level: (betas, thetas, probabilities, E||d_k||^2) of z^k
+    for k = 0..N, the last level without a direction moment.  z^k takes at
+    most 4^k values on BT, and one stacked ``compute_direction`` call per
+    level advances every branch by every atom."""
+    xs, ys, ps = support_columns(spec)
+    betas, thetas, prob = z0[0][None], z0[1][None], np.ones(1)
+    levels = []
+    for tau in taus:
+        d_beta, d_theta = engine.compute_direction(spec, betas[:, None], thetas[:, None],
+                                                   (xs, ys), gamma)
+        square = (d_beta ** 2).sum(axis=-1) + (d_theta ** 2).sum(axis=-1)
+        levels.append((betas, thetas, prob, float(prob @ square @ ps)))
+        betas = (betas[:, None] + tau * d_beta).reshape(-1, spec.dim_beta)
+        thetas = (thetas[:, None] + tau * d_theta).reshape(-1, spec.dim_theta)
+        prob = (prob[:, None] * ps).reshape(-1)
+    return levels + [(betas, thetas, prob, None)]
+
+
+@pytest.mark.parametrize("gamma", ["compliant", GAMMA_RUN], ids=["compliant", "recipe"])
+def test_the_theorem_holds_on_the_exact_law_of_short_runs(bt, bt_estimated_ledger,
+                                                          bt_compliant, gamma):
+    # Criteria 2 and 4 with no sampling error: at every N <= 8 the fixed-
+    # horizon E V(z^S) is within the theorem's bound, and the one-step
+    # recursion holds at every k, each exactly.  gamma is the compliant
+    # bundle's, inside the theorem, or the pinned recipe's; alpha minimises
+    # the bound at the exact z^0 moments over the four atoms.
+    d = bt_compliant
+    gamma = d.gamma if gamma == "compliant" else gamma
+    spec, z0 = bt.spec, (np.zeros(1), np.zeros(2))
+    _, _, l_w = constants.lipschitz_W(bt_estimated_ledger, d.lam)
+    xs, ys, ps = support_columns(spec)
+    directions = np.concatenate(engine.compute_direction(spec, *z0, (xs, ys), gamma), axis=1)
+    mean = ps @ directions
+    c_d = math.sqrt(mean @ mean)
+    sigma = math.sqrt(ps @ ((directions - mean) ** 2).sum(axis=1))
+    _, w0 = diagnostics.bregman_delta_and_W(spec, *z0, d.lam)
+    alpha = constants.optimal_alpha(l_w, c_d, sigma, w0, bt.g_min)
+    for n in range(1, 9):
+        tau = alpha / math.sqrt(n)
+        levels = exact_law(spec, z0, gamma, [tau] * n)
+        v = [float(p @ diagnostics.nonoptimality_V(spec, b, t, d.c1, d.c2))
+             for b, t, p, _ in levels]
+        w = [float(p @ diagnostics.bregman_delta_and_W(spec, b, t, d.lam)[1])
+             for b, t, p, _ in levels]
+        assert levels[-1][2].sum() == pytest.approx(1.0)
+        mean_v = sum(v[:n]) / n            # S uniform over 0..N-1
+        assert mean_v <= constants.theorem_bound(l_w, c_d, sigma, alpha, n, w0, bt.g_min)
+        for k in range(n):
+            assert w[k + 1] <= w[k] - tau * v[k] + 0.5 * l_w * tau ** 2 * levels[k][3]
 
 
 def test_criterion_3_descent_inequality(bt, bt_compliant):

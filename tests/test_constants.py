@@ -235,6 +235,40 @@ def test_envelope_moments_match_the_per_sample_loop():
     assert constants._envelope_moments(betas, inner) == expected
 
 
+def _all_svd_maximum(stack):
+    return float(np.max(np.linalg.norm(stack, ord=2, axis=(1, 2))))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_largest_operator_norm_is_the_all_svd_maximum(k):
+    # Random symmetric matrices of mixed scales, each beside its negation, so
+    # more than one matrix has a Frobenius norm that reaches the maximum and
+    # the SVDs of several decide it.
+    rng = seeding.substream(27, k)
+    half = rng.standard_normal((1000, k, k)) * rng.uniform(0.1, 10.0, (1000, 1, 1))
+    half = half + np.swapaxes(half, 1, 2)
+    stack = np.concatenate([half, -half[::-1]])
+    expected = _all_svd_maximum(stack)
+    assert np.sum(np.linalg.norm(stack, axis=(1, 2)) >= expected) > 1
+    assert float.hex(constants._largest_operator_norm(stack)) == float.hex(expected)
+
+
+@pytest.mark.parametrize("stack", [
+    np.repeat(np.array([[[2.0, -1.0, 0.5], [-1.0, 3.0, 0.0], [0.5, 0.0, -4.0]]]), 50, axis=0),
+    np.zeros((50, 2, 2)),
+], ids=["one-repeated-matrix", "all-zero"])
+def test_largest_operator_norm_where_every_matrix_is_kept(stack):
+    assert (float.hex(constants._largest_operator_norm(stack))
+            == float.hex(_all_svd_maximum(stack)))
+
+
+def test_estimated_L_hess_g_of_a_linear_outer_is_exactly_zero(lin):
+    # LIN's Hessians are all zero: every one reaches the bound and is kept.
+    ledger = constants.estimate_ledger(lin.spec, sample_count=500, probe_count=500,
+                                      rng=seeding.substream(11, 3))
+    assert float.hex(ledger.L_hess_g) == float.hex(0.0)
+
+
 def test_estimate_ledger_fails_before_drawing_without_support(lg):
     calls = []
 

@@ -319,6 +319,31 @@ def test_a_bare_float_draw_fails_before_any_evaluation(bt):
     assert calls == []
 
 
+@pytest.mark.parametrize("draw, named", [
+    (lambda x, y: None, "None"),
+    (lambda x, y: 0.5, "0.5"),
+    (lambda x, y: (x, y, y), "tuple of length 3"),
+    (lambda x, y: x, "ndarray of length 1"),
+], ids=["none", "float", "triple", "one-element"])
+def test_a_draw_that_is_not_a_pair_fails_before_any_evaluation(bt, draw, named):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapped
+
+    spec = dataclasses.replace(
+        bt.spec, sampler=lambda rng: draw(*bt.spec.sampler(rng)),
+        inner=counting(bt.spec.inner), model=counting(bt.spec.model),
+        outer=counting(bt.spec.outer))
+    with pytest.raises(ConfigurationError, match=f"^sampler returned {re.escape(named)}, "
+                       r"expected an \(x, y\) pair$"):
+        engine.run(spec, RunConfig(gamma=1.0, alpha=0.1, n_iters=8, seed=2))
+    assert calls == []
+
+
 def test_a_wrong_number_of_step_outputs_names_the_evaluator(bt):
     def inner(x, y, beta):
         return (*bt.spec.inner(x, y, beta), None)

@@ -53,7 +53,14 @@ def test_support_probabilities_must_sum_to_one(bt):
             # NaN fails both p < 0 and |total - 1| > tol, so it needs its own test
             ([(np.array([0.0]), np.array([0.0]), np.nan),
               (np.array([1.0]), np.array([1.0]), 1.0)],
-             "^support atom 0: probability nan, expected finite and >= 0$")):
+             "^support atom 0: probability nan, expected finite and >= 0$"),
+            # a probability that is not a number, named like a NaN one
+            ([(np.array([0.0]), np.array([0.0]), "1"),
+              (np.array([1.0]), np.array([1.0]), 0.0)],
+             "^support atom 0: probability '1', expected finite and >= 0$"),
+            ([(np.array([0.0]), np.array([0.0]), 1.0),
+              (np.array([1.0]), np.array([1.0]), None)],
+             "^support atom 1: probability None, expected finite and >= 0$")):
         with pytest.raises(ConfigurationError, match=message):
             ProblemSpec(dim_x=1, dim_y=1, dim_beta=1, dim_theta=2, dim_f=1,
                         inner=spec.inner, outer=spec.outer, model=spec.model,
@@ -64,6 +71,13 @@ def test_support_probabilities_must_sum_to_one(bt):
     ((np.zeros(2), np.zeros(1), 0.5), r"x of shape \(2,\), expected \(1,\)"),
     ((np.zeros(1), np.zeros((1, 1)), 0.5), r"y of shape \(1, 1\), expected \(1,\)"),
     ((0.0, np.zeros(1), 0.5), r"x of shape \(\), expected \(1,\)"),
+    ((np.zeros(1), np.zeros(1)),
+     r"tuple of length 2, expected an \(x, y, probability\) triple"),
+    (None, r"None, expected an \(x, y, probability\) triple"),
+    (("a", np.zeros(1), 0.5), "x must be a float vector: could not convert string to "
+     "float: 'a'"),
+    ((np.zeros(1), ["b"], 0.5), "y must be a float vector: could not convert string to "
+     "float: 'b'"),
 ])
 def test_a_misshapen_support_atom_is_named(bt, atom, message):
     support = [(np.zeros(1), np.ones(1), 0.5), atom]
@@ -425,6 +439,19 @@ def test_a_sampler_without_a_draw_count_names_the_contract(bt):
                        r"sampler\(rng, n\) for n draws"):
         model.sample_stack(spec, 10, rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("draw, named", [
+    (None, "None"),
+    (0.5, "0.5"),
+    ((np.zeros((10, 1)),) * 3, "tuple of length 3"),
+    (np.zeros(1), "ndarray of length 1"),
+], ids=["none", "float", "triple", "one-element"])
+def test_sample_stack_names_a_draw_that_is_not_a_pair(bt, draw, named):
+    spec = dataclasses.replace(bt.spec, sampler=lambda rng, n=None: draw)
+    with pytest.raises(ConfigurationError, match=f"^sampler returned {re.escape(named)}, "
+                       r"expected an \(x, y\) pair$"):
+        model.sample_stack(spec, 10, seeding.substream(5, 1))
 
 
 def test_a_type_error_inside_the_sampler_is_not_caught(bt):
