@@ -127,27 +127,22 @@ def _cmd_gradcheck(args) -> int:
     return int(any(err >= tol for _, err, tol in checks))
 
 
+# Each subcommand: (handler, its one argument, its --help line)
+_COMMANDS = {"run": (_cmd_run, "config", "run a replication sweep from a config"),
+             "check": (_cmd_check, "config", "derived-constant compliance report"),
+             "rate": (_cmd_rate, "summary", "fit the empirical convergence rate"),
+             "gradcheck": (_cmd_gradcheck, "config", "finite-difference evaluator check")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ctxopt",
         description="Conditional stochastic optimization solver and harness")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run a replication sweep from a config")
-    p_run.add_argument("config")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_check = sub.add_parser("check", help="derived-constant compliance report")
-    p_check.add_argument("config")
-    p_check.set_defaults(func=_cmd_check)
-
-    p_rate = sub.add_parser("rate", help="fit the empirical convergence rate")
-    p_rate.add_argument("summary")
-    p_rate.set_defaults(func=_cmd_rate)
-
-    p_grad = sub.add_parser("gradcheck", help="finite-difference evaluator check")
-    p_grad.add_argument("config")
-    p_grad.set_defaults(func=_cmd_gradcheck)
+    for name, (func, argument, text) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        command.add_argument(argument)
+        command.set_defaults(func=func)
 
     args = parser.parse_args(argv)
     try:

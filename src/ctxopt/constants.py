@@ -25,7 +25,7 @@ so every occurrence is read as the corresponding barred moment bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,12 +97,8 @@ class DerivedConstants:
     L_W: float
 
     def as_dict(self) -> dict:
-        return {
-            "lambda": self.lam, "gamma": self.gamma, "gamma_min": self.gamma_min,
-            "epsilon": self.epsilon, "cap_C": self.cap_C,
-            "c1": self.c1, "c2": self.c2,
-            "L_W_beta": self.L_W_beta, "L_W_theta": self.L_W_theta, "L_W": self.L_W,
-        }
+        return {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+                for f in fields(self)}
 
 
 def _strict_floor(ledger: ConstantLedger) -> float:

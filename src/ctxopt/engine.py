@@ -66,9 +66,8 @@ class RunConfig:
         _require("seed", seed=self.seed)
         self.schedule = _schedule(self.schedule)
         for name in ("init_beta", "init_theta"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(_vector(name, value)).all():
-                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+            if getattr(self, name) is not None:
+                _vector(name, getattr(self, name))
 
 
 @dataclass

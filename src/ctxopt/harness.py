@@ -101,8 +101,8 @@ class ExperimentConfig:
         "run.alpha", lambda raw: None if raw.lower() == "auto" else _positive(raw),
         default=None)
     schedule: engine.Schedule = _key("run.schedule", engine.Schedule,
-                                     default=engine.Schedule.FIXED_HORIZON)
-    seed: int = _key("run.seed", int, default=0)
+                                     default=engine.RunConfig.schedule)
+    seed: int = _key("run.seed", int, default=engine.RunConfig.seed)
     init_beta: Optional[list] = _key("run.init_beta", _finite_list, default=None)
     init_theta: Optional[list] = _key("run.init_theta", _finite_list, default=None)
     replications: int = _key("replications", _checked(int, lambda n: n >= 1,

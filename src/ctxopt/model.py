@@ -35,9 +35,10 @@ sends the call to its per-output pass, which makes every verdict.
 A bare value, a wrong number of outputs or an output that is not numeric
 fails it with a ConfigurationError naming the evaluator.  Beside it,
 ``_require`` is the one argument check: every count, positive or real
-scalar, seed and random generator that a public function takes meets its
-rule in ``_RULES``, or a ConfigurationError names the argument, once per
-call and never per step.
+scalar, seed, random generator and evaluator that a public function takes
+meets its rule in ``_RULES``, or a ConfigurationError names the argument, once
+per call and never per step.  ``_vector`` is the one reader of a vector from
+outside, an atom's x and y and z^0, and holds the rule that it is finite.
 
 Gradient matrices follow the transpose-of-Jacobian convention throughout:
 an evaluator differentiated with respect to a parameter vector of length p
@@ -72,6 +73,7 @@ _RULES = {
              "must be an integer"),
     "generator": (lambda v: isinstance(v, np.random.Generator),
                   "must be a numpy.random.Generator"),
+    "callable": (callable, "must be callable"),
 }
 
 
@@ -127,6 +129,10 @@ class ProblemSpec:
     def __post_init__(self):
         _require("count", dim_x=self.dim_x, dim_y=self.dim_y, dim_beta=self.dim_beta,
                  dim_theta=self.dim_theta, dim_f=self.dim_f)
+        _require("callable", inner=self.inner, outer=self.outer, model=self.model,
+                 sampler=self.sampler)
+        if self.conditional_oracle is not None:
+            _require("callable", conditional_oracle=self.conditional_oracle)
         self._shapes = {evaluator: [tuple(getattr(self, "dim_" + dim) for dim in dims.split())
                                     for _, _, dims in outputs]
                         for evaluator, outputs in _OUTPUTS.items()}
@@ -314,11 +320,14 @@ def evaluate_model(problem: ProblemSpec, x: Array, theta: Array):
 
 
 def _vector(name: str, value) -> Array:
-    """``value`` as a float array, or a ConfigurationError naming ``name``."""
+    """``value`` as a finite float array, or a ConfigurationError naming ``name``."""
     try:
-        return np.asarray(value, dtype=float)
+        vector = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{name} must be a float vector: {exc}") from None
+    if not np.isfinite(vector).all():
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    return vector
 
 
 def _described(value) -> str:

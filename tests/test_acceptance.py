@@ -16,9 +16,11 @@ discretization) and removes the heavy-tailed noise a single S draw per
 replication would add; the estimand is unchanged.
 
 Criteria 2 and 4 are also checked with no sampling error, on the exact law
-of BT's short fixed-horizon trajectories (``exact_law``).
+of BT's short fixed-horizon trajectories (``exact_law``), and
+``harness.run_experiment``'s means at N = 4 and 8 are held against it.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -113,6 +115,19 @@ def exact_law(spec, z0, gamma, taus):
     return levels + [(betas, thetas, prob, None)]
 
 
+def exact_bound_terms(bt, lam, l_w, gamma, z0):
+    """(C_d, sigma, W(z^0), alpha) at z0: the direction moments over the
+    support's atoms, exactly, and the alpha that minimises the bound."""
+    spec = bt.spec
+    xs, ys, ps = support_columns(spec)
+    directions = np.concatenate(engine.compute_direction(spec, *z0, (xs, ys), gamma), axis=1)
+    mean = ps @ directions
+    c_d = math.sqrt(mean @ mean)
+    sigma = math.sqrt(ps @ ((directions - mean) ** 2).sum(axis=1))
+    _, w0 = diagnostics.bregman_delta_and_W(spec, *z0, lam)
+    return c_d, sigma, w0, constants.optimal_alpha(l_w, c_d, sigma, w0, bt.g_min)
+
+
 @pytest.mark.parametrize("gamma", ["compliant", GAMMA_RUN], ids=["compliant", "recipe"])
 def test_the_theorem_holds_on_the_exact_law_of_short_runs(bt, bt_estimated_ledger,
                                                           bt_compliant, gamma):
@@ -125,13 +140,7 @@ def test_the_theorem_holds_on_the_exact_law_of_short_runs(bt, bt_estimated_ledge
     gamma = d.gamma if gamma == "compliant" else gamma
     spec, z0 = bt.spec, (np.zeros(1), np.zeros(2))
     _, _, l_w = constants.lipschitz_W(bt_estimated_ledger, d.lam)
-    xs, ys, ps = support_columns(spec)
-    directions = np.concatenate(engine.compute_direction(spec, *z0, (xs, ys), gamma), axis=1)
-    mean = ps @ directions
-    c_d = math.sqrt(mean @ mean)
-    sigma = math.sqrt(ps @ ((directions - mean) ** 2).sum(axis=1))
-    _, w0 = diagnostics.bregman_delta_and_W(spec, *z0, d.lam)
-    alpha = constants.optimal_alpha(l_w, c_d, sigma, w0, bt.g_min)
+    c_d, sigma, w0, alpha = exact_bound_terms(bt, d.lam, l_w, gamma, z0)
     for n in range(1, 9):
         tau = alpha / math.sqrt(n)
         levels = exact_law(spec, z0, gamma, [tau] * n)
@@ -144,6 +153,35 @@ def test_the_theorem_holds_on_the_exact_law_of_short_runs(bt, bt_estimated_ledge
         assert mean_v <= constants.theorem_bound(l_w, c_d, sigma, alpha, n, w0, bt.g_min)
         for k in range(n):
             assert w[k + 1] <= w[k] - tau * v[k] + 0.5 * l_w * tau ** 2 * levels[k][3]
+
+
+def test_run_experiment_meets_the_exact_law_of_short_runs(bt, bt_estimated_ledger,
+                                                          bt_compliant, tmp_path):
+    # The whole pipeline (sampler, seeding, engine, stopping draw and the
+    # harness's exact V) against the exact law, which shares no sampling with
+    # it: the recipe case above, 2000 replications at N = 4 and 8.  mean_V and
+    # mean_V_grid each lie within 4 of their own standard errors of the exact
+    # E V(z^S); the grid's comes from the V_grid column of results.csv.
+    d = bt_compliant
+    spec, z0 = bt.spec, (np.zeros(1), np.zeros(2))
+    _, _, l_w = constants.lipschitz_W(bt_estimated_ledger, d.lam)
+    alpha = exact_bound_terms(bt, d.lam, l_w, GAMMA_RUN, z0)[3]
+    result = harness.run_experiment(harness.parse_config(
+        f"problem.name = BT\nrun.gamma = {GAMMA_RUN}\nrun.alpha = {alpha!r}\n"
+        f"run.seed = {MASTER_SEED}\nsweep = 4,8\nreplications = 2000\n"
+        f"lambda = {d.lam!r}\nc1 = {d.c1!r}\nc2 = {d.c2!r}\n"
+        f"workers = 0\noutput_dir = {tmp_path}\n"))
+    with open(result["results"]) as fh:
+        rows = list(csv.DictReader(fh))
+    for summary in result["summary_rows"]:
+        n = summary["N"]
+        levels = exact_law(spec, z0, GAMMA_RUN, [alpha / math.sqrt(n)] * n)
+        exact = sum(float(p @ diagnostics.nonoptimality_V(spec, b, t, d.c1, d.c2))
+                    for b, t, p, _ in levels[:n]) / n
+        grid = np.array([float(row["V_grid"]) for row in rows if int(row["N"]) == n])
+        assert summary["replications"] == len(grid) == 2000
+        assert abs(summary["mean_V"] - exact) <= 4 * summary["stderr_V"]
+        assert abs(summary["mean_V_grid"] - exact) <= 4 * grid.std(ddof=1) / math.sqrt(2000)
 
 
 def test_criterion_3_descent_inequality(bt, bt_compliant):

@@ -180,7 +180,10 @@ def test_direction_moment_stats_rejects_a_nan_gamma(bt):
 
 @pytest.mark.parametrize("mode", ["Exact", "MC", "monte-carlo"])
 def test_an_unknown_mode_is_rejected_before_drawing(bt, mode):
-    spec = dataclasses.replace(bt.spec, sampler=None)   # a draw would fail
+    def sampler(*args):
+        pytest.fail("the sampler was called")
+
+    spec = dataclasses.replace(bt.spec, sampler=sampler)
     with pytest.raises(ConfigurationError,
                        match=f"^mode must be 'exact' or 'mc', got '{mode}'$"):
         diagnostics.tracking_error_Q(spec, *Z0, mode=mode,

@@ -255,6 +255,13 @@ def test_initial_state_names_a_non_numeric_vector(bt, prefix):
         engine.initial_state(bt.spec, None, [[1], [2, 3]], prefix=prefix)
 
 
+@pytest.mark.parametrize("prefix", ["", "run."])
+def test_initial_state_names_a_non_finite_vector(bt, prefix):
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{re.escape(prefix)}init_beta must be finite, got \[nan\]$"):
+        engine.initial_state(bt.spec, [math.nan], prefix=prefix)
+
+
 def test_misshapen_draw_fails_before_any_evaluation(bt):
     # The sixth of eight draws has a y of length 2: the pre-draw rejects it
     # before step 0 evaluates anything.

@@ -468,6 +468,34 @@ workers = {workers}
             (tmp_path / "pool" / name).read_bytes()
 
 
+def test_a_pooled_sweep_runs_a_patched_run_one_in_its_workers(tmp_path, monkeypatch):
+    # As the benchmark does: harness._run_one replaced by a closure, which a
+    # forked pool must reach through the module, since a closure cannot be
+    # pickled.  Each call leaves a line in a file named by its process.
+    text = SMALL_CONFIG.replace("sweep = 1", "sweep = 4,8").replace(
+        "replications = 1", "replications = 2") + "workers = {workers}\n"
+    harness.run_experiment(harness.parse_config(
+        text.format(out=tmp_path / "serial", workers=1)))
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    run_one = harness._run_one
+
+    def recorded(*args):
+        with open(calls / str(os.getpid()), "a") as fh:
+            fh.write("row\n")
+        return run_one(*args)
+
+    monkeypatch.setattr(harness, "_run_one", recorded)
+    harness.run_experiment(harness.parse_config(
+        text.format(out=tmp_path / "pool", workers=2)))
+    for name in ("results.csv", "summary.csv"):
+        assert (tmp_path / "serial" / name).read_bytes() == \
+            (tmp_path / "pool" / name).read_bytes()
+    pids = [path.name for path in calls.iterdir()]
+    assert pids and str(os.getpid()) not in pids
+    assert sum(len(path.read_text().splitlines()) for path in calls.iterdir()) == 4
+
+
 @pytest.mark.parametrize("sweep, replications, workers, pool_size", [
     ("4,8", 2, 0, 4), ("4,8", 2, 3, 3), ("4", 1, 0, None), ("4", 1, 8, None)])
 def test_the_pool_starts_no_more_workers_than_tasks(
@@ -723,6 +751,26 @@ CHECK_DIGESTS = [
                               "LIN", "LG(8)", "estimate"])
 def test_cli_check_keeps_the_flag_reports(tmp_path, capsys, config, status, digest):
     assert cli.main(["check", _check_config(tmp_path, *config)]) == status
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of ``ctxopt --help`` and of each subcommand's --help, at 80 columns
+HELP_DIGESTS = [
+    ([], "6dc2ce3bb1d215356704a07da991a07328f7b0f604ffe7d5ac6b74022ee0560a"),
+    (["run"], "93c2e5c2482e7df0c61aa56637818bab49213bb3e3b97392ea789b285eac408a"),
+    (["check"], "be5f10399229e0c79b644a8ba97ed47f676994f1b94f5d7b06257cc5d79a5979"),
+    (["rate"], "4d9457038e7a19ace6c7930c8acfc8cd88877024a1d78c9c583d934a90c0f647"),
+    (["gradcheck"], "428402c74983fe43acd1565b32f58a577bc8ce04762a7896f075bbfdc062e108"),
+]
+
+
+@pytest.mark.parametrize("command, digest", HELP_DIGESTS,
+                         ids=["ctxopt", "run", "check", "rate", "gradcheck"])
+def test_cli_help_keeps_its_bytes(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        cli.main(command + ["--help"])
+    assert stop.value.code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

@@ -78,11 +78,22 @@ def test_support_probabilities_must_sum_to_one(bt):
      "float: 'a'"),
     ((np.zeros(1), ["b"], 0.5), "y must be a float vector: could not convert string to "
      "float: 'b'"),
+    ((np.array([np.nan]), np.zeros(1), 0.5), r"x must be finite, got array\(\[nan\]\)"),
+    ((np.zeros(1), [None], 0.5), r"y must be finite, got \[None\]"),
+    ((np.zeros(1), [-math.inf], 0.5), r"y must be finite, got \[-inf\]"),
 ])
 def test_a_misshapen_support_atom_is_named(bt, atom, message):
     support = [(np.zeros(1), np.ones(1), 0.5), atom]
     with pytest.raises(ConfigurationError, match=f"^support atom 1: {message}$"):
         dataclasses.replace(bt.spec, support=support)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("inner", None), ("outer", None), ("model", None), ("sampler", None),
+    ("conditional_oracle", "oracle")])
+def test_an_evaluator_that_is_not_callable_is_named(bt, name, value):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be callable, got {value!r}$"):
+        dataclasses.replace(bt.spec, **{name: value})
 
 
 def test_support_table_marginals_and_conditionals(bt):
