@@ -34,8 +34,8 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigurationError, EvaluationError
-from .model import (ProblemSpec, _checked_draw, _lead, _matvec, _require, _validated,
-                    _vector)
+from .model import (ProblemSpec, _checked_draw, _finite_draws, _lead, _matvec, _require,
+                    _validated, _vector)
 
 Array = np.ndarray
 
@@ -157,7 +157,8 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunRecord:
     """Execute N iterations and draw the stopping index.
 
     The N joint samples are drawn and checked on the trajectory substream
-    before the first step, one sampler call each; step k uses sample k.
+    before the first step, one sampler call each; step k uses sample k.  A
+    draw that is not finite fails as an EvaluationError at its iteration.
     """
     n = config.n_iters
     beta, theta = initial_state(problem, config.init_beta, config.init_theta)
@@ -165,7 +166,12 @@ def run(problem: ProblemSpec, config: RunConfig) -> RunRecord:
     rng = seeding.substream(config.seed, seeding.STREAM_TRAJECTORY)
     xs, ys = np.empty((n, problem.dim_x)), np.empty((n, problem.dim_y))
     for k in range(n):      # checked first: a row would broadcast a short draw
-        xs[k], ys[k] = _checked_draw(problem, (), problem.sampler(rng))
+        x, y = _checked_draw(problem, (), problem.sampler(rng))
+        try:
+            xs[k], ys[k] = x, y
+        except (TypeError, ValueError) as exc:      # a draw that is not numeric
+            raise ConfigurationError(f"sampler draw {k} is not numeric: {exc}") from None
+    _finite_draws(xs, ys, steps=True)
     betas = np.empty((n + 1, problem.dim_beta))
     thetas = np.empty((n + 1, problem.dim_theta))
     taus = stepsizes(config.schedule, n, config.alpha)

@@ -25,7 +25,9 @@ shape checks with a ConfigurationError.  ``sampler(rng, n)`` draws n pairs
 as (n, dim) arrays, equal bit for bit to n one-draw ``sampler(rng)`` calls;
 ``sample_stack`` makes every bulk draw one such call, and ``_checked_draw``
 is the one check of a draw, there and in ``engine.run``: an (x, y) pair of
-the expected shapes.
+the expected shapes.  Each block of draws is then checked once: a draw that
+is not numeric fails with a ConfigurationError, and ``_finite_draws`` fails
+one that is not finite with an EvaluationError, both naming the draw.
 ``_validated`` is the one check of evaluator outputs, for shape and for
 finiteness: ``evaluate_*`` and ``conditional_oracle`` check their inputs and
 pass their outputs to it, and each ``engine`` step passes it all of its own.
@@ -280,18 +282,22 @@ def _lead(caller, problem, x, y, state, dim) -> tuple:
 def _dot(a: Array, b: Array) -> Array:
     """``a . b`` over the last axis with batch axes broadcast.
 
-    A 1-D ``b`` keeps the plain ``a @ b``; otherwise each dot product is a
-    stacked 1 x n by n x 1 product.
+    A 1-D ``b`` takes ``a.dot(b)`` for an ``a`` of at most 2 dimensions: the
+    BLAS dot or gemv of ``a @ b``, bit for bit, without matmul's dispatch. A
+    3-D ``a`` keeps ``@``, whose per-item loop differs from ``.dot``'s per-row
+    dots in the last bits. Otherwise each dot product is a stacked 1 x n by
+    n x 1 product.
     """
     if b.ndim == 1:
-        return a @ b
+        return a.dot(b) if a.ndim <= 2 else a @ b
     return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def _matvec(matrix: Array, vector: Array) -> Array:
-    """``matrix @ vector`` over matching leading batch axes."""
+    """``matrix @ vector`` over matching leading batch axes; a 2-D ``matrix``
+    by ``.dot``, a stacked one by ``@``, as in ``_dot``."""
     if vector.ndim == 1:
-        return matrix @ vector
+        return matrix.dot(vector) if matrix.ndim == 2 else matrix @ vector
     return (matrix @ vector[..., None])[..., 0]
 
 
@@ -366,7 +372,29 @@ def sample_stack(problem: ProblemSpec, n: int, rng: np.random.Generator):
         raise ConfigurationError("sampler takes no draw count: the contract is sampler(rng) "
                                  "for one draw and sampler(rng, n) for n draws") from None
     xs, ys = _checked_draw(problem, (n,), problem.sampler(rng, n))
-    return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    try:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    except (TypeError, ValueError) as exc:      # named by the first row that fails alone
+        for k in range(n):
+            try:
+                np.asarray(xs[k], dtype=float), np.asarray(ys[k], dtype=float)
+            except (TypeError, ValueError):
+                break
+        raise ConfigurationError(f"sampler draw {k} is not numeric: {exc}") from None
+    return _finite_draws(xs, ys)
+
+
+def _finite_draws(xs: Array, ys: Array, steps: bool = False) -> tuple:
+    """Float rows ``xs``, ``ys`` of drawn pairs, checked once per block: the
+    first draw k with a non-finite entry raises an EvaluationError naming the
+    sampler and k, before any evaluator sees it; its ``iteration`` is k when
+    the rows are an engine run's ``steps``.  Only a block that fails the
+    whole-array test is searched row by row, which costs three times as much."""
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        k = int(np.argmin(np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)))
+        raise EvaluationError(f"sampler draw {k} is not finite: x={xs[k]!r}, y={ys[k]!r}",
+                              offending_input=(xs[k], ys[k]), iteration=k if steps else None)
+    return xs, ys
 
 
 def conditional_oracle(problem: ProblemSpec, x: Array, beta: Array):

@@ -172,10 +172,10 @@ def _lg_sampler(a, rng, n=None):
     """Joint sampler of the linear-Gaussian problem; ``partial`` binds ``a``."""
     if n is None:
         x = rng.standard_normal(len(a))
-        return x, np.array([a @ x + rng.standard_normal()])
+        return x, np.array([a.dot(x) + rng.standard_normal()])
     z = rng.standard_normal((n, len(a) + 1))
     x = z[:, :-1]
-    # Stacked row dots give the bits of the one-draw a @ x; a gemv does not.
+    # Stacked row dots give the bits of the one-draw a.dot(x); a gemv does not.
     return x, (x[:, None, :] @ a[:, None])[:, 0] + z[:, -1:]
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ctxopt import diagnostics, model, problems, seeding
 from ctxopt.errors import CapabilityError, ConfigurationError
 
-from conftest import minimize_scalar_G
+from conftest import F2, minimize_scalar_G
 
 Z0 = (np.array([0.0]), np.array([0.0, 0.0]))
 
@@ -105,6 +105,32 @@ def test_gradients_match_finite_differences(bt):
             bt.spec, beta, t, lam)[1], theta)
         assert np.linalg.norm(wb_fd - wb) < 1e-5 * max(1, np.linalg.norm(wb))
         assert np.linalg.norm(wt_fd - wt) < 1e-5 * max(1, np.linalg.norm(wt))
+
+
+def test_matrix_member_gradients_match_finite_differences():
+    # F2's square gradients that are not symmetric and its outer Hessian
+    # that is not diagonal: a transposed block would pass every shape check.
+    rng = seeding.substream(13, 5)
+    for _ in range(20):
+        beta, theta = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 4)
+        lam = rng.uniform(1.0, 5.0)
+        q_beta, q_theta = diagnostics.Q_and_grad_Q(F2, beta, theta)[1:]
+        w_beta, w_theta = diagnostics.grad_W(F2, beta, theta, lam)
+
+        def Q(b, t):
+            return diagnostics.tracking_error_Q(F2, b, t)[0]
+
+        def W(b, t):
+            return diagnostics.bregman_delta_and_W(F2, b, t, lam)[1]
+
+        for exact, fd in (
+                (diagnostics.grad_G(F2, beta)[0],
+                 _fd(lambda b: diagnostics.value_G(F2, b)[0], beta)),
+                (q_beta, _fd(lambda b: Q(b, theta), beta)),
+                (q_theta, _fd(lambda t: Q(beta, t), theta)),
+                (w_beta, _fd(lambda b: W(b, theta), beta)),
+                (w_theta, _fd(lambda t: W(beta, t), theta))):
+            assert np.linalg.norm(fd - exact) < 1e-5 * max(1, np.linalg.norm(exact))
 
 
 def test_nonnegativity_invariants(bt):

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ctxopt import diagnostics, engine, model, problems, seeding
+from ctxopt import diagnostics, engine, harness, model, seeding
 from ctxopt.engine import RunConfig, Schedule
 from ctxopt.errors import ConfigurationError, EvaluationError
+
+from conftest import spec_named
 
 
 def test_direction_worked_example(bt):
@@ -31,13 +33,14 @@ def test_direction_requires_positive_gamma(bt):
 
 @pytest.mark.parametrize("z0", ["zero", "nonzero"])
 @pytest.mark.parametrize("schedule", list(Schedule), ids=lambda s: s.value)
-@pytest.mark.parametrize("name", ["BT", "LIN", "LG(8)"])
+@pytest.mark.parametrize("name", ["BT", "LIN", "LG(8)", "F2"])
 def test_step_arithmetic(name, schedule, z0):
     # Step k of a run is z^{k+1} = z^k + tau_k d(z^k; x_k, y_k), with sample k
     # of the trajectory substream, to the bit: the run subtracts tau_k times
     # the descent gradient, and compute_direction returns it negated.  From a
-    # zero z^0, BT's first directions hold signed zeros.
-    spec, n = problems.by_name(name).spec, 64
+    # zero z^0, BT's first directions hold signed zeros.  F2's square
+    # gradients make both products real matrix-vector products.
+    spec, n = spec_named(name), 64
     init = {} if z0 == "zero" else {
         "init_beta": np.resize([0.2], spec.dim_beta),
         "init_theta": np.resize([0.1, -0.3], spec.dim_theta)}
@@ -54,6 +57,23 @@ def test_step_arithmetic(name, schedule, z0):
             (rec.betas[k] + rec.taus[k] * d_beta).tobytes()
         assert rec.thetas[k + 1].tobytes() == \
             (rec.thetas[k] + rec.taus[k] * d_theta).tobytes()
+
+
+@pytest.mark.parametrize("name", ["BT", "LIN", "LG(8)", "F2"])
+def test_stacked_directions_match_per_state_calls(name):
+    # Thirty (state, sample) pairs in one compute_direction call, against one
+    # call each, bit for bit: a stacked _matvec must give the 1-D product's
+    # bits, which lockstep replications rely on; F2's products are 2 x 2.
+    spec = spec_named(name)
+    rng = seeding.substream(3, 8)
+    xs, ys = model.sample_stack(spec, 30, rng)
+    betas = rng.uniform(-1, 1, (30, spec.dim_beta))
+    thetas = rng.uniform(-1, 1, (30, spec.dim_theta))
+    stacked = engine.compute_direction(spec, betas, thetas, (xs, ys), 20.0)
+    for i in range(30):
+        single = engine.compute_direction(spec, betas[i], thetas[i], (xs[i], ys[i]), 20.0)
+        for out, row in zip(stacked, single):
+            assert out[i].tobytes() == row.tobytes()
 
 
 def test_stepsize_schedules():
@@ -324,6 +344,47 @@ def test_a_bare_float_draw_fails_before_any_evaluation(bt):
                        r"of shape \(1,\), expected \(1,\) and \(1,\)$"):
         engine.run(spec, RunConfig(gamma=1.0, alpha=0.1, n_iters=8, seed=2))
     assert calls == []
+
+
+@pytest.mark.parametrize("bad, error, text", [
+    (np.array(["a"]), ConfigurationError,
+     r"sampler draw 5 is not numeric: could not convert string to float: .*'a'.*"),
+    (np.array([np.nan]), EvaluationError,
+     r"sampler draw 5 is not finite: x=array\(\[nan\]\), y=array\(\[[01]\.\]\)"),
+    ([None], EvaluationError,
+     r"sampler draw 5 is not finite: x=array\(\[nan\]\), y=array\(\[[01]\.\]\)"),
+], ids=["string", "nan", "none"])
+def test_a_draw_that_is_not_numeric_or_finite_fails_before_any_evaluation(bt, bad, error,
+                                                                           text):
+    # Draw 5 is bad.  The block of draws is checked once, after the draw loop,
+    # and a non-finite draw fails at its iteration, so a sweep records it as
+    # diverged@5 and goes on.
+    calls, draws = [], []
+
+    def sampler(rng):
+        x, y = bt.spec.sampler(rng)
+        draws.append(x)
+        return (bad if len(draws) == 6 else x), y
+
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapped
+
+    spec = dataclasses.replace(
+        bt.spec, sampler=sampler, inner=counting(bt.spec.inner),
+        model=counting(bt.spec.model), outer=counting(bt.spec.outer))
+    config = RunConfig(gamma=1.0, alpha=0.1, n_iters=8, seed=2)
+    with pytest.raises(error, match=f"^{text}$") as exc:
+        engine.run(spec, config)
+    assert calls == []
+    if error is EvaluationError:
+        assert exc.value.iteration == 5
+        assert np.isnan(exc.value.offending_input[0]).all()
+        draws.clear()
+        row = harness._run_one(spec, config, 0, 3.0, 2.24, 0.21875)
+        assert row["status"] == "diverged@5" and calls == []
 
 
 @pytest.mark.parametrize("draw, named", [

@@ -13,6 +13,8 @@ from ctxopt import constants, diagnostics, engine, model, problems, seeding
 from ctxopt.errors import CapabilityError, ConfigurationError, EvaluationError
 from ctxopt.model import ProblemSpec
 
+from conftest import spec_named
+
 
 def test_bt_inner_worked_example(bt):
     # f(x, y, beta) = (y - beta)^2 at y=1, beta=0.
@@ -308,12 +310,13 @@ def test_nonfinite_outer_value_raises(bt, bad):
     assert exc.value.offending_input.tolist() == [0.5]
 
 
-@pytest.mark.parametrize("name", ["BT", "LIN", "LG(1)", "LG(3)"])
+@pytest.mark.parametrize("name", ["BT", "LIN", "LG(1)", "LG(3)", "F2"])
 def test_batched_evaluators_match_per_sample_calls(name):
     # Unbatched calls are the per-sample reference; with one context
     # dimension no dot product is longer than one element, so batched rows
-    # match bit for bit; LG(3) batches through a matrix product.
-    spec = problems.by_name(name).spec
+    # match bit for bit; LG(3) batches through a matrix product.  F2's
+    # evaluators are elementwise, so its rows match bit for bit too.
+    spec = spec_named(name)
     rng = seeding.substream(3, 5)
     xs, ys = model.sample_stack(spec, 6, rng)
     beta = rng.uniform(-1, 1, spec.dim_beta)
@@ -339,6 +342,29 @@ def test_batched_evaluators_match_per_sample_calls(name):
                                            atol=1e-15)
             else:
                 assert out.tolist() == np.array(rows).tolist(), key
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3), "stacked"],
+                         ids=["1-D", "one-row", "2-D", "3-D", "stacked"])
+def test_dot_and_matvec_give_the_bits_of_matmul(lead):
+    # A 1-D right operand takes ndarray.dot for a left operand of at most 2
+    # dimensions and @ for one of 3; either way the bits are a @ b's, which a
+    # 3-D .dot would not give.  The stacked branch gives each row's product.
+    rng = seeding.substream(30, 1)
+    for width in range(1, 10):
+        for _ in range(20):
+            if lead == "stacked":
+                a, b = rng.standard_normal((2, 5, width))
+                m = rng.standard_normal((5, 3, width))
+                pairs = ((model._dot(a, b), [x @ y for x, y in zip(a, b)]),
+                         (model._matvec(m, b), [x @ y for x, y in zip(m, b)]))
+            else:
+                a, b = rng.standard_normal(lead + (width,)), rng.standard_normal(width)
+                pairs = [(model._dot(a, b), a @ b)]
+                if lead:        # a matrix, or a stack of them
+                    pairs.append((model._matvec(a, b), a @ b))
+            for got, expected in pairs:
+                assert got.tobytes() == np.asarray(expected).tobytes()
 
 
 def test_batched_shape_mismatch_rejected(bt):
@@ -465,6 +491,29 @@ def test_sample_stack_names_a_draw_that_is_not_a_pair(bt, draw, named):
         model.sample_stack(spec, 10, seeding.substream(5, 1))
 
 
+@pytest.mark.parametrize("bad, error, text", [
+    ("a", ConfigurationError,
+     r"sampler draw 3 is not numeric: could not convert string to float: 'a'"),
+    (np.nan, EvaluationError,
+     r"sampler draw 3 is not finite: x=array\(\[nan\]\), y=array\(\[[01]\.\]\)"),
+    (None, EvaluationError,
+     r"sampler draw 3 is not finite: x=array\(\[nan\]\), y=array\(\[[01]\.\]\)"),
+], ids=["string", "nan", "none"])
+def test_sample_stack_names_a_draw_that_is_not_numeric_or_finite(bt, bad, error, text):
+    # The block is checked once per call; the error names the first bad row.
+    def sampler(rng, n=None):
+        xs, ys = bt.spec.sampler(rng, n)
+        xs = xs.astype(object)
+        xs[3:5, 0] = bad
+        return xs, ys
+
+    spec = dataclasses.replace(bt.spec, sampler=sampler)
+    with pytest.raises(error, match=f"^{text}$") as exc:
+        model.sample_stack(spec, 10, seeding.substream(5, 1))
+    if error is EvaluationError:
+        assert exc.value.iteration is None
+
+
 def test_a_type_error_inside_the_sampler_is_not_caught(bt):
     def sampler(rng, n=None):
         raise TypeError("raised in the sampler")
@@ -502,12 +551,12 @@ def _state_calls(spec, xs, ys, betas, thetas):
     }
 
 
-@pytest.mark.parametrize("name", ["BT", "LIN", "LG(1)", "LG(3)"])
+@pytest.mark.parametrize("name", ["BT", "LIN", "LG(1)", "LG(3)", "F2"])
 def test_stacked_states_match_per_state_calls(name):
     # Four contexts (axis 0) by five states (axis 1) in one call per
     # evaluator, against one call per context and state.  BT's oracle
     # squares by a product, so its rows agree bit for bit too.
-    spec = problems.by_name(name).spec
+    spec = spec_named(name)
     rng = seeding.substream(3, 6)
     xs, ys = model.sample_stack(spec, 4, rng)
     betas = rng.uniform(-1, 1, (5, spec.dim_beta))
